@@ -15,14 +15,6 @@
 //	                        on a dual-socket node, plus the bandwidth-
 //	                        contention migration gate
 //	experiments -all        everything, in paper order
-//	experiments -bench-json FILE
-//	                        run the Figure 4 sweep grid through the
-//	                        sweep engine and write per-point wall-clock
-//	                        and refs/sec to FILE (the BENCH_sweep.json
-//	                        perf trajectory); add -bench-compare BASE
-//	                        to fail on a throughput regression beyond
-//	                        the recorded measurement noise (≥5%) vs an
-//	                        earlier document
 //	experiments -trace FILE
 //	                        record every sweep-shaped mode as flight-
 //	                        recorder JSONL: run manifests, epoch and
@@ -50,10 +42,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -61,15 +51,12 @@ import (
 	"strings"
 	"sync"
 	"text/tabwriter"
-	"time"
 
 	hm "repro"
-	"repro/internal/cache"
 	"repro/internal/callstack"
 	"repro/internal/mem"
 	"repro/internal/predict"
 	"repro/internal/units"
-	"repro/internal/xrand"
 )
 
 // workers is the sweep worker-pool bound (0 = GOMAXPROCS).
@@ -77,11 +64,6 @@ var workers = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 
 // showMetrics prints each sweep cell's engine counter snapshot.
 var showMetrics = flag.Bool("metrics", false, "print per-cell engine counters (page-table cache hits, arena reuse, ...) after each sweep")
-
-// benchReps is the -bench-json repetition count; the median rep (by
-// calibration-normalized throughput) is written so the trajectory
-// tracks a noise-resistant statistic.
-var benchReps = flag.Int("bench-reps", 5, "run the -bench-json sweep this many times and keep the median by normalized throughput")
 
 // traceRec is the -trace flight recorder (nil = tracing off); every
 // sweep-shaped mode feeds it through runSweep. traceClose finalizes
@@ -141,8 +123,6 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	app := flag.String("app", "", "restrict -fig 4 and -online to one application")
 	scale := flag.Float64("scale", 1.0, "access-volume scale factor")
-	benchJSON := flag.String("bench-json", "", "write the sweep benchmark trajectory to this file (e.g. BENCH_sweep.json)")
-	benchCompare := flag.String("bench-compare", "", "with -bench-json: fail (exit 1) if the new sweep refs/sec regresses >5% vs this baseline BENCH_sweep.json")
 	tracePath := flag.String("trace", "", "record every sweep-shaped mode as flight-recorder JSONL into this file")
 	traceSummary := flag.String("trace-summary", "", "summarize an existing flight-recorder JSONL trace and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -186,13 +166,6 @@ func main() {
 	any := false
 	if *traceSummary != "" {
 		summarizeTrace(*traceSummary)
-		any = true
-	}
-	if *benchJSON != "" {
-		benchSweep(*benchJSON, *app, *scale)
-		if *benchCompare != "" {
-			compareBench(*benchCompare, *benchJSON)
-		}
 		any = true
 	}
 	if *all || *fig == 1 {
@@ -826,279 +799,6 @@ func profileUnderFramework(w *hm.Workload, m hm.Machine, rep *hm.PlacementReport
 	return hm.ProfileWithPolicy(w, hm.ProfileConfig{
 		Machine: m, Seed: 33, RefScale: scale, SamplePeriod: 600,
 	}, rep)
-}
-
-// benchPoint is one BENCH_sweep.json row: a sweep cell's wall-clock
-// and simulated-reference throughput.
-type benchPoint struct {
-	Label         string  `json:"label"`
-	WallNS        int64   `json:"wall_ns"`
-	ProfileWallNS int64   `json:"profile_wall_ns,omitempty"`
-	Refs          int64   `json:"refs"`
-	RefsPerSec    float64 `json:"refs_per_sec"`
-	FOM           float64 `json:"fom"`
-}
-
-// benchDoc is the BENCH_sweep.json schema: the perf trajectory CI
-// accumulates per commit, so sweep-engine regressions show up as
-// wall-clock growth against history. CalibRefsPerSec is the raw
-// access-path throughput measured in the same time window as the
-// winning sweep repetition; NormalizedThroughput (sweep/calibration)
-// is what -bench-compare gates on, because the ratio cancels
-// machine-speed differences and shared-runner noise that make absolute
-// refs/sec incomparable across hosts.
-type benchDoc struct {
-	Schema               int     `json:"schema"`
-	App                  string  `json:"app"`
-	Scale                float64 `json:"scale"`
-	Workers              int     `json:"workers"`
-	GOMAXPROCS           int     `json:"gomaxprocs"`
-	PointCount           int     `json:"point_count"`
-	ProfileCount         int     `json:"profile_count"`
-	TotalWallNS          int64   `json:"total_wall_ns"`
-	TotalRefs            int64   `json:"total_refs"`
-	SweepRefsPerSec      float64 `json:"sweep_refs_per_sec"`
-	CalibRefsPerSec      float64 `json:"calib_refs_per_sec,omitempty"`
-	NormalizedThroughput float64 `json:"normalized_throughput,omitempty"`
-	// Per-repetition spread of the gate statistic: every repetition's
-	// normalized throughput in measurement order, plus min/max and the
-	// (max−min)/median percentage — how noisy this run of the benchmark
-	// was, recorded so a borderline gate decision can be audited.
-	RepNorms      []float64    `json:"rep_norms,omitempty"`
-	NormMin       float64      `json:"norm_min,omitempty"`
-	NormMax       float64      `json:"norm_max,omitempty"`
-	NormSpreadPct float64      `json:"norm_spread_pct,omitempty"`
-	Points        []benchPoint `json:"points"`
-}
-
-// calibrate measures the raw access-path throughput — the same mixed
-// reference stream as internal/cache's BenchmarkAccessPath — across
-// one goroutine per sweep worker, and returns aggregate refs/sec. It
-// is the machine-speed yardstick every sweep repetition is normalized
-// by; running it with the sweep's own parallelism makes core-stealing
-// by co-tenants hit yardstick and sweep alike.
-func calibrate() float64 {
-	procs := *workers
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	wg.Add(procs)
-	const refs = 1 << 23
-	start := time.Now()
-	for p := 0; p < procs; p++ {
-		go func(seed uint64) {
-			defer wg.Done()
-			calibrateLoop(seed, refs)
-		}(uint64(p + 7))
-	}
-	wg.Wait()
-	return float64(procs) * refs / time.Since(start).Seconds()
-}
-
-// calibrateLoop drives one goroutine's private hierarchy through the
-// mixed reference stream.
-func calibrateLoop(seed uint64, refs int) {
-	m := mem.DefaultKNL()
-	pt := mem.NewPageTable(mem.TierDDR)
-	const seg = 256 << 20
-	ddrBase := uint64(1) << 32
-	hbwBase := uint64(2) << 32
-	check(pt.SetCoarseRange(ddrBase, seg, mem.TierDDR))
-	check(pt.SetCoarseRange(hbwBase, seg, mem.TierMCDRAM))
-	pt.SetRange(ddrBase+64<<20, 16*units.MB, mem.TierMCDRAM)
-	h, err := cache.NewHierarchy(&m, pt)
-	check(err)
-	rng := xrand.New(seed)
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		switch i % 4 {
-		case 0:
-			addrs[i] = ddrBase + uint64(i*64)%seg
-		case 1:
-			addrs[i] = hbwBase + uint64(i*64)%seg
-		case 2:
-			addrs[i] = ddrBase + 64<<20 + rng.Uint64n(16<<20)&^63
-		default:
-			addrs[i] = ddrBase + rng.Uint64n(seg)&^63
-		}
-	}
-	mask := len(addrs) - 1
-	for _, a := range addrs { // warm up
-		h.Access(a)
-	}
-	for i := 0; i < refs; i++ {
-		h.Access(addrs[i&mask])
-	}
-}
-
-// benchSweep runs the Figure 4 grid through the sweep engine and
-// writes per-point wall-clock and refs/sec to path. The default
-// subject is minife (a framework-wins workload with the standard
-// 4-budget × 4-strategy plane); -app overrides. The grid runs
-// benchReps times, each paired with a calibration measurement, and the
-// MEDIAN repetition by normalized throughput becomes the document —
-// the noise-resistant statistic a >5% regression gate (-bench-compare)
-// can be held to, where a single measurement on a shared runner is
-// not.
-func benchSweep(path, only string, scale float64) {
-	app := only
-	if app == "" {
-		app = "minife"
-	}
-	header(fmt.Sprintf("Sweep benchmark: %s -> %s (median of %d)", app, path, *benchReps))
-	w, err := hm.WorkloadByName(app)
-	check(err)
-	pts, _ := fig4Grid(w, scale)
-	type repMeasure struct {
-		res   []hm.SweepResult
-		total time.Duration
-		calib float64
-		norm  float64
-	}
-	reps := make([]repMeasure, 0, *benchReps)
-	for rep := 0; rep < *benchReps; rep++ {
-		// Calibrate in the same time window as the sweep it yardsticks,
-		// so a machine-wide slow period hits numerator and denominator
-		// alike and the normalized ratio stays comparable.
-		c := calibrate()
-		start := time.Now()
-		r := runSweep(pts)
-		elapsed := time.Since(start)
-		var refs int64
-		for _, rr := range r {
-			refs += rr.Refs
-		}
-		reps = append(reps, repMeasure{r, elapsed, c, float64(refs) / elapsed.Seconds() / c})
-	}
-	// The gate statistic is the MEDIAN of the per-repetition normalized
-	// throughputs: unlike a pooled mean (total refs over total seconds),
-	// one repetition hit by a co-tenant burst or GC pause cannot drag
-	// the statistic — it just becomes an outlier the recorded spread
-	// exposes. With three or more repetitions the single best and worst
-	// are dropped first: they are where co-tenant bursts land, and the
-	// recorded min/max/spread — which widens the -bench-compare gate —
-	// should describe the stable core of the sample, not its extremes.
-	// The full per-rep list is still recorded (RepNorms, in measurement
-	// order) so the trim is auditable. Per-point detail comes from the
-	// median repetition.
-	repNorms := make([]float64, len(reps))
-	for i, rm := range reps {
-		repNorms[i] = rm.norm
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].norm < reps[j].norm })
-	trimmed := reps
-	if len(trimmed) >= 3 {
-		trimmed = trimmed[1 : len(trimmed)-1]
-	}
-	mid := trimmed[len(trimmed)/2] // median by normalized throughput
-	normAgg := mid.norm
-	if n := len(trimmed); n%2 == 0 {
-		normAgg = (trimmed[n/2-1].norm + trimmed[n/2].norm) / 2
-	}
-	normMin, normMax := trimmed[0].norm, trimmed[len(trimmed)-1].norm
-	calib := mid.calib
-	res, total := mid.res, mid.total
-
-	doc := benchDoc{
-		Schema:      1,
-		App:         app,
-		Scale:       scale,
-		Workers:     *workers,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		PointCount:  len(res),
-		TotalWallNS: total.Nanoseconds(),
-	}
-	profiles := make(map[*hm.Trace]bool)
-	for _, r := range res {
-		bp := benchPoint{
-			Label:  r.Label,
-			WallNS: r.Wall.Nanoseconds(),
-			Refs:   r.Refs,
-			FOM:    r.Run.FOM,
-		}
-		if secs := r.Wall.Seconds(); secs > 0 {
-			bp.RefsPerSec = float64(r.Refs) / secs
-		}
-		if r.Pipeline != nil {
-			bp.ProfileWallNS = r.ProfileWall.Nanoseconds()
-			profiles[r.Pipeline.Trace] = true
-		}
-		doc.TotalRefs += r.Refs
-		doc.Points = append(doc.Points, bp)
-	}
-	doc.ProfileCount = len(profiles)
-	if secs := total.Seconds(); secs > 0 {
-		doc.SweepRefsPerSec = float64(doc.TotalRefs) / secs
-	}
-	doc.CalibRefsPerSec = calib
-	doc.NormalizedThroughput = normAgg
-	doc.RepNorms = repNorms
-	doc.NormMin, doc.NormMax = normMin, normMax
-	if normAgg > 0 {
-		doc.NormSpreadPct = (normMax - normMin) / normAgg * 100
-	}
-
-	buf, err := json.MarshalIndent(&doc, "", "  ")
-	check(err)
-	check(os.WriteFile(path, append(buf, '\n'), 0o644))
-	fmt.Printf("%d points (%d memoized profiles) in %v — %.0f simulated refs/s; wrote %s\n",
-		doc.PointCount, doc.ProfileCount, total.Round(time.Millisecond), doc.SweepRefsPerSec, path)
-}
-
-// compareBench guards the sweep's throughput trajectory: it fails the
-// run (exit 1) when the freshly written BENCH_sweep document regresses
-// against the committed baseline by more than the measurement noise
-// can explain. The gate compares calibration-NORMALIZED throughput
-// (sweep refs/sec over the raw access-path refs/sec measured in the
-// same time window): the ratio cancels host speed and shared-runner
-// noise, so a baseline committed on one machine holds on another,
-// while genuine sweep-engine regressions — added allocations, lost
-// memoization or parallelism — still move it. The threshold is the 5%
-// floor widened by the per-repetition spread BOTH documents record
-// (half-spreads combined in quadrature, as for independent errors):
-// on a quiet runner the spread is small and the gate stays tight, on
-// a jittery container the recorded spread is exactly the noise the
-// median statistic was drawn from, and a delta inside it is not
-// evidence of a regression. Raw refs/sec is the fallback for
-// pre-calibration baseline documents.
-func compareBench(baselinePath, newPath string) {
-	read := func(path string) benchDoc {
-		buf, err := os.ReadFile(path)
-		check(err)
-		var doc benchDoc
-		check(json.Unmarshal(buf, &doc))
-		return doc
-	}
-	base, cur := read(baselinePath), read(newPath)
-	metric := "normalized throughput"
-	baseV, curV := base.NormalizedThroughput, cur.NormalizedThroughput
-	if baseV <= 0 || curV <= 0 {
-		metric, baseV, curV = "refs/s", base.SweepRefsPerSec, cur.SweepRefsPerSec
-	}
-	if baseV <= 0 {
-		check(fmt.Errorf("bench-compare: baseline %s has no throughput figure", baselinePath))
-	}
-	// halfSpread is the document's relative measurement half-width:
-	// (max-min)/2 of the per-rep normalized throughputs over the
-	// median. Zero for documents predating the rep record.
-	halfSpread := func(d benchDoc) float64 {
-		if d.NormalizedThroughput <= 0 || d.NormMax <= d.NormMin {
-			return 0
-		}
-		return (d.NormMax - d.NormMin) / 2 / d.NormalizedThroughput
-	}
-	threshold := 0.05
-	if noise := math.Hypot(halfSpread(base), halfSpread(cur)); noise > threshold {
-		threshold = noise
-	}
-	ratio := curV / baseV
-	fmt.Printf("bench-compare: %s %.4g vs baseline %.4g (%.1f%%); raw %.0f vs %.0f refs/s; noise-adjusted threshold %.1f%%\n",
-		metric, curV, baseV, ratio*100, cur.SweepRefsPerSec, base.SweepRefsPerSec, threshold*100)
-	if ratio < 1-threshold {
-		check(fmt.Errorf("bench-compare: sweep %s regressed %.1f%% (> %.1f%% noise-adjusted threshold) vs %s",
-			metric, (1-ratio)*100, threshold*100, baselinePath))
-	}
 }
 
 func check(err error) {

@@ -53,6 +53,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/paramedir"
 	"repro/internal/predict"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -902,7 +903,7 @@ func (cfg *PipelineConfig) profileConfig() ProfileConfig {
 // Pipeline and the sweep engine so a memoized-profile sweep cannot
 // drift from the serial path.
 func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile) (*PipelineResult, error) {
-	return adviseAndExecuteWarm(w, cfg, tr, profRun, prof, nil)
+	return adviseAndExecuteWarm(w, cfg, tr, profRun, prof, nil, nil)
 }
 
 // adviseAndExecuteWarm is adviseAndExecute with the advisor's
@@ -912,7 +913,14 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 // only prunes — reports stay byte-identical to the cold path — so the
 // sweep's bit-identical-to-serial contract is untouched. The
 // time-aware advisors have no warm seam and always run cold.
-func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState) (*PipelineResult, error) {
+//
+// A non-nil runs memo shares the production run between calls with
+// equal executeKey, so sweep cells whose placements coincide simulate
+// it once. Traced and fault-scoped runs are never shared: a shared
+// run's events would land in whichever sharer's recorder claimed the
+// key (the rule that turns off exact warm-start sharing under
+// tracing), and chaos victims are chosen per cell.
+func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -945,11 +953,19 @@ func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *R
 	}
 	// The production run uses a different seed half: same program,
 	// different ASLR layout — translation must bridge it.
-	res, err := Execute(w, rep, cfg.Interpose, ExecuteConfig{
-		Machine: cfg.Machine, Cores: cfg.Cores, Seed: cfg.Seed + 0x9e37,
-		RefScale: cfg.RefScale, Obs: cfg.Obs, pool: cfg.pool,
-		ctx: cfg.ctx, fault: cfg.fault,
-	})
+	execute := func() (*RunResult, error) {
+		return Execute(w, rep, cfg.Interpose, ExecuteConfig{
+			Machine: cfg.Machine, Cores: cfg.Cores, Seed: cfg.Seed + 0x9e37,
+			RefScale: cfg.RefScale, Obs: cfg.Obs, pool: cfg.pool,
+			ctx: cfg.ctx, fault: cfg.fault,
+		})
+	}
+	var res *RunResult
+	if runs != nil && cfg.Obs == nil && cfg.fault == nil {
+		res, err = runs.Do(executeKey(w, &cfg, rep), execute)
+	} else {
+		res, err = execute()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: execute stage: %w", err)
 	}

@@ -362,7 +362,8 @@ func TestPendingTrafficIsSnapshot(t *testing.T) {
 
 // BenchmarkAccessRun measures the batched access path per engine touch
 // pattern — the inner loop of every simulated phase. CI runs these as
-// a smoke; the committed BENCH_sweep.json tracks the end-to-end number.
+// a smoke; the perfbench fig4-sweep workload measures the end-to-end
+// number.
 func BenchmarkAccessRun(b *testing.B) {
 	patterns := []patternSpec{
 		{name: "seq-dense", base: 1 << 32, stride: 16, span: 1 * units.MB},

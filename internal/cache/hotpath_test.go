@@ -116,9 +116,8 @@ func TestDrainPhaseZeroAllocs(t *testing.T) {
 
 // BenchmarkAccessPath measures the innermost simulation loop — one
 // Access per simulated reference over the mixed stream — and reports
-// refs/sec. This is the figure the ROADMAP's "as fast as the hardware
-// allows" north star is graded on; BENCH_sweep.json tracks it across
-// PRs.
+// refs/sec — the per-reference oracle path, not the batched one the
+// engine runs (BenchmarkAccessRun).
 func BenchmarkAccessPath(b *testing.B) {
 	h, m, addrs := hotPathFixture(b)
 	mask := len(addrs) - 1

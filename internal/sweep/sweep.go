@@ -16,7 +16,7 @@
 //
 // Grid encodes exactly those two facts: cells fan out across a bounded
 // worker pool, per-key setup artifacts are computed once and shared
-// via a promise table, and results return indexed by cell so ordering
+// through a Memo, and results return indexed by cell so ordering
 // is scheduling-independent. Everything domain-specific (what a
 // profile is, what a cell computes) stays with the caller.
 package sweep
@@ -38,11 +38,47 @@ import (
 // the cell runs with the zero artifact.
 type Key string
 
-// promise is a once-computed setup artifact shared between cells.
-type promise[A any] struct {
-	once     sync.Once
-	artifact A
-	err      error
+// Memo computes one value per key, once, and hands it to every caller
+// of that key. Concurrent callers of one key block until the first
+// caller's compute returns, then share its value or its error
+// verbatim; a panicking compute is recovered as a CellPanic with Cell
+// -1 (which caller claimed the key is scheduling-dependent) and fails
+// every caller of the key. Grid memoizes its per-key setup artifacts
+// through one, and the root package's sweep shares identical
+// executions through another. The zero Memo is ready to use.
+type Memo[V any] struct {
+	mu    sync.Mutex
+	calls map[Key]*memoCall[V]
+}
+
+type memoCall[V any] struct {
+	once sync.Once
+	val  V
+	err  error
+}
+
+// Do returns the value computed for k, running compute only if no
+// caller has claimed k before.
+func (m *Memo[V]) Do(k Key, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	c, ok := m.calls[k]
+	if !ok {
+		if m.calls == nil {
+			m.calls = make(map[Key]*memoCall[V])
+		}
+		c = new(memoCall[V])
+		m.calls[k] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				c.err = &CellPanic{Cell: -1, Value: v, Stack: debug.Stack()}
+			}
+		}()
+		c.val, c.err = compute()
+	})
+	return c.val, c.err
 }
 
 // ErrCellPanic is the sentinel every recovered cell or setup panic
@@ -52,10 +88,10 @@ var ErrCellPanic = errors.New("sweep: cell panicked")
 
 // CellPanic is the error a recovered panic is captured as: the
 // panicking cell, the panic value and the stack at the point of
-// recovery. Cell is -1 for a shared-setup panic — which cell happened
-// to claim the promise is scheduling-dependent, and the error is
-// shared verbatim by every cell on that key, so recording the claimer
-// would break the grid's determinism contract.
+// recovery. Cell is -1 for a panic in a Memo's shared computation —
+// which cell happened to claim the key is scheduling-dependent, and
+// the error is shared verbatim by every cell on that key, so recording
+// the claimer would break the grid's determinism contract.
 type CellPanic struct {
 	Cell  int
 	Value any
@@ -65,7 +101,7 @@ type CellPanic struct {
 func (p *CellPanic) Error() string {
 	where := fmt.Sprintf("cell %d", p.Cell)
 	if p.Cell < 0 {
-		where = "shared setup"
+		where = "shared computation"
 	}
 	return fmt.Sprintf("%v in %s: %v\n%s", ErrCellPanic, where, p.Value, p.Stack)
 }
@@ -138,19 +174,7 @@ func GridCtx[A, R any](ctx context.Context, n, workers int, keyOf func(int) Key,
 		workers = n
 	}
 
-	var mu sync.Mutex
-	promises := make(map[Key]*promise[A])
-	claim := func(k Key) *promise[A] {
-		mu.Lock()
-		defer mu.Unlock()
-		p, ok := promises[k]
-		if !ok {
-			p = new(promise[A])
-			promises[k] = p
-		}
-		return p
-	}
-
+	var setups Memo[A]
 	run := func(i, worker int) {
 		if ctx != nil {
 			if err := runerr.Canceled(ctx); err != nil {
@@ -160,20 +184,12 @@ func GridCtx[A, R any](ctx context.Context, n, workers int, keyOf func(int) Key,
 		}
 		var artifact A
 		if k := keyOf(i); k != "" {
-			p := claim(k)
-			p.once.Do(func() {
-				defer func() {
-					if v := recover(); v != nil {
-						p.err = &CellPanic{Cell: -1, Value: v, Stack: debug.Stack()}
-					}
-				}()
-				p.artifact, p.err = setup(i)
-			})
-			if p.err != nil {
-				errs[i] = p.err
+			a, err := setups.Do(k, func() (A, error) { return setup(i) })
+			if err != nil {
+				errs[i] = err
 				return
 			}
-			artifact = p.artifact
+			artifact = a
 		}
 		func() {
 			defer func() {

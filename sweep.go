@@ -12,9 +12,11 @@ package hybridmem
 // that boundary: Profile+Analyze artifacts are memoized per profiling
 // key and the advise+execute tails (plus baseline and online cells,
 // which have no profile stage) fan out across a bounded worker pool.
-// Because every simulated run is a pure function of its configuration,
-// the results are bit-identical to the serial loop, regardless of
-// worker count — pinned by TestSweepMatchesSerialLoop.
+// Cells whose advise stage lands on the same placement also share one
+// production run (executeKey). Because every simulated run is a pure
+// function of its configuration, the results are bit-identical to the
+// serial loop, regardless of worker count — pinned by
+// TestSweepMatchesSerialLoop.
 
 import (
 	"context"
@@ -41,7 +43,7 @@ type BaselineSpec struct {
 // way of running it — a full four-stage pipeline, a baseline
 // placement, or the online adaptive placer.
 type SweepPoint struct {
-	// Label tags the cell in results and BENCH_sweep.json rows.
+	// Label tags the cell in results and trace cell events.
 	Label    string
 	Workload *Workload
 
@@ -70,7 +72,10 @@ func OnlinePoint(label string, w *Workload, cfg OnlineConfig) SweepPoint {
 type SweepResult struct {
 	Label string
 	// Run is the cell's final execution result (Pipeline.Run for
-	// pipeline cells).
+	// pipeline cells). Pipeline cells whose placements coincide — equal
+	// reports apart from the strategy name, on the same workload,
+	// machine and interposer options — SHARE one Run, as they share a
+	// profile; each keeps its own Pipeline.Report.
 	Run *RunResult
 	// Pipeline carries every stage artifact for pipeline cells; its
 	// Trace/ProfilingRun/Profile are SHARED with every cell that
@@ -78,6 +83,8 @@ type SweepResult struct {
 	Pipeline *PipelineResult
 	// Wall is the wall-clock time of this cell's own work: the
 	// advise+execute tail for pipeline cells, the whole run otherwise.
+	// A cell sharing another cell's Run covers its advise plus any wait
+	// for that run.
 	Wall time.Duration
 	// ProfileWall is the wall-clock cost of the memoized Profile+
 	// Analyze artifact this cell used (zero for baseline/online cells).
@@ -85,8 +92,7 @@ type SweepResult struct {
 	// distinct profile, not per cell.
 	ProfileWall time.Duration
 	// Refs is the number of simulated memory references of the final
-	// run — the numerator of the refs/sec throughput BENCH_sweep.json
-	// tracks.
+	// run; cells sharing a Run report the shared run's refs.
 	Refs int64
 	// Err is this cell's failure, nil for a healthy cell. A failed
 	// cell never takes the sweep down: a recovered panic lands here as
@@ -167,10 +173,28 @@ func profileKey(w *Workload, cfg *PipelineConfig) sweep.Key {
 	return sweep.Key(advisord.ProfileKey(w, params))
 }
 
+// executeKey derives the execution-sharing key of a pipeline cell: the
+// exact canonical bytes of its profile key (which covers workload,
+// machine, cores, seed and RefScale), its interposer options and its
+// report with the strategy name cleared — every input of the
+// production run but the manifest tag, which only traced runs, never
+// shared, emit. The bytes themselves are the key, not a hash of them,
+// so two different executions can never collide.
+func executeKey(w *Workload, cfg *PipelineConfig, rep *PlacementReport) sweep.Key {
+	r := *rep
+	r.Strategy = ""
+	return sweep.Key(obs.CanonicalBytes(struct {
+		Profile   sweep.Key
+		Interpose InterposeOptions
+		Report    PlacementReport
+	}{profileKey(w, cfg), cfg.Interpose, r}))
+}
+
 // RunSweep executes every point of a sweep grid and returns the
 // results in point order. Pipeline cells sharing a profiling
-// configuration share one Profile+Analyze computation; all cells fan
-// out across the worker pool. Results are identical to running the
+// configuration share one Profile+Analyze computation, and cells whose
+// placements coincide share one production run; all cells fan out
+// across the worker pool. Results are identical to running the
 // cells serially in order (Pipeline / RunBaseline / RunOnline per
 // cell).
 //
@@ -293,6 +317,11 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		pools[i] = engine.NewPool()
 	}
 
+	// Execution sharing: pipeline cells with equal executeKey run one
+	// production Execute (traced and fault-scoped cells excepted, see
+	// adviseAndExecuteWarm).
+	runs := new(sweep.Memo[*RunResult])
+
 	setup := func(i int) (*profiled, error) {
 		p := cfgs[i]
 		start := time.Now()
@@ -390,7 +419,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 				// and stay warm either way.
 				ws = nil
 			}
-			pr, err := adviseAndExecuteWarm(p.Workload, cfg, art.trace, art.run, art.prof, ws)
+			pr, err := adviseAndExecuteWarm(p.Workload, cfg, art.trace, art.run, art.prof, ws, runs)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}
@@ -470,7 +499,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 }
 
 // SimulatedRefs sums the memory references a run simulated — the
-// throughput numerator of the performance trajectory.
+// numerator of a sweep's refs/s throughput.
 func SimulatedRefs(r *RunResult) int64 {
 	if r == nil {
 		return 0

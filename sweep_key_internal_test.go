@@ -7,11 +7,13 @@ package hybridmem
 // the advise/execute tail reads must NOT, and the key must be free of
 // process state — equal-content workloads built twice (fresh pointers,
 // fresh maps) must share one key, which is the regression the old
-// %p-based scheme failed.
+// %p-based scheme failed. The execution-sharing key gets the same
+// audit against the fields Execute reads.
 
 import (
 	"testing"
 
+	"repro/internal/advisor"
 	"repro/internal/apps"
 	"repro/internal/units"
 )
@@ -123,5 +125,74 @@ func TestProfileKeyDefaultNormalization(t *testing.T) {
 	c2.Cores = c2.Machine.Cores
 	if keyOfConfig(t, w2, c2) != base {
 		t.Fatal("explicit defaults key a different artifact than implicit ones")
+	}
+}
+
+func reportBase() *PlacementReport {
+	return &PlacementReport{
+		App: "minife", Strategy: "misses(0%)", Budget: 64 * units.MB,
+		Entries: []advisor.Entry{{Tier: "MCDRAM", ID: "A", Site: "main>alloc_a", Size: 8 * units.MB, Misses: 1000}},
+		LBSize:  8 * units.MB, UBSize: 8 * units.MB,
+	}
+}
+
+func execKeyOf(t *testing.T, w *Workload, cfg PipelineConfig, rep *PlacementReport) string {
+	t.Helper()
+	c := cfg.withDefaults()
+	if err := c.validate(); err != nil {
+		t.Fatal(err)
+	}
+	return string(executeKey(w, &c, rep))
+}
+
+// TestExecuteKeyCompleteness perturbs every input of a pipeline cell's
+// production run one at a time and asserts the execution-sharing key
+// moves; a field this audit misses is a field two DIFFERENT production
+// runs could silently share one result through. The strategy name —
+// read only by the traced run manifest, and traced runs are never
+// shared — must not move it.
+func TestExecuteKeyCompleteness(t *testing.T) {
+	affecting := []struct {
+		name string
+		mut  func(w *Workload, c *PipelineConfig, r *PlacementReport)
+	}{
+		{"workload.Iterations", func(w *Workload, c *PipelineConfig, r *PlacementReport) { w.Iterations++ }},
+		{"workload.ObjectSize", func(w *Workload, c *PipelineConfig, r *PlacementReport) { w.Objects[0].Size += 4096 }},
+		{"machine.TierLatency", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Machine.Tiers[0].LatencyCycles++ }},
+		{"machine.CacheMode", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Machine = CacheModeMachine(c.Machine) }},
+		{"config.Cores", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Cores = 2 }},
+		{"config.Seed", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Seed++ }},
+		{"config.RefScale", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.RefScale = 0.5 }},
+		{"interpose.DisableSizeFilter", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.DisableSizeFilter = true }},
+		{"interpose.DisableCache", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.DisableCache = true }},
+		{"interpose.BudgetOverride", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.BudgetOverride = 32 * units.MB }},
+		{"report.Entries", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.Entries[0].Site = "main>alloc_b" }},
+		{"report.EntryPartition", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.Entries[0].PartSize = 4 * units.MB }},
+		{"report.Budget", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.Budget *= 2 }},
+		{"report.Tiers", func(w *Workload, c *PipelineConfig, r *PlacementReport) {
+			r.Tiers = []advisor.TierBudget{{Name: "MCDRAM", Capacity: r.Budget}}
+		}},
+		{"report.LBSize", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.LBSize-- }},
+		{"report.UBSize", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.UBSize++ }},
+	}
+	wBase, cBase := keyBase()
+	base := execKeyOf(t, wBase, cBase, reportBase())
+	for _, p := range affecting {
+		w, c := keyBase()
+		r := reportBase()
+		p.mut(w, &c, r)
+		if execKeyOf(t, w, c, r) == base {
+			t.Errorf("%s: execution key did not change — two different production runs would share one result", p.name)
+		}
+	}
+
+	w, c := keyBase()
+	r := reportBase()
+	r.Strategy = "density"
+	if execKeyOf(t, w, c, r) != base {
+		t.Error("report.Strategy moved the execution key — cells whose placements coincide would stop sharing the run")
+	}
+	if rb := reportBase(); execKeyOf(t, w, c, rb) != base || rb.Strategy != "misses(0%)" {
+		t.Error("executeKey must not modify the cell's own report")
 	}
 }

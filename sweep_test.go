@@ -3,6 +3,7 @@ package hybridmem_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -146,6 +147,99 @@ func TestSweepMemoizesProfiles(t *testing.T) {
 	}
 	if other.Trace == shared.Trace {
 		t.Error("different profiling seed must not share a trace")
+	}
+}
+
+// TestSweepSharesIdenticalExecutions checks execute-once: pipeline
+// cells whose reports differ only in the strategy name (on one
+// profile) must share the SAME run object, cells whose placements
+// differ must not, traced and fault-scoped cells must share nothing,
+// and every cell must still equal its serial Pipeline call.
+func TestSweepSharesIdenticalExecutions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep grid is not -short")
+	}
+	w, err := hm.WorkloadByName("minife")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := hm.MachineFor(w)
+	// At 512 MB density and misses(0%) pick different objects, so the
+	// grid holds both coinciding and diverging placements per budget.
+	pts := append(sweepGrid(w, m),
+		hm.PipelinePoint("m0-512", w, hm.PipelineConfig{
+			Machine: m, Seed: 21, Budget: 512 * units.MB, Strategy: hm.StrategyMisses(0), RefScale: 0.25,
+		}),
+		hm.PipelinePoint("density-512", w, hm.PipelineConfig{
+			Machine: m, Seed: 21, Budget: 512 * units.MB, Strategy: hm.StrategyDensity, RefScale: 0.25,
+		}),
+	)
+	serial := make([]*hm.PipelineResult, len(pts))
+	for i, p := range pts {
+		if p.Pipeline == nil {
+			continue
+		}
+		if serial[i], err = hm.Pipeline(p.Workload, *p.Pipeline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	placement := func(rep *hm.PlacementReport) string {
+		r := *rep
+		r.Strategy = ""
+		var b bytes.Buffer
+		if err := r.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	for _, tc := range []struct {
+		name  string
+		opts  hm.SweepOptions
+		share bool
+	}{
+		{"plain", hm.SweepOptions{Workers: 3}, true},
+		{"traced", hm.SweepOptions{Workers: 3, Obs: hm.NewFlightRecorder(io.Discard)}, false},
+		// A solver node budget scopes every cell's faults (solver
+		// starvation is global) without touching the greedy cells here.
+		{"fault-scoped", hm.SweepOptions{Workers: 3, Fault: hm.NewFaultInjector(1, hm.FaultSpec{SolverNodeBudget: 1 << 20})}, false},
+	} {
+		res, err := hm.RunSweep(pts, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var shared, distinct int
+		for i, p := range pts {
+			if p.Pipeline == nil {
+				continue
+			}
+			if !reflect.DeepEqual(res[i].Run, serial[i].Run) {
+				t.Errorf("%s: point %d (%s): run diverged from serial Pipeline", tc.name, i, p.Label)
+			}
+			if res[i].Pipeline.Report.Strategy != serial[i].Report.Strategy {
+				t.Errorf("%s: point %d (%s): report strategy %q, want %q", tc.name, i, p.Label,
+					res[i].Pipeline.Report.Strategy, serial[i].Report.Strategy)
+			}
+			for j := i + 1; j < len(pts); j++ {
+				if pts[j].Pipeline == nil {
+					continue
+				}
+				same := res[i].Pipeline.Trace == res[j].Pipeline.Trace &&
+					placement(res[i].Pipeline.Report) == placement(res[j].Pipeline.Report)
+				if same {
+					shared++
+				} else {
+					distinct++
+				}
+				if got, want := res[i].Run == res[j].Run, same && tc.share; got != want {
+					t.Errorf("%s: points %d (%s) and %d (%s): run shared = %v, want %v",
+						tc.name, i, p.Label, j, pts[j].Label, got, want)
+				}
+			}
+		}
+		if shared == 0 || distinct == 0 {
+			t.Fatalf("%s: grid has %d coinciding and %d diverging placement pairs; need both", tc.name, shared, distinct)
+		}
 	}
 }
 
