@@ -42,6 +42,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,6 +56,7 @@ import (
 	hm "repro"
 	"repro/internal/callstack"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/units"
 )
@@ -148,7 +150,7 @@ func main() {
 		traceRec = hm.NewFlightRecorder(f)
 		// The file-level manifest identifies the tool invocation; each
 		// simulated run adds its own manifest below it.
-		traceRec.EmitManifest(hm.RunManifest{
+		obs.Emit(traceRec, hm.RunManifest{
 			App:      "experiments",
 			Workload: *app,
 			Strategy: *strategyFlag,
@@ -465,7 +467,7 @@ func gapTable(caption string, budgets []int64, cells []*hm.PipelineResult, mcFor
 		mcfg := mcFor(i)
 		exactObj := hm.PlacementObjective(pr.Profile, pr.Report, mcfg)
 		ratioOf := func(s hm.Strategy) float64 {
-			rep, err := hm.AdviseHierarchy(pr.Profile, mcfg, s)
+			rep, err := hm.AdviseHierarchy(context.Background(), pr.Profile, mcfg, s, nil)
 			check(err)
 			if exactObj == 0 {
 				return 1

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"strings"
 
 	hm "repro"
+	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -83,19 +85,20 @@ func main() {
 		}
 		defer tf.Close()
 		rec = hm.NewFlightRecorder(tf)
-		rec.EmitManifest(hm.RunManifest{
+		obs.Emit(rec, hm.RunManifest{
 			App:      prof.App,
 			Strategy: strat.Name(),
 			ConfigFP: hm.ConfigFingerprint(os.Args[1:]),
 		})
 	}
+	mc := hm.TwoTier(b)
 	var rep *hm.PlacementReport
 	if *timeAware {
 		// The time-aware packer has no observed variant; the trace
 		// carries the manifest only.
-		rep, err = hm.AdviseTimeAware(prof, b, strat)
+		rep, err = hm.AdviseTimeAware(prof, mc, strat)
 	} else {
-		rep, err = hm.AdviseObserved(prof, b, strat, rec)
+		rep, err = hm.AdviseHierarchy(context.Background(), prof, mc, strat, rec)
 	}
 	if err != nil {
 		fail(err)

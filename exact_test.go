@@ -2,6 +2,7 @@ package hybridmem_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,7 +67,7 @@ func TestExactNTierGoldens(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prof := exactProfile(t, tc.machine)
 			mc := hm.MemoryConfigFor(tc.machine, tc.fastBudget)
-			exact, err := hm.AdviseHierarchy(prof, mc, hm.StrategyExactNTier)
+			exact, err := hm.AdviseHierarchy(context.Background(), prof, mc, hm.StrategyExactNTier, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestExactNTierGoldens(t *testing.T) {
 
 			exactObj := hm.PlacementObjective(prof, exact, mc)
 			for _, strat := range []hm.Strategy{hm.StrategyMisses(0), hm.StrategyDensity} {
-				greedy, err := hm.AdviseHierarchy(prof, mc, strat)
+				greedy, err := hm.AdviseHierarchy(context.Background(), prof, mc, strat, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cands = append(cands, candidate{"density (stock)", stock})
-	timeAware, err := hm.AdviseTimeAware(prof, budget, hm.StrategyDensity)
+	timeAware, err := hm.AdviseTimeAware(prof, hm.TwoTier(budget), hm.StrategyDensity)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestPartitionedPlacementBeatsWholeObjectAdvising(t *testing.T) {
 	}
 
 	// Partitioned advising places the table's hot 50 MB.
-	part, err := AdvisePartitioned(prof, tr, budget, StrategyMisses(0))
+	part, err := AdvisePartitioned(prof, tr, TwoTier(budget), StrategyMisses(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPartitionedReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AdvisePartitioned(prof, tr, 128*MB, StrategyMisses(0))
+	rep, err := AdvisePartitioned(prof, tr, TwoTier(128*MB), StrategyMisses(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,16 +341,20 @@ func AnalyzeHotRanges(prof *ObjectProfile, tr *Trace) map[string]HotRange {
 	return paramedir.AnalyzeHotRanges(prof, tr)
 }
 
-// AdvisePartitioned packs like Advise but, when an object does not fit
-// the remaining budget whole, places only its hot range; auto-hbwmalloc
-// then binds just those pages to fast memory (simulated mbind) — the
+// AdvisePartitioned packs like AdviseHierarchy but, when an object
+// does not fit the fastest tier's remaining budget whole, places only
+// its hot range (plain waterfall below that tier); auto-hbwmalloc then
+// binds just those pages to fast memory (simulated mbind) — the
 // paper's final future-work item.
-func AdvisePartitioned(prof *ObjectProfile, tr *Trace, budget int64, strat Strategy) (*PlacementReport, error) {
+func AdvisePartitioned(prof *ObjectProfile, tr *Trace, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
+	if tr == nil {
+		return nil, fmt.Errorf("hybridmem: nil trace")
+	}
 	hot := paramedir.AnalyzeHotRanges(prof, tr)
-	return advisor.AdvisePartitioned(prof.App, advisor.FromProfile(prof), hot, advisor.TwoTier(budget), strat)
+	return advisor.AdvisePartitioned(prof.App, advisor.FromProfile(prof), hot, mc, strat)
 }
 
 // Prediction is the outcome of a trace-replay performance prediction.
@@ -414,41 +418,29 @@ func (c *ProfileConfig) fill() {
 // instrumentation and PEBS sampling, returning the trace and the
 // profiling run's result (whose overhead column feeds Table I).
 func Profile(w *Workload, cfg ProfileConfig) (*Trace, *RunResult, error) {
-	cfg.fill()
-	res, err := engine.Run(w, engine.Config{
-		Machine:    cfg.Machine,
-		Cores:      cfg.Cores,
-		Seed:       cfg.Seed,
-		MakePolicy: baseline.DDR(),
-		RefScale:   cfg.RefScale,
-		Obs:        cfg.Obs,
-		Ctx:        cfg.ctx,
-		Tag:        "profile",
-		Monitor: &engine.MonitorConfig{
-			SamplePeriod: cfg.SamplePeriod,
-			MinAllocSize: cfg.MinAllocSize,
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Trace, res, nil
+	return profile(w, cfg, baseline.DDR(), "profile")
 }
 
 // ProfileWithPolicy runs w monitored while honouring an advisor report
 // through auto-hbwmalloc — the run the Figure 5 folding visualizes
 // (instrumenting the production placement instead of the DDR one).
 func ProfileWithPolicy(w *Workload, cfg ProfileConfig, rep *PlacementReport) (*Trace, *RunResult, error) {
-	cfg.fill()
 	tag := "profile"
 	if rep != nil && rep.Strategy != "" {
 		tag = "profile/" + rep.Strategy
 	}
+	return profile(w, cfg, interpose.Factory(rep, InterposeOptions{}), tag)
+}
+
+// profile is the monitored run behind Profile and ProfileWithPolicy,
+// placing allocations with makePolicy.
+func profile(w *Workload, cfg ProfileConfig, makePolicy engine.PolicyFactory, tag string) (*Trace, *RunResult, error) {
+	cfg.fill()
 	res, err := engine.Run(w, engine.Config{
 		Machine:    cfg.Machine,
 		Cores:      cfg.Cores,
 		Seed:       cfg.Seed,
-		MakePolicy: interpose.Factory(rep, InterposeOptions{}),
+		MakePolicy: makePolicy,
 		RefScale:   cfg.RefScale,
 		Obs:        cfg.Obs,
 		Ctx:        cfg.ctx,
@@ -469,34 +461,11 @@ func Analyze(tr *Trace) (*ObjectProfile, error) { return paramedir.Analyze(tr) }
 
 // Advise is Stage 3: select the objects to promote into a fast-memory
 // budget using the given strategy. It is the paper-reproduction
-// two-tier wrapper around AdviseHierarchy: packing the classic
-// MCDRAM+DDR configuration, it produces reports byte-identical to the
-// original single-knapsack hmem_advisor.
+// two-tier form of AdviseHierarchy: packing the classic MCDRAM+DDR
+// configuration, it produces reports byte-identical to the original
+// single-knapsack hmem_advisor.
 func Advise(prof *ObjectProfile, budget int64, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.Advise(prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat)
-}
-
-// AdviseObserved is Advise with a flight recorder attached: the
-// waterfall's per-tier packing steps and — under StrategyExactNTier —
-// the branch-and-bound solver's node/prune counters are emitted as
-// pack/solver events. A nil recorder makes it exactly Advise.
-func AdviseObserved(prof *ObjectProfile, budget int64, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseObserved(prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, rec)
-}
-
-// AdviseHierarchyObserved is AdviseHierarchy with a flight recorder
-// attached; see AdviseObserved.
-func AdviseHierarchyObserved(prof *ObjectProfile, mc MemoryConfig, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseObserved(prof.App, advisor.FromProfile(prof), mc, strat, rec)
+	return AdviseHierarchy(context.Background(), prof, TwoTier(budget), strat, nil)
 }
 
 // TwoTier returns the classic MCDRAM+DDR advisor configuration with
@@ -537,44 +506,33 @@ func MemoryConfigFor(m Machine, fastBudget int64) MemoryConfig {
 // tiers slower than the default the coldest objects receive explicit
 // entries banishing them below it, which is what protects warm data
 // from landing on the NVM/CXL floor by allocation-order accident.
-func AdviseHierarchy(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
+//
+// StrategyExactNTier polls ctx during the branch-and-bound search; on
+// deadline expiry it degrades to the density waterfall (marking the
+// report) unless the strategy is StrategyExactStrict, and on plain
+// cancellation it returns an ErrCanceled-wrapped error. The greedy
+// strategies complete too fast to be worth polling. A non-nil
+// recorder receives the waterfall's per-tier packing steps and —
+// under StrategyExactNTier — the solver's node/prune counters as
+// pack/solver events.
+func AdviseHierarchy(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
-	return advisor.Advise(prof.App, advisor.FromProfile(prof), mc, strat)
+	return advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, nil, rec)
 }
 
-// AdviseHierarchyTimeAware is AdviseTimeAware over an arbitrary
-// hierarchy: per-tier peak-concurrent-footprint packing.
-func AdviseHierarchyTimeAware(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
+// AdviseTimeAware is the liveness-aware variant of AdviseHierarchy
+// suggested in Section III: instead of budgeting the sum of every
+// selected site's maximum size (the static-address-space assumption
+// that misleads the advisor on churny applications like Lulesh), it
+// packs each tier against the peak CONCURRENT footprint reconstructed
+// from the trace's allocation timeline.
+func AdviseTimeAware(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
 	}
 	return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
-}
-
-// AdviseHierarchyPartitioned is AdvisePartitioned over an arbitrary
-// hierarchy: whole-or-hot-range packing on the fastest tier, plain
-// waterfall below it.
-func AdviseHierarchyPartitioned(prof *ObjectProfile, tr *Trace, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	hot := paramedir.AnalyzeHotRanges(prof, tr)
-	return advisor.AdvisePartitioned(prof.App, advisor.FromProfile(prof), hot, mc, strat)
-}
-
-// AdviseTimeAware is the liveness-aware variant of Advise suggested in
-// Section III: instead of budgeting the sum of every selected site's
-// maximum size (the static-address-space assumption that misleads the
-// advisor on churny applications like Lulesh), it packs against the
-// peak CONCURRENT footprint reconstructed from the trace's allocation
-// timeline.
-func AdviseTimeAware(prof *ObjectProfile, budget int64, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), advisor.TwoTier(budget), strat)
 }
 
 // ExecuteConfig parameterizes Stage 4 and baseline runs.
@@ -872,7 +830,7 @@ func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: analyze stage: %w", err)
 	}
-	return adviseAndExecute(w, cfg, tr, profRun, prof)
+	return adviseAndExecute(w, cfg, tr, profRun, prof, nil, nil)
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -902,15 +860,11 @@ func (cfg *PipelineConfig) profileConfig() ProfileConfig {
 // adviseAndExecute is the Stage 3+4 tail of a pipeline run, shared by
 // Pipeline and the sweep engine so a memoized-profile sweep cannot
 // drift from the serial path.
-func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile) (*PipelineResult, error) {
-	return adviseAndExecuteWarm(w, cfg, tr, profRun, prof, nil, nil)
-}
-
-// adviseAndExecuteWarm is adviseAndExecute with the advisor's
-// incremental re-solve seam: the sweep engine passes the WarmState it
-// keeps per memoized profile, so adjacent budget/strategy cells reuse
-// each other's sorted orders and exact-solver floors. Warm-starting
-// only prunes — reports stay byte-identical to the cold path — so the
+//
+// The sweep engine passes the WarmState it keeps per memoized profile
+// (Pipeline passes nil), so adjacent budget/strategy cells reuse each
+// other's sorted orders and exact-solver floors. Warm-starting only
+// prunes — reports stay byte-identical to the cold path — so the
 // sweep's bit-identical-to-serial contract is untouched. The
 // time-aware advisors have no warm seam and always run cold.
 //
@@ -920,7 +874,7 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 // run's events would land in whichever sharer's recorder claimed the
 // key (the rule that turns off exact warm-start sharing under
 // tracing), and chaos victims are chosen per cell.
-func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
+func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -936,17 +890,16 @@ func adviseAndExecuteWarm(w *Workload, cfg PipelineConfig, tr *Trace, profRun *R
 			strat = e
 		}
 	}
+	mc := TwoTier(cfg.Budget)
+	if cfg.Memory != nil {
+		mc = *cfg.Memory
+	}
 	var rep *PlacementReport
 	var err error
-	switch {
-	case cfg.Memory != nil && cfg.TimeAware:
-		rep, err = AdviseHierarchyTimeAware(prof, *cfg.Memory, strat)
-	case cfg.Memory != nil:
-		rep, err = advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), *cfg.Memory, strat, ws, cfg.Obs)
-	case cfg.TimeAware:
-		rep, err = AdviseTimeAware(prof, cfg.Budget, strat)
-	default:
-		rep, err = advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), advisor.TwoTier(cfg.Budget), strat, ws, cfg.Obs)
+	if cfg.TimeAware {
+		rep, err = AdviseTimeAware(prof, mc, strat)
+	} else {
+		rep, err = advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, ws, cfg.Obs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: advise stage: %w", err)

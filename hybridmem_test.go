@@ -2,6 +2,7 @@ package hybridmem
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -95,9 +96,30 @@ func TestTraceSurvivesSerialization(t *testing.T) {
 	}
 }
 
+// TestAdviseNilProfile checks that every facade advise function
+// rejects a nil profile (and AdvisePartitioned a nil trace) with an
+// error instead of panicking.
 func TestAdviseNilProfile(t *testing.T) {
-	if _, err := Advise(nil, MB, StrategyDensity); err == nil {
-		t.Fatal("nil profile accepted")
+	mc := TwoTier(MB)
+	for _, tc := range []struct {
+		name   string
+		advise func() (*PlacementReport, error)
+	}{
+		{"Advise", func() (*PlacementReport, error) { return Advise(nil, MB, StrategyDensity) }},
+		{"AdviseHierarchy", func() (*PlacementReport, error) {
+			return AdviseHierarchy(context.Background(), nil, mc, StrategyDensity, nil)
+		}},
+		{"AdviseTimeAware", func() (*PlacementReport, error) { return AdviseTimeAware(nil, mc, StrategyDensity) }},
+		{"AdvisePartitioned", func() (*PlacementReport, error) {
+			return AdvisePartitioned(nil, &Trace{}, mc, StrategyDensity)
+		}},
+		{"AdvisePartitioned/nil trace", func() (*PlacementReport, error) {
+			return AdvisePartitioned(&ObjectProfile{App: "app"}, nil, mc, StrategyDensity)
+		}},
+	} {
+		if _, err := tc.advise(); err == nil {
+			t.Errorf("%s: nil input accepted", tc.name)
+		}
 	}
 }
 

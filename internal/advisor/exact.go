@@ -139,20 +139,17 @@ type NTierSolveStats struct {
 // first, so the first leaf reached is the greedy fit and every later
 // improvement tightens the bound.
 func (e ExactNTier) SelectHierarchy(objs []Object, tiers []TierConfig, def string) (map[string][]Object, error) {
-	sel, _, err := e.selectHierarchyStats(objs, tiers, def)
+	sel, _, err := e.selectHierarchy(context.Background(), objs, tiers, def, nil, "")
 	return sel, err
 }
 
-// selectHierarchyStats is SelectHierarchy with search statistics — the
-// stats are valid (and reported) even when the node budget overruns.
-func (e ExactNTier) selectHierarchyStats(objs []Object, tiers []TierConfig, def string) (map[string][]Object, NTierSolveStats, error) {
-	return e.selectHierarchyWarm(objs, tiers, def, nil, "")
-}
-
-// selectHierarchyWarm is selectHierarchyStats with the incremental
-// re-solve seam. When ws holds a previous assignment under slot that is
-// still feasible on the new instance, its objective value F is used as
-// a pruning floor: any subtree whose LP bound falls strictly below
+// selectHierarchy is the solve behind SelectHierarchy, with search
+// statistics — valid (and reported) even when the node budget
+// overruns.
+//
+// When ws holds a previous assignment under slot that is still
+// feasible on the new instance, its objective value F is used as a
+// pruning floor: any subtree whose LP bound falls strictly below
 // F − slack provably contains no optimal leaf (the optimum is ≥ F
 // because F is achievable) and is cut without exploration. The floor
 // never touches the incumbent (best/found/bestAssign), so the DFS
@@ -162,17 +159,14 @@ func (e ExactNTier) selectHierarchyStats(objs []Object, tiers []TierConfig, def 
 // epsilon slack, which holds for the integral miss counts × perf
 // factors these instances carry (and is pinned by the equivalence
 // property test).
-func (e ExactNTier) selectHierarchyWarm(objs []Object, tiers []TierConfig, def string, ws *WarmState, slot string) (map[string][]Object, NTierSolveStats, error) {
-	return e.selectHierarchyWarmCtx(context.Background(), objs, tiers, def, ws, slot)
-}
-
-// selectHierarchyWarmCtx is the cancelable core. The DFS polls ctx
-// every ~64k nodes — cheap against the per-node bound computation —
-// and stops the search on cancellation or deadline. A deadline is
-// reported as a runerr.ErrCanceled wrapping context.DeadlineExceeded,
-// which the advise layer may treat as degradable exactly like a node
-// limit; a plain cancellation always propagates.
-func (e ExactNTier) selectHierarchyWarmCtx(ctx context.Context, objs []Object, tiers []TierConfig, def string, ws *WarmState, slot string) (map[string][]Object, NTierSolveStats, error) {
+//
+// The DFS polls ctx every ~64k nodes — cheap against the per-node
+// bound computation — and stops the search on cancellation or
+// deadline. A deadline is reported as a runerr.ErrCanceled wrapping
+// context.DeadlineExceeded, which the advise layer may treat as
+// degradable exactly like a node limit; a plain cancellation always
+// propagates.
+func (e ExactNTier) selectHierarchy(ctx context.Context, objs []Object, tiers []TierConfig, def string, ws *WarmState, slot string) (map[string][]Object, NTierSolveStats, error) {
 	if len(tiers) < 2 {
 		return nil, NTierSolveStats{}, fmt.Errorf("advisor: exact solver needs at least two tiers, got %d", len(tiers))
 	}

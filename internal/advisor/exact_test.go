@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -84,7 +85,7 @@ func TestExactNTierMatchesBruteForce(t *testing.T) {
 				int64(r.Intn(6)+1), int64(r.Intn(1000))))
 		}
 		mc := threeTierKNLish(int64(r.Intn(12)+4)*units.MB, int64(r.Intn(16)+4)*units.MB)
-		rep, err := Advise("app", objs, mc, ExactNTier{})
+		rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -112,7 +113,7 @@ func TestExactNTierPricesBanishmentAsACost(t *testing.T) {
 		obj("cold1", 8, 10),
 		obj("cold2", 8, 5),
 	}
-	rep, err := Advise("app", objs, mc, ExactNTier{})
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestExactNTierPricesBanishmentAsACost(t *testing.T) {
 	// knapsack binds), paying a small objective cost — strictly below
 	// exact, never above.
 	for _, greedy := range []Strategy{MissesStrategy{}, DensityStrategy{}} {
-		g, err := Advise("app", objs, mc, greedy)
+		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestExactNTierSurvivesCapacityPressure(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 8, int64(1000-i)))
 	}
-	rep, err := Advise("app", objs, mc, ExactNTier{})
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
 	if err != nil {
 		t.Fatalf("capacity-pressure instance rejected: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestExactNTierSurvivesCapacityPressure(t *testing.T) {
 		t.Fatalf("non-default budgets overpacked: %v", used)
 	}
 	// The objective model still dominates the greedy cascade's.
-	g, err := Advise("app", objs, mc, DensityStrategy{})
+	g, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 		obj("M", 14, 300),
 		obj("d", 2, 1),
 	}
-	exact, err := Advise("app", objs, mc, ExactNTier{})
+	exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 		t.Fatalf("exact objective %.6f, brute force %.6f", got, want)
 	}
 	for _, greedy := range []Strategy{MissesStrategy{}, DensityStrategy{}} {
-		g, err := Advise("app", objs, mc, greedy)
+		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 // error, no entries.
 func TestExactNTierLeavesUnfittableObjectsImplicit(t *testing.T) {
 	objs := []Object{obj("big0", 30, 500), obj("big1", 30, 400)}
-	rep, err := Advise("app", objs, smallFloorConfig(), ExactNTier{})
+	rep, err := Advise(context.Background(), "app", objs, smallFloorConfig(), ExactNTier{}, nil, nil)
 	if err != nil {
 		t.Fatalf("fragmented instance rejected: %v", err)
 	}
@@ -296,7 +297,7 @@ func TestExactNTierNodeLimit(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 2, int64(100+i)))
 	}
-	_, err := Advise("app", objs, threeTierKNLish(8*units.MB, 8*units.MB), ExactNTier{MaxNodes: 3, Strict: true})
+	_, err := Advise(context.Background(), "app", objs, threeTierKNLish(8*units.MB, 8*units.MB), ExactNTier{MaxNodes: 3, Strict: true}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "branch-and-bound") {
 		t.Fatalf("expected a node-limit error, got %v", err)
 	}
@@ -315,7 +316,7 @@ func TestExactNTierDegrades(t *testing.T) {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 2, int64(100+i)))
 	}
 	mc := threeTierKNLish(8*units.MB, 8*units.MB)
-	rep, err := Advise("app", objs, mc, ExactNTier{MaxNodes: 3})
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{MaxNodes: 3}, nil, nil)
 	if err != nil {
 		t.Fatalf("non-strict node-limit overrun should degrade, got error: %v", err)
 	}
@@ -334,7 +335,7 @@ func TestExactNTierDegrades(t *testing.T) {
 	}
 
 	// The placement must be exactly the fallback waterfall's.
-	want, err := Advise("app", objs, mc, DensityStrategy{})
+	want, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +406,13 @@ func TestAdviseRejectsRogueHierarchySelections(t *testing.T) {
 		"double place": {"MCDRAM": {o}, "NVM": {o}},
 	}
 	for name, sel := range cases {
-		if _, err := Advise("app", []Object{o}, mc, rogueHierarchyStrategy{sel: sel}); err == nil {
+		if _, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: sel}, nil, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// A well-formed selection through the same seam still works.
 	ok := map[string][]Object{"MCDRAM": {o}}
-	rep, err := Advise("app", []Object{o}, mc, rogueHierarchyStrategy{sel: ok})
+	rep, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: ok}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,18 +436,18 @@ func (overpackStrategy) Select(objs []Object, budget int64) []Object {
 // with an error, not flow into a report the interposer would truncate.
 func TestAdviseRejectsOverpackedSelection(t *testing.T) {
 	objs := []Object{obj("giant", 64, 1000)}
-	_, err := Advise("app", objs, TwoTier(8*units.MB), overpackStrategy{})
+	_, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), overpackStrategy{}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "overpacked") {
 		t.Fatalf("overpacked selection accepted: err=%v", err)
 	}
 	// The same guard protects every tier of an N-tier cascade.
 	mc := threeTierKNLish(4*units.MB, 8*units.MB)
-	_, err = Advise("app", objs, mc, overpackStrategy{})
+	_, err = Advise(context.Background(), "app", objs, mc, overpackStrategy{}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "overpacked") {
 		t.Fatalf("N-tier overpacked selection accepted: err=%v", err)
 	}
 	// Honest strategies on the same instance simply skip the object.
-	rep, err := Advise("app", objs, TwoTier(8*units.MB), MissesStrategy{})
+	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

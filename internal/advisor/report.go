@@ -271,36 +271,23 @@ type Report struct {
 // single-knapsack advisor. Static objects participate in the packing —
 // promoting them is valuable advice for a developer — but are flagged
 // so the interposer knows it cannot act on them.
-func Advise(app string, objs []Object, mc MemoryConfig, strat Strategy) (*Report, error) {
-	return AdviseObserved(app, objs, mc, strat, nil)
-}
-
-// AdviseObserved is Advise with a flight recorder attached: every
-// waterfall packing step emits one pack event, and the exact N-tier
-// solver reports its search statistics (nodes explored, LP-bound
-// cutoffs, best objective). A nil recorder is exactly Advise.
-func AdviseObserved(app string, objs []Object, mc MemoryConfig, strat Strategy, rec *obs.Recorder) (*Report, error) {
-	return AdviseWarm(app, objs, mc, strat, nil, rec)
-}
-
-// AdviseWarm is AdviseObserved with the incremental re-solve seam: a
-// non-nil WarmState carries solver context (sorted orders, previous
+//
+// The exact solver polls ctx during its search, so a canceled context
+// stops an advise promptly with runerr.ErrCanceled, and a ctx deadline
+// behaves like a node-limit overrun — the non-Strict exact solver
+// degrades to the greedy waterfall and marks the report. The greedy
+// strategies are effectively instant and are not interrupted
+// mid-knapsack.
+//
+// A non-nil WarmState carries solver context (sorted orders, previous
 // exact assignments) between adjacent advises of the same profile —
 // the sweep's budget cells, the online placer's epochs. Warm-starting
 // only prunes work; the returned report is byte-identical to the cold
-// AdviseObserved of the same inputs. A nil WarmState is exactly
-// AdviseObserved.
-func AdviseWarm(app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
-	return AdviseWarmCtx(context.Background(), app, objs, mc, strat, ws, rec)
-}
-
-// AdviseWarmCtx is AdviseWarm under a context: the exact solver polls
-// ctx during its search, so a canceled context stops an advise
-// promptly with runerr.ErrCanceled, and a ctx deadline behaves like a
-// node-limit overrun — the non-Strict exact solver degrades to the
-// greedy waterfall and marks the report. The greedy strategies are
-// effectively instant and are not interrupted mid-knapsack.
-func AdviseWarmCtx(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+// (nil ws) advise of the same inputs. A non-nil recorder receives one
+// pack event per waterfall packing step and the exact N-tier solver's
+// search statistics (nodes explored, LP-bound cutoffs, best
+// objective).
+func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
@@ -322,7 +309,7 @@ func AdviseWarmCtx(ctx context.Context, app string, objs []Object, mc MemoryConf
 }
 
 // waterfallCascade is the per-tier greedy packing loop shared by the
-// plain-strategy path of AdviseWarm and the exact solver's
+// plain-strategy path of Advise and the exact solver's
 // degradation fallback: each tier's knapsack takes the best of what
 // the faster tiers rejected, and the overflow cascades down.
 func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
@@ -349,7 +336,7 @@ func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string,
 		if err := checkSelectionFits(strat.Name(), tier.Name, chosen, budget); err != nil {
 			return nil, err
 		}
-		rec.EmitPack(obs.PackEvent{
+		obs.Emit(rec, obs.PackEvent{
 			Tier: tier.Name, Budget: budget,
 			Candidates: len(remaining), Chosen: len(chosen),
 			ChosenBytes: TotalPages(chosen) * units.PageSize,
@@ -383,9 +370,9 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 		// its progress numbers even when the node budget overruns, and a
 		// warm state seeds the floor / remembers the new assignment.
 		var st NTierSolveStats
-		sel, st, err = e.selectHierarchyWarmCtx(ctx, append([]Object(nil), objs...), tiers, def, ws, "hierarchy")
+		sel, st, err = e.selectHierarchy(ctx, append([]Object(nil), objs...), tiers, def, ws, "hierarchy")
 		if rec != nil {
-			rec.EmitSolver(obs.SolverEvent{
+			obs.Emit(rec, obs.SolverEvent{
 				Strategy: hs.Name(), Objects: len(objs), Tiers: len(tiers),
 				Nodes: st.Nodes, Pruned: st.Pruned, Best: st.Best, Overrun: st.Overrun,
 				Warm: st.Warm, WarmPruned: st.WarmPruned,
@@ -420,7 +407,7 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 					Reason: reason, Fallback: fallback.Name(),
 					Nodes: st.Nodes, RatioBound: ratio,
 				}
-				rec.EmitDegrade(obs.DegradeEvent{
+				obs.Emit(rec, obs.DegradeEvent{
 					Strategy: hs.Name(), Reason: reason, Fallback: fallback.Name(),
 					Nodes: st.Nodes, RatioBound: ratio,
 				})

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/paramedir"
@@ -27,8 +28,7 @@ func TestTimeAwarePacksDisjointObjects(t *testing.T) {
 	}
 	// A 40 MB budget cannot hold all three under the stock sum
 	// constraint, but time-aware packing takes everything.
-	plain, err := Advise("app", []Object{objs[0].Object, objs[1].Object, objs[2].Object},
-		TwoTier(40*units.MB), MissesStrategy{})
+	plain, err := Advise(context.Background(), "app", []Object{objs[0].Object, objs[1].Object, objs[2].Object}, TwoTier(40*units.MB), MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

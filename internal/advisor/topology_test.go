@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mem"
@@ -39,7 +40,7 @@ func TestAdvisePrefersNearDDROverRemoteFastTier(t *testing.T) {
 		obj("cold", 4, 10),
 	}
 
-	aware, err := Advise("app", objs, dualSocketConfig(true), MissesStrategy{})
+	aware, err := Advise(context.Background(), "app", objs, dualSocketConfig(true), MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestAdvisePrefersNearDDROverRemoteFastTier(t *testing.T) {
 		t.Fatalf("cold should be banished to NVM, got %q", got)
 	}
 
-	blind, err := Advise("app", objs, dualSocketConfig(false), MissesStrategy{})
+	blind, err := Advise(context.Background(), "app", objs, dualSocketConfig(false), MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestAdviseNearInstanceFirstAtEqualPerf(t *testing.T) {
 		},
 	}
 	objs := []Object{obj("hot", 4, 1000), obj("warm", 4, 500)}
-	rep, err := Advise("app", objs, mc, MissesStrategy{})
+	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 
 // Warm-start equivalence laws, property-tested over xrand instances:
 //
-//	(a) AdviseWarm with a persistent WarmState is byte-identical to the
-//	    cold AdviseObserved of every instance in an epoch-like sequence
+//	(a) Advise with a persistent WarmState is byte-identical to the
+//	    cold (nil WarmState) Advise of every instance in an epoch-like sequence
 //	    of drifting profiles — for the greedy strategies AND the exact
 //	    N-tier solver;
 //	(b) the exact solver's warm solve explores no more branch-and-bound
@@ -88,11 +89,11 @@ func TestWarmGreedyEquivalence(t *testing.T) {
 			for _, strat := range strategies {
 				ws := NewWarmState()
 				for e, objs := range epochs {
-					cold, err := AdviseObserved("app", objs, mc, strat, nil)
+					cold, err := Advise(context.Background(), "app", objs, mc, strat, nil, nil)
 					if err != nil {
 						t.Fatalf("trial %d epoch %d %s: cold: %v", trial, e, strat.Name(), err)
 					}
-					warm, err := AdviseWarm("app", objs, mc, strat, ws, nil)
+					warm, err := Advise(context.Background(), "app", objs, mc, strat, ws, nil)
 					if err != nil {
 						t.Fatalf("trial %d epoch %d %s: warm: %v", trial, e, strat.Name(), err)
 					}
@@ -125,8 +126,8 @@ func TestWarmExactEquivalence(t *testing.T) {
 		ws := NewWarmState()
 		e := ExactNTier{}
 		for ei, objs := range driftEpochs(r, 6) {
-			coldSel, coldSt, coldErr := e.selectHierarchyStats(objs, tiers, def)
-			warmSel, warmSt, warmErr := e.selectHierarchyWarm(objs, tiers, def, ws, "hierarchy")
+			coldSel, coldSt, coldErr := e.selectHierarchy(context.Background(), objs, tiers, def, nil, "")
+			warmSel, warmSt, warmErr := e.selectHierarchy(context.Background(), objs, tiers, def, ws, "hierarchy")
 			if (coldErr == nil) != (warmErr == nil) {
 				t.Fatalf("trial %d epoch %d: error divergence: cold=%v warm=%v", trial, ei, coldErr, warmErr)
 			}
@@ -160,20 +161,20 @@ func TestWarmExactEquivalence(t *testing.T) {
 }
 
 // TestWarmExactReportEquivalence is law (a) at the report level,
-// through the same entry point the pipeline uses: AdviseWarm with the
-// exact strategy over an epoch sequence matches cold AdviseObserved
-// byte for byte.
+// through the same entry point the pipeline uses: Advise with a
+// WarmState and the exact strategy over an epoch sequence matches the
+// cold Advise byte for byte.
 func TestWarmExactReportEquivalence(t *testing.T) {
 	r := xrand.New(0x3A14)
 	for trial := 0; trial < 10; trial++ {
 		mc := randThreeTier(r)
 		ws := NewWarmState()
 		for e, objs := range driftEpochs(r, 5) {
-			cold, err := AdviseObserved("app", objs, mc, ExactNTier{}, nil)
+			cold, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
 			if err != nil {
 				t.Fatalf("trial %d epoch %d: cold: %v", trial, e, err)
 			}
-			warm, err := AdviseWarm("app", objs, mc, ExactNTier{}, ws, nil)
+			warm, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, ws, nil)
 			if err != nil {
 				t.Fatalf("trial %d epoch %d: warm: %v", trial, e, err)
 			}

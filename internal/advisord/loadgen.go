@@ -2,6 +2,7 @@ package advisord
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -109,7 +110,7 @@ func LocalAdvise(workload, machine string, params ProfileParams, budget int64, s
 	if err != nil {
 		return nil, err
 	}
-	rep, err := advisor.Advise(prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat)
+	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package advisord
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -314,7 +315,7 @@ func (s *Server) computeAdvise(prof *paramedir.Profile, mc advisor.MemoryConfig,
 	}
 	var out map[string][]byte
 	err = s.withPool(func(*engine.Pool) error {
-		rep, err := advisor.Advise(prof.App, advisor.FromProfile(prof), mc, strat)
+		rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -87,8 +87,8 @@ func TestAccessWithDisabledRecorderZeroAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(10000, func() {
 		h.Access(addrs[i&(len(addrs)-1)])
-		rec.EmitGate(obs.GateEvent{Epoch: i, Decision: obs.DecisionAccept, Moves: 1})
-		rec.EmitEpoch(obs.EpochEvent{Epoch: i, Refs: int64(i)})
+		obs.Emit(rec, obs.GateEvent{Epoch: i, Decision: obs.DecisionAccept, Moves: 1})
+		obs.Emit(rec, obs.EpochEvent{Epoch: i, Refs: int64(i)})
 		i++
 	})
 	if allocs != 0 {

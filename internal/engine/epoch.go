@@ -123,7 +123,7 @@ func (r *runner) maybeEndEpoch(it int, iterBoundary bool) {
 		for id, b := range info.TierBytes {
 			tb[r.tierName(id)] = b
 		}
-		o.EmitEpoch(obs.EpochEvent{
+		obs.Emit(o, obs.EpochEvent{
 			Epoch: info.Index, Iteration: info.Iteration,
 			Refs: info.Refs, DurationCycles: int64(info.Duration),
 			TierBytes:  tb,

@@ -380,7 +380,7 @@ func Run(w *Workload, cfg Config) (*Result, error) {
 		for i, t := range cfg.Machine.Tiers {
 			names[i] = t.Name
 		}
-		cfg.Obs.EmitManifest(obs.Manifest{
+		obs.Emit(cfg.Obs, obs.Manifest{
 			Workload: w.Name,
 			Policy:   policy.Name(),
 			Strategy: cfg.Tag,

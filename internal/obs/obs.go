@@ -8,17 +8,17 @@
 //
 // Contract:
 //
-//   - Nil-safe: every method no-ops on a nil *Recorder, so call sites
-//     thread a recorder unconditionally and tracing costs one nil check
-//     when disabled.
-//   - Zero-overhead when disabled: the simulation hot path (one
-//     Hierarchy.Access per simulated reference) NEVER touches the
-//     recorder — events exist only at epoch boundaries, solver calls
-//     and sweep-cell lifecycle points, which are orders of magnitude
-//     rarer. The always-on counters snapshotted into Result.Metrics
-//     are plain int64 increments on structures the hot path already
-//     owns. Both halves are pinned by the AllocsPerRun guards in
-//     internal/cache.
+//   - Nil-safe: Emit and every method no-op on a nil *Recorder, so
+//     call sites thread a recorder unconditionally and tracing costs
+//     one nil check when disabled.
+//   - Zero-overhead when disabled: the simulation hot path (the
+//     engine's AccessRun/AccessRandomRun walk of each simulated touch
+//     run) NEVER touches the recorder — events exist only at epoch
+//     boundaries, solver calls and sweep-cell lifecycle points, which
+//     are orders of magnitude rarer. The always-on counters
+//     snapshotted into Result.Metrics are plain int64 increments on
+//     structures the hot path already owns. Both halves are pinned by
+//     the AllocsPerRun guards in internal/cache.
 //   - Deterministic: a trace is a pure function of the run
 //     configuration. encoding/json emits struct fields in declaration
 //     order and sorts map keys, sequence numbers are assigned at write
@@ -271,141 +271,52 @@ func (r *Recorder) FlushTo(dst *Recorder) {
 	}
 }
 
-// The Emit* wrappers keep the disabled path allocation-free: Go's
-// escape analysis is flow-insensitive, so taking &e in the same frame
-// as the nil check would heap-allocate the event even when the check
-// short-circuits. Each wrapper therefore only copies the event into a
-// //go:noinline helper, and the helper — which only ever runs when the
-// recorder is enabled — is where the address is taken.
-
-// EmitManifest records a run manifest.
-func (r *Recorder) EmitManifest(e Manifest) {
+// Emit records one event on r; it is a no-op on a nil recorder. P is
+// inferred: every event type's pointer carries a stamp method, so
+// Emit accepts exactly the event types of this package.
+//
+// Emit keeps the disabled path allocation-free: Go's escape analysis
+// is flow-insensitive, so taking &e in the same frame as the nil check
+// would heap-allocate the event even when the check short-circuits.
+// Emit therefore only copies the event into the //go:noinline emit,
+// and emit — which only ever runs when the recorder is enabled — is
+// where the address is taken.
+func Emit[E any, P interface {
+	*E
+	stamp() *Header
+}](r *Recorder, e E) {
 	if r == nil {
 		return
 	}
-	r.manifest(e)
+	emit[E, P](r, e)
 }
 
 //go:noinline
-func (r *Recorder) manifest(e Manifest) {
+func emit[E any, P interface {
+	*E
+	stamp() *Header
+}](r *Recorder, e E) {
+	p := P(&e)
+	r.record(p.stamp(), p)
+}
+
+// stamp sets each event's type tag (and the manifest's schema default)
+// and returns its Header for record to sequence.
+func (e *Manifest) stamp() *Header {
 	e.Ev = "manifest"
 	if e.Schema == 0 {
 		e.Schema = Schema
 	}
-	r.record(&e.Header, &e)
+	return &e.Header
 }
-
-// EmitEpoch records an epoch boundary.
-func (r *Recorder) EmitEpoch(e EpochEvent) {
-	if r == nil {
-		return
-	}
-	r.epoch(e)
-}
-
-//go:noinline
-func (r *Recorder) epoch(e EpochEvent) {
-	e.Ev = "epoch"
-	r.record(&e.Header, &e)
-}
-
-// EmitGate records a migration-gate decision.
-func (r *Recorder) EmitGate(e GateEvent) {
-	if r == nil {
-		return
-	}
-	r.gate(e)
-}
-
-//go:noinline
-func (r *Recorder) gate(e GateEvent) {
-	e.Ev = "gate"
-	r.record(&e.Header, &e)
-}
-
-// EmitTierUsage records a per-tier budget/occupancy snapshot.
-func (r *Recorder) EmitTierUsage(e TierUsageEvent) {
-	if r == nil {
-		return
-	}
-	r.tierUsage(e)
-}
-
-//go:noinline
-func (r *Recorder) tierUsage(e TierUsageEvent) {
-	e.Ev = "tiers"
-	r.record(&e.Header, &e)
-}
-
-// EmitSolver records an exact-solver run.
-func (r *Recorder) EmitSolver(e SolverEvent) {
-	if r == nil {
-		return
-	}
-	r.solver(e)
-}
-
-//go:noinline
-func (r *Recorder) solver(e SolverEvent) {
-	e.Ev = "solver"
-	r.record(&e.Header, &e)
-}
-
-// EmitPack records a waterfall packing step.
-func (r *Recorder) EmitPack(e PackEvent) {
-	if r == nil {
-		return
-	}
-	r.pack(e)
-}
-
-//go:noinline
-func (r *Recorder) pack(e PackEvent) {
-	e.Ev = "pack"
-	r.record(&e.Header, &e)
-}
-
-// EmitCell records a sweep-cell lifecycle event.
-func (r *Recorder) EmitCell(e CellEvent) {
-	if r == nil {
-		return
-	}
-	r.cell(e)
-}
-
-//go:noinline
-func (r *Recorder) cell(e CellEvent) {
-	e.Ev = "cell"
-	r.record(&e.Header, &e)
-}
-
-// EmitDegrade records a graceful solver degradation.
-func (r *Recorder) EmitDegrade(e DegradeEvent) {
-	if r == nil {
-		return
-	}
-	r.degrade(e)
-}
-
-//go:noinline
-func (r *Recorder) degrade(e DegradeEvent) {
-	e.Ev = "degrade"
-	r.record(&e.Header, &e)
-}
-
-// EmitCellFailed records a failed or panicked sweep cell.
-func (r *Recorder) EmitCellFailed(e CellFailedEvent) {
-	if r == nil {
-		return
-	}
-	r.cellFailed(e)
-}
-
-//go:noinline
-func (r *Recorder) cellFailed(e CellFailedEvent) {
-	e.Ev = "cell_failed"
-	r.record(&e.Header, &e)
-}
+func (e *EpochEvent) stamp() *Header      { e.Ev = "epoch"; return &e.Header }
+func (e *GateEvent) stamp() *Header       { e.Ev = "gate"; return &e.Header }
+func (e *TierUsageEvent) stamp() *Header  { e.Ev = "tiers"; return &e.Header }
+func (e *SolverEvent) stamp() *Header     { e.Ev = "solver"; return &e.Header }
+func (e *PackEvent) stamp() *Header       { e.Ev = "pack"; return &e.Header }
+func (e *CellEvent) stamp() *Header       { e.Ev = "cell"; return &e.Header }
+func (e *DegradeEvent) stamp() *Header    { e.Ev = "degrade"; return &e.Header }
+func (e *CellFailedEvent) stamp() *Header { e.Ev = "cell_failed"; return &e.Header }
 
 // Fingerprint lives in fingerprint.go: the canonical deterministic
 // config-identity hash (the old %+v-based hash leaked pointer

@@ -17,13 +17,13 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports Enabled")
 	}
-	r.EmitManifest(Manifest{Workload: "w"})
-	r.EmitEpoch(EpochEvent{Epoch: 1})
-	r.EmitGate(GateEvent{Decision: DecisionAccept})
-	r.EmitTierUsage(TierUsageEvent{})
-	r.EmitSolver(SolverEvent{})
-	r.EmitPack(PackEvent{})
-	r.EmitCell(CellEvent{})
+	Emit(r, Manifest{Workload: "w"})
+	Emit(r, EpochEvent{Epoch: 1})
+	Emit(r, GateEvent{Decision: DecisionAccept})
+	Emit(r, TierUsageEvent{})
+	Emit(r, SolverEvent{})
+	Emit(r, PackEvent{})
+	Emit(r, CellEvent{})
 	r.FlushTo(nil)
 	r.FlushTo(New(&bytes.Buffer{}))
 	New(&bytes.Buffer{}).FlushTo(nil)
@@ -32,8 +32,8 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.EmitGate(GateEvent{Decision: DecisionAccept, NetGain: 1})
-		r.EmitEpoch(EpochEvent{Epoch: 2})
+		Emit(r, GateEvent{Decision: DecisionAccept, NetGain: 1})
+		Emit(r, EpochEvent{Epoch: 2})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocates: %.1f allocs/op", allocs)
@@ -43,9 +43,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestStreamingRecorderEmitsValidJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(&buf)
-	r.EmitManifest(Manifest{Workload: "stream", Strategy: "greedy", Machine: Fingerprint(42), Cores: 4})
-	r.EmitEpoch(EpochEvent{Epoch: 0, Refs: 100, TierBytes: map[string]int64{"MCDRAM": 64, "DDR": 128}})
-	r.EmitGate(GateEvent{Epoch: 0, Decision: DecisionReject, MoveCost: 10, IdleCost: 5, CostRatio: 2})
+	Emit(r, Manifest{Workload: "stream", Strategy: "greedy", Machine: Fingerprint(42), Cores: 4})
+	Emit(r, EpochEvent{Epoch: 0, Refs: 100, TierBytes: map[string]int64{"MCDRAM": 64, "DDR": 128}})
+	Emit(r, GateEvent{Epoch: 0, Decision: DecisionReject, MoveCost: 10, IdleCost: 5, CostRatio: 2})
 	if err := r.Err(); err != nil {
 		t.Fatalf("recorder error: %v", err)
 	}
@@ -95,10 +95,10 @@ func TestBufferFlushAssignsSequenceInFlushOrder(t *testing.T) {
 	cellA := NewBuffer()
 	cellB := NewBuffer()
 	// Interleave writes as a parallel sweep would.
-	cellB.EmitGate(GateEvent{Epoch: 7, Decision: DecisionAccept})
-	cellA.EmitManifest(Manifest{Workload: "a"})
-	cellB.EmitManifest(Manifest{Workload: "b"})
-	cellA.EmitEpoch(EpochEvent{Epoch: 3})
+	Emit(cellB, GateEvent{Epoch: 7, Decision: DecisionAccept})
+	Emit(cellA, Manifest{Workload: "a"})
+	Emit(cellB, Manifest{Workload: "b"})
+	Emit(cellA, EpochEvent{Epoch: 3})
 
 	// Flush in cell order: all of A, then all of B.
 	cellA.FlushTo(parent)
@@ -135,7 +135,7 @@ func TestRecorderConcurrentWritersProduceValidLines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				r.EmitEpoch(EpochEvent{Epoch: g*1000 + i})
+				Emit(r, EpochEvent{Epoch: g*1000 + i})
 			}
 		}(g)
 	}
@@ -160,15 +160,15 @@ func TestRecorderConcurrentWritersProduceValidLines(t *testing.T) {
 func TestSummarizeDigest(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(&buf)
-	r.EmitManifest(Manifest{Workload: "phaseshift", Strategy: "online/density"})
-	r.EmitEpoch(EpochEvent{Epoch: 0, Migrations: 2, MigratedBytes: 2048})
-	r.EmitGate(GateEvent{Epoch: 0, Decision: DecisionAccept, Moves: 2, MoveBytes: 2048, CostRatio: 2.0})
-	r.EmitGate(GateEvent{Epoch: 1, Decision: DecisionReject, Moves: 1, MoveBytes: 512, CostRatio: 4.0})
-	r.EmitSolver(SolverEvent{Strategy: "exact", Nodes: 100, Pruned: 40})
-	r.EmitPack(PackEvent{Tier: "MCDRAM"})
-	r.EmitCell(CellEvent{Cell: 0, Memo: MemoMiss})
-	r.EmitCell(CellEvent{Cell: 1, Memo: MemoHit})
-	r.EmitCell(CellEvent{Cell: 2, Memo: MemoNone})
+	Emit(r, Manifest{Workload: "phaseshift", Strategy: "online/density"})
+	Emit(r, EpochEvent{Epoch: 0, Migrations: 2, MigratedBytes: 2048})
+	Emit(r, GateEvent{Epoch: 0, Decision: DecisionAccept, Moves: 2, MoveBytes: 2048, CostRatio: 2.0})
+	Emit(r, GateEvent{Epoch: 1, Decision: DecisionReject, Moves: 1, MoveBytes: 512, CostRatio: 4.0})
+	Emit(r, SolverEvent{Strategy: "exact", Nodes: 100, Pruned: 40})
+	Emit(r, PackEvent{Tier: "MCDRAM"})
+	Emit(r, CellEvent{Cell: 0, Memo: MemoMiss})
+	Emit(r, CellEvent{Cell: 1, Memo: MemoHit})
+	Emit(r, CellEvent{Cell: 2, Memo: MemoNone})
 
 	s, err := Summarize(bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -630,7 +630,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 				used[t.Name] = u
 			}
 		}
-		o.EmitTierUsage(obs.TierUsageEvent{Epoch: info.Index, Budgets: budgets, Used: used})
+		obs.Emit(o, obs.TierUsageEvent{Epoch: info.Index, Budgets: budgets, Used: used})
 	}
 
 	var attributed int64
@@ -687,7 +687,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 		// expands no branch-and-bound nodes, so Nodes stays zero and the
 		// interesting numbers are the warm-order reuse and the churn the
 		// solve proposed.
-		o.EmitSolver(obs.SolverEvent{
+		obs.Emit(o, obs.SolverEvent{
 			Strategy: p.opts.Strategy.Name(), Objects: p.lastCands, Tiers: len(p.tiers),
 			Epoch: info.Index, Warm: p.lastWarm, Repacked: len(changed),
 		})
@@ -765,7 +765,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 		if idle > 0 {
 			ev.CostRatio = float64(moveCost) / float64(idle)
 		}
-		o.EmitGate(ev)
+		obs.Emit(o, ev)
 	}
 	if !pass {
 		p.stats.GateRejected++
@@ -821,7 +821,7 @@ func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem
 	defer func() {
 		if v := recover(); v != nil {
 			p.stats.SolvePanics++
-			p.opts.Obs.EmitDegrade(obs.DegradeEvent{
+			obs.Emit(p.opts.Obs, obs.DegradeEvent{
 				Strategy: p.opts.Strategy.Name(), Reason: "epoch-solve-panic",
 				Fallback: "keep-placement", Epoch: epoch,
 			})

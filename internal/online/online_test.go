@@ -1,6 +1,7 @@
 package online_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/advisor"
@@ -34,7 +35,7 @@ func runStatic(t *testing.T, w *engine.Workload, budget int64, seed uint64) *eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := advisor.Advise(pr.App, advisor.FromProfile(pr), advisor.TwoTier(budget), advisor.MissesStrategy{})
+	rep, err := advisor.Advise(context.Background(), pr.App, advisor.FromProfile(pr), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

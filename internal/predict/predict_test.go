@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/advisor"
@@ -37,7 +38,7 @@ func adviseBudget(t *testing.T, res *engine.Result, budget int64) *advisor.Repor
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := advisor.Advise(prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), advisor.MissesStrategy{})
+	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

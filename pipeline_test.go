@@ -1,6 +1,9 @@
 package hybridmem
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestPipelineSeedTranslation pins the property the whole framework
 // rests on: the profiling run and the production run execute under
@@ -150,5 +153,41 @@ func TestRunOnlineFacade(t *testing.T) {
 	}
 	if _, err := RunOnline(w, OnlineConfig{Machine: m, Seed: 7, Decay: 1.5}); err == nil {
 		t.Error("out-of-range decay accepted")
+	}
+}
+
+// TestPipelineTimeAwareHierarchy checks that Pipeline honours a
+// memory hierarchy under time-aware advising: its report is the one
+// AdviseTimeAware packs over that hierarchy from the pipeline's own
+// profile.
+func TestPipelineTimeAwareHierarchy(t *testing.T) {
+	w, err := WorkloadByName("lulesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MachineFor(w)
+	mc := MemoryConfigFor(m, 128*MB)
+	pr, err := Pipeline(w, PipelineConfig{
+		Machine: m, Seed: 21, Memory: &mc, Strategy: StrategyDensity, TimeAware: true, RefScale: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AdviseTimeAware(pr.Profile, mc, StrategyDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Entries) == 0 {
+		t.Fatal("time-aware advise selected nothing; the comparison is vacuous")
+	}
+	var got, exp bytes.Buffer
+	if err := pr.Report.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Errorf("pipeline report differs from AdviseTimeAware over the same hierarchy:\n--- pipeline ---\n%s\n--- advise ---\n%s", got.String(), exp.String())
 	}
 }

@@ -6,10 +6,12 @@ package hybridmem
 //
 // Design rules, in force everywhere below:
 //
-//   - The context-free entry points (Pipeline, RunSweep, RunOnline,
-//     Advise…) remain the canonical API and are byte-identical to
-//     their pre-hardening behavior; every …Ctx variant with a
-//     context.Background() is exactly its context-free twin.
+//   - The context-free run entry points (Profile, Execute,
+//     RunBaseline, RunOnline, Pipeline, RunSweep) remain the canonical
+//     API and are byte-identical to their pre-hardening behavior; each
+//     …Ctx variant with a context.Background() is exactly its
+//     context-free twin. The advisor takes its context directly:
+//     AdviseHierarchy's first argument.
 //   - Cancellation is polled at simulation boundaries only —
 //     iteration/phase boundaries in the engine, every ~64k nodes in
 //     the exact solver — never inside the memory-access hot loop, so
@@ -20,7 +22,6 @@ package hybridmem
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/advisor"
 	"repro/internal/faultinject"
@@ -153,26 +154,4 @@ func RunOnlineCtx(ctx context.Context, w *Workload, cfg OnlineConfig) (*RunResul
 func PipelineCtx(ctx context.Context, w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	cfg.ctx = ctx
 	return Pipeline(w, cfg)
-}
-
-// AdviseCtx is Advise under a context: StrategyExactNTier polls ctx
-// during the branch-and-bound search; on deadline expiry it degrades
-// to the density waterfall (marking the report) unless the strategy
-// is StrategyExactStrict, and on plain cancellation it returns an
-// ErrCanceled-wrapped error. The greedy strategies complete too fast
-// to be worth polling.
-func AdviseCtx(ctx context.Context, prof *ObjectProfile, budget int64, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, nil, nil)
-}
-
-// AdviseHierarchyCtx is AdviseHierarchy under a context; see
-// AdviseCtx.
-func AdviseHierarchyCtx(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseWarmCtx(ctx, prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
 }

@@ -275,14 +275,14 @@ func TestChaosAdviseDeadlineDegrades(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	rep, err := hm.AdviseHierarchyCtx(ctx, prof, mc, hm.StrategyExactNTier)
+	rep, err := hm.AdviseHierarchy(ctx, prof, mc, hm.StrategyExactNTier, nil)
 	if err != nil {
 		t.Fatalf("non-strict exact under an expired deadline should degrade, got %v", err)
 	}
 	if rep.Degraded == nil || rep.Degraded.Reason != "deadline" || rep.Degraded.Fallback != "density" {
 		t.Fatalf("Degraded = %+v, want reason deadline, fallback density", rep.Degraded)
 	}
-	dens, err := hm.AdviseHierarchy(prof, mc, hm.StrategyDensity)
+	dens, err := hm.AdviseHierarchy(context.Background(), prof, mc, hm.StrategyDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +314,14 @@ func TestChaosAdviseDeadlineDegrades(t *testing.T) {
 	}
 
 	// Strict refuses to degrade.
-	if _, err := hm.AdviseHierarchyCtx(ctx, prof, mc, hm.StrategyExactStrict); !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := hm.AdviseHierarchy(ctx, prof, mc, hm.StrategyExactStrict, nil); !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("strict exact error = %v, want ErrCanceled keeping DeadlineExceeded", err)
 	}
 
 	// Plain cancellation is a stop request, not a degradation trigger.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if _, err := hm.AdviseHierarchyCtx(cctx, prof, mc, hm.StrategyExactNTier); !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.Canceled) {
+	if _, err := hm.AdviseHierarchy(cctx, prof, mc, hm.StrategyExactNTier, nil); !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled exact error = %v, want ErrCanceled keeping context.Canceled", err)
 	}
 }

@@ -319,7 +319,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 
 	// Execution sharing: pipeline cells with equal executeKey run one
 	// production Execute (traced and fault-scoped cells excepted, see
-	// adviseAndExecuteWarm).
+	// adviseAndExecute).
 	runs := new(sweep.Memo[*RunResult])
 
 	setup := func(i int) (*profiled, error) {
@@ -419,7 +419,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 				// and stay warm either way.
 				ws = nil
 			}
-			pr, err := adviseAndExecuteWarm(p.Workload, cfg, art.trace, art.run, art.prof, ws, runs)
+			pr, err := adviseAndExecute(p.Workload, cfg, art.trace, art.run, art.prof, ws, runs)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}
@@ -475,7 +475,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			case cfgs[i].Baseline != nil:
 				kind = "baseline"
 			}
-			opts.Obs.EmitCell(obs.CellEvent{
+			obs.Emit(opts.Obs, obs.CellEvent{
 				Cell:   i,
 				Label:  cfgs[i].Label,
 				Kind:   kind,
@@ -485,7 +485,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			})
 			if errs[i] != nil {
 				var cp *sweep.CellPanic
-				opts.Obs.EmitCellFailed(obs.CellFailedEvent{
+				obs.Emit(opts.Obs, obs.CellFailedEvent{
 					Cell:  i,
 					Label: cfgs[i].Label,
 					Error: errs[i].Error(),

@@ -2,6 +2,7 @@ package hybridmem_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,7 +38,7 @@ func ntierGoldenReport(t *testing.T, w *hm.Workload, m hm.Machine) []byte {
 		t.Fatal(err)
 	}
 	mc := hm.MemoryConfigFor(m, 256*units.MB)
-	rep, err := hm.AdviseHierarchy(prof, mc, hm.StrategyMisses(0))
+	rep, err := hm.AdviseHierarchy(context.Background(), prof, mc, hm.StrategyMisses(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
