@@ -15,6 +15,7 @@ import (
 	"net"
 
 	"repro/internal/advisord"
+	"repro/internal/stage"
 )
 
 type (
@@ -23,10 +24,10 @@ type (
 	// memo tier (SweepOptions.Cache). Entries carry per-file sha256
 	// checksums and are written atomically; corrupt entries are
 	// detected, dropped and recomputed, never served.
-	ArtifactCache = advisord.Cache
+	ArtifactCache = stage.Cache
 	// ArtifactCacheStats counts a cache's hits, misses, puts and
 	// corrupt-entry drops.
-	ArtifactCacheStats = advisord.CacheStats
+	ArtifactCacheStats = stage.CacheStats
 	// AdvisorServer is the placement-advisory daemon.
 	AdvisorServer = advisord.Server
 	// AdvisorServerConfig parameterizes an AdvisorServer.
@@ -40,7 +41,7 @@ type (
 	AdvisorSample = advisord.Sample
 	// AdvisorProfileParams are the profiling knobs an advisory request
 	// carries; zero values take the library defaults.
-	AdvisorProfileParams = advisord.ProfileParams
+	AdvisorProfileParams = stage.ProfileParams
 	// AdvisorLoadgenOptions parameterizes the daemon self-benchmark.
 	AdvisorLoadgenOptions = advisord.LoadgenOptions
 	// AdvisorLoadgenReport is the self-benchmark's outcome, including
@@ -62,7 +63,7 @@ const (
 // garbles selected writes so chaos tests can prove the corruption
 // recovery path.
 func OpenArtifactCache(dir string, fault *FaultInjector) (*ArtifactCache, error) {
-	return advisord.OpenCache(dir, fault)
+	return stage.OpenCache(dir, fault)
 }
 
 // NewAdvisorServer builds a daemon instance. Expensive work is sharded

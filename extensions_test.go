@@ -7,6 +7,8 @@ package hybridmem
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/paramedir"
 )
 
 // skewedWorkload has a 400 MB array whose accesses concentrate in the
@@ -50,7 +52,7 @@ func TestPartitionedPlacementBeatsWholeObjectAdvising(t *testing.T) {
 	}
 
 	// The hot-range analysis must localize the table's heat.
-	hot := AnalyzeHotRanges(prof, tr)
+	hot := paramedir.AnalyzeHotRanges(prof, tr)
 	var tableID string
 	for _, o := range prof.Objects {
 		if o.MaxSize == 400*MB {

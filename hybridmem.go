@@ -53,6 +53,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/paramedir"
 	"repro/internal/predict"
+	"repro/internal/stage"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -248,10 +249,6 @@ func PerRankMachine(node Machine, ranks, threads int) Machine {
 	return mem.PerRank(node, ranks, threads)
 }
 
-// CacheModeMachine reconfigures a machine with MCDRAM as a
-// direct-mapped memory-side cache.
-func CacheModeMachine(m Machine) Machine { return mem.WithCacheMode(m) }
-
 // Workloads returns the eight Table I application analogs.
 func Workloads() []*Workload { return apps.Catalog() }
 
@@ -330,17 +327,6 @@ func StrategyPatternAware(patterns map[string]AccessPattern) Strategy {
 	return advisor.PatternAwareStrategy{Patterns: patterns}
 }
 
-// HotRange is the critical portion of an object identified from its
-// sampled misses.
-type HotRange = paramedir.HotRange
-
-// AnalyzeHotRanges finds, per profiled object, the smallest contiguous
-// range covering most of its sampled misses — the input to partitioned
-// placement (Section V).
-func AnalyzeHotRanges(prof *ObjectProfile, tr *Trace) map[string]HotRange {
-	return paramedir.AnalyzeHotRanges(prof, tr)
-}
-
 // AdvisePartitioned packs like AdviseHierarchy but, when an object
 // does not fit the fastest tier's remaining budget whole, places only
 // its hot range (plain waterfall below that tier); auto-hbwmalloc then
@@ -405,12 +391,13 @@ type ProfileConfig struct {
 // same period (it is an alias of online.DefaultSamplePeriod).
 const DefaultScaledPeriod = online.DefaultSamplePeriod
 
-func (c *ProfileConfig) fill() {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = DefaultScaledPeriod
-	}
-	if c.MinAllocSize == 0 {
-		c.MinAllocSize = 4 * units.KB
+// params is the slice of the configuration that shapes the profiling
+// artifact; internal/stage owns its defaults.
+func (c ProfileConfig) params() stage.ProfileParams {
+	return stage.ProfileParams{
+		Machine: c.Machine, Cores: c.Cores, Seed: c.Seed,
+		SamplePeriod: c.SamplePeriod, MinAllocSize: c.MinAllocSize,
+		RefScale: c.RefScale,
 	}
 }
 
@@ -435,20 +422,8 @@ func ProfileWithPolicy(w *Workload, cfg ProfileConfig, rep *PlacementReport) (*T
 // profile is the monitored run behind Profile and ProfileWithPolicy,
 // placing allocations with makePolicy.
 func profile(w *Workload, cfg ProfileConfig, makePolicy engine.PolicyFactory, tag string) (*Trace, *RunResult, error) {
-	cfg.fill()
-	res, err := engine.Run(w, engine.Config{
-		Machine:    cfg.Machine,
-		Cores:      cfg.Cores,
-		Seed:       cfg.Seed,
-		MakePolicy: makePolicy,
-		RefScale:   cfg.RefScale,
-		Obs:        cfg.Obs,
-		Ctx:        cfg.ctx,
-		Tag:        tag,
-		Monitor: &engine.MonitorConfig{
-			SamplePeriod: cfg.SamplePeriod,
-			MinAllocSize: cfg.MinAllocSize,
-		},
+	res, err := stage.Monitor(w, cfg.params(), engine.Config{
+		MakePolicy: makePolicy, Tag: tag, Obs: cfg.Obs, Ctx: cfg.ctx,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -822,15 +797,11 @@ func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr, profRun, err := Profile(w, cfg.profileConfig())
+	art, err := stage.Profile(w, cfg.profileParams(), engine.Config{Obs: cfg.Obs, Ctx: cfg.ctx})
 	if err != nil {
-		return nil, fmt.Errorf("hybridmem: profile stage: %w", err)
+		return nil, fmt.Errorf("hybridmem: %w", err)
 	}
-	prof, err := Analyze(tr)
-	if err != nil {
-		return nil, fmt.Errorf("hybridmem: analyze stage: %w", err)
-	}
-	return adviseAndExecute(w, cfg, tr, profRun, prof, nil, nil)
+	return adviseAndExecute(w, cfg, art.Trace, art.Run, art.Profile, nil, nil)
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -847,13 +818,13 @@ func (cfg *PipelineConfig) validate() error {
 	return nil
 }
 
-// profileConfig is the Stage 1+2 slice of the pipeline configuration —
+// profileParams is the Stage 1+2 slice of the pipeline configuration —
 // exactly the fields the sweep engine memoizes profiling artifacts by.
-func (cfg *PipelineConfig) profileConfig() ProfileConfig {
-	return ProfileConfig{
+func (cfg *PipelineConfig) profileParams() stage.ProfileParams {
+	return stage.ProfileParams{
 		Machine: cfg.Machine, Cores: cfg.Cores, Seed: cfg.Seed,
 		SamplePeriod: cfg.SamplePeriod, MinAllocSize: cfg.MinAllocSize,
-		RefScale: cfg.RefScale, Obs: cfg.Obs, ctx: cfg.ctx,
+		RefScale: cfg.RefScale,
 	}
 }
 

@@ -7,7 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/stage"
 )
+
+// The daemon's artifact cache is stage.Cache; these tests check it
+// from outside, through its exported API and its documented on-disk
+// layout: objects/<key[:2]>/<key>/ holding the files and manifest.json.
+const manifestName = "manifest.json"
+
+func entryDir(c *stage.Cache, key string) string {
+	return filepath.Join(c.Dir(), "objects", key[:2], key)
+}
 
 func testFiles() map[string][]byte {
 	return map[string][]byte{
@@ -16,9 +26,9 @@ func testFiles() map[string][]byte {
 	}
 }
 
-func mustOpen(t *testing.T, fault *faultinject.Injector) *Cache {
+func mustOpen(t *testing.T, fault *faultinject.Injector) *stage.Cache {
 	t.Helper()
-	c, err := OpenCache(t.TempDir(), fault)
+	c, err := stage.OpenCache(t.TempDir(), fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 	// A second handle over the same directory — a different process,
 	// as far as the cache is concerned — sees the entry.
-	c2, err := OpenCache(c.Dir(), nil)
+	c2, err := stage.OpenCache(c.Dir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +75,9 @@ func TestCacheRoundTrip(t *testing.T) {
 
 // corruptEntry damages one committed entry in the given way and
 // returns the entry directory.
-func corruptEntry(t *testing.T, c *Cache, key, how string) {
+func corruptEntry(t *testing.T, c *stage.Cache, key, how string) {
 	t.Helper()
-	dir := c.entryDir(key)
+	dir := entryDir(c, key)
 	switch how {
 	case "truncate":
 		if err := os.WriteFile(filepath.Join(dir, "a.txt"), []byte("alph"), 0o644); err != nil {
@@ -139,7 +149,7 @@ func TestCacheKeyMismatchDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Graft ab12's entry under another key.
-	src, dst := c.entryDir("ab12"), c.entryDir("ab34")
+	src, dst := entryDir(c, "ab12"), entryDir(c, "ab34")
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/paramedir"
+	"repro/internal/stage"
 )
 
 // Client is one advisory conversation. It is safe for concurrent use —
@@ -91,7 +92,7 @@ type ProfileResult struct {
 // Profile asks the daemon to profile a named workload (or serve the
 // cached artifact) and establishes it as this conversation's profile.
 // Zero-valued params take the library defaults.
-func (c *Client) Profile(workload, machine string, params ProfileParams) (*ProfileResult, error) {
+func (c *Client) Profile(workload, machine string, params stage.ProfileParams) (*ProfileResult, error) {
 	resp, err := c.do(&Request{
 		Op:           OpProfile,
 		Workload:     workload,
@@ -165,7 +166,7 @@ func (c *Client) Advise(budget int64, strategy string) (*AdviseResult, error) {
 
 // AdviseWorkload is the one-shot form: profile the named workload
 // (server-side, through the cache) and advise in a single request.
-func (c *Client) AdviseWorkload(workload, machine string, params ProfileParams, budget int64, strategy string) (*AdviseResult, error) {
+func (c *Client) AdviseWorkload(workload, machine string, params stage.ProfileParams, budget int64, strategy string) (*AdviseResult, error) {
 	return c.adviseReq(&Request{
 		Op:           OpAdvise,
 		Workload:     workload,

@@ -2,19 +2,15 @@ package advisord
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/advisor"
-	"repro/internal/apps"
-	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
-	"repro/internal/mem"
-	"repro/internal/paramedir"
+	"repro/internal/stage"
 	"repro/internal/units"
 )
 
@@ -67,58 +63,21 @@ type LoadgenReport struct {
 }
 
 // LocalAdvise computes the (profile, advise) pair for one request
-// entirely in-process — no server, no pool reuse, no cache — returning
-// the report bytes. Loadgen compares the daemon's bytes against this
-// to prove the wire, the worker pool and the cache never alter an
-// artifact.
-func LocalAdvise(workload, machine string, params ProfileParams, budget int64, strategy string) ([]byte, error) {
-	w, err := apps.ByName(workload)
+// entirely in-process — the shared stage body with no server, pool,
+// memo or cache — returning the report bytes. Loadgen compares the
+// daemon's bytes against this to prove the wire, the worker pool, the
+// memo and the cache never alter an artifact.
+func LocalAdvise(workload, machine string, params stage.ProfileParams, budget int64, strategy string) ([]byte, error) {
+	w, m, err := resolveWorkload(workload, machine)
 	if err != nil {
 		return nil, err
-	}
-	var m mem.Machine
-	if machine == "" {
-		m = apps.MachineFor(w)
-	} else {
-		m, err = MachineByName(machine)
-		if err != nil {
-			return nil, err
-		}
 	}
 	params.Machine = m
-	params = params.Normalized()
-	res, err := engine.Run(w, engine.Config{
-		Machine:    params.Machine,
-		Cores:      params.Cores,
-		Seed:       params.Seed,
-		MakePolicy: baseline.DDR(),
-		RefScale:   params.RefScale,
-		Tag:        "profile",
-		Monitor: &engine.MonitorConfig{
-			SamplePeriod: params.SamplePeriod,
-			MinAllocSize: params.MinAllocSize,
-		},
-	})
+	art, err := stage.Profile(w, params.Normalized(), engine.Config{})
 	if err != nil {
 		return nil, err
 	}
-	prof, err := paramedir.Analyze(res.Trace)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := advisor.StrategyByName(strategy)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), strat, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return adviseReport(art.Profile, advisor.TwoTier(budget), strategy)
 }
 
 // Loadgen runs the self-benchmark. It owns the daemon lifecycle:
@@ -154,7 +113,7 @@ func Loadgen(opts LoadgenOptions) (*LoadgenReport, error) {
 	}
 
 	start := func() (*Server, net.Listener, error) {
-		cache, err := OpenCache(opts.CacheDir, nil)
+		cache, err := stage.OpenCache(opts.CacheDir, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -232,8 +191,8 @@ func Loadgen(opts LoadgenOptions) (*LoadgenReport, error) {
 // loadgenParams derives the unique profiling parameters of request r
 // of client c: one seed per request, so the cold phase can never reuse
 // an artifact and the attribution math is exact.
-func loadgenParams(opts LoadgenOptions, c, r int) ProfileParams {
-	return ProfileParams{
+func loadgenParams(opts LoadgenOptions, c, r int) stage.ProfileParams {
+	return stage.ProfileParams{
 		Seed:     1 + uint64(c)*uint64(opts.Requests) + uint64(r),
 		RefScale: opts.RefScale,
 	}

@@ -3,7 +3,6 @@ package advisord
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/apps"
-	"repro/internal/baseline"
 	"repro/internal/callstack"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -20,122 +18,35 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/paramedir"
-	"repro/internal/trace"
-	"repro/internal/units"
+	"repro/internal/stage"
+	"repro/internal/sweep"
 )
 
-// Normalized fills a ProfileParams' defaults exactly the way the
-// library's ProfileConfig.fill and the engine do — SamplePeriod to the
-// scaled paper period, MinAllocSize to 4 KB, Cores to the machine's,
-// RefScale to 1 — so "take the default" and "spell the default out"
-// content-address the same artifact.
-func (p ProfileParams) Normalized() ProfileParams {
-	if p.SamplePeriod == 0 {
-		p.SamplePeriod = online.DefaultSamplePeriod
+// resolveWorkload resolves a request's workload name and machine name:
+// the shipped machine configurations by the names the CLIs use, and ""
+// for the workload's canonical per-rank machine.
+func resolveWorkload(workload, machine string) (*engine.Workload, mem.Machine, error) {
+	w, err := apps.ByName(workload)
+	if err != nil {
+		return nil, mem.Machine{}, err
 	}
-	if p.MinAllocSize == 0 {
-		p.MinAllocSize = 4 * units.KB
-	}
-	if p.Cores <= 0 {
-		p.Cores = p.Machine.Cores
-	}
-	if p.RefScale <= 0 {
-		p.RefScale = 1
-	}
-	return p
-}
-
-// MachineByName resolves the shipped machine configurations by the
-// names the CLIs use; "" resolves to the workload's canonical per-rank
-// machine and is handled by the caller.
-func MachineByName(name string) (mem.Machine, error) {
-	switch name {
+	switch machine {
+	case "":
+		return w, apps.MachineFor(w), nil
 	case "knl", "default":
-		return mem.DefaultKNL(), nil
+		return w, mem.DefaultKNL(), nil
 	case "knl-optane":
-		return mem.KNLOptane(), nil
+		return w, mem.KNLOptane(), nil
 	case "hbm-cxl":
-		return mem.HBMCXL(), nil
+		return w, mem.HBMCXL(), nil
 	case "dual-socket-hbm":
-		return mem.DualSocketHBM(), nil
+		return w, mem.DualSocketHBM(), nil
 	}
-	return mem.Machine{}, fmt.Errorf("advisord: unknown machine %q (knl|knl-optane|hbm-cxl|dual-socket-hbm)", name)
+	return nil, mem.Machine{}, fmt.Errorf("advisord: unknown machine %q (knl|knl-optane|hbm-cxl|dual-socket-hbm)", machine)
 }
 
-// Artifact file names inside cache entries.
-const (
-	fileTrace      = "trace.prv"
-	fileProfileRun = "profrun.json"
-	fileProfileCSV = "profile.csv"
-	fileReport     = "report.tsv"
-)
-
-// ProfileArtifact is a profiling run's full artifact set, as stored in
-// and recovered from the cache. Every field round-trips exactly: the
-// trace codec is integer-based and the profile CSV and result JSON
-// preserve all fields bit-for-bit.
-type ProfileArtifact struct {
-	Trace   *trace.Trace
-	Run     *engine.Result
-	Profile *paramedir.Profile
-}
-
-// EncodeProfileArtifact serializes a profiling artifact into cache
-// entry files. The trace is stored once, in its own codec; the run
-// result's Trace pointer is nilled in the JSON and reattached on
-// decode.
-func EncodeProfileArtifact(a *ProfileArtifact) (map[string][]byte, error) {
-	var tb bytes.Buffer
-	if err := a.Trace.Write(&tb); err != nil {
-		return nil, err
-	}
-	run := *a.Run
-	run.Trace = nil
-	rb, err := json.Marshal(&run)
-	if err != nil {
-		return nil, err
-	}
-	var pb bytes.Buffer
-	if err := a.Profile.WriteCSV(&pb); err != nil {
-		return nil, err
-	}
-	return map[string][]byte{
-		fileTrace:      tb.Bytes(),
-		fileProfileRun: rb,
-		fileProfileCSV: pb.Bytes(),
-	}, nil
-}
-
-// DecodeProfileArtifact recovers a profiling artifact from cache entry
-// files.
-func DecodeProfileArtifact(files map[string][]byte) (*ProfileArtifact, error) {
-	tb, ok := files[fileTrace]
-	if !ok {
-		return nil, fmt.Errorf("advisord: profile entry missing %s", fileTrace)
-	}
-	tr, err := trace.Read(bytes.NewReader(tb))
-	if err != nil {
-		return nil, err
-	}
-	rb, ok := files[fileProfileRun]
-	if !ok {
-		return nil, fmt.Errorf("advisord: profile entry missing %s", fileProfileRun)
-	}
-	run := new(engine.Result)
-	if err := json.Unmarshal(rb, run); err != nil {
-		return nil, err
-	}
-	run.Trace = tr
-	pb, ok := files[fileProfileCSV]
-	if !ok {
-		return nil, fmt.Errorf("advisord: profile entry missing %s", fileProfileCSV)
-	}
-	prof, err := paramedir.ReadCSV(bytes.NewReader(pb))
-	if err != nil {
-		return nil, err
-	}
-	return &ProfileArtifact{Trace: tr, Run: run, Profile: prof}, nil
-}
+// fileReport is the file name of a report cache entry.
+const fileReport = "report.tsv"
 
 // ServerConfig parameterizes a daemon instance.
 type ServerConfig struct {
@@ -143,19 +54,9 @@ type ServerConfig struct {
 	// owns one engine.Pool recycled across requests (0 = 4).
 	Workers int
 	// Cache is the persistent artifact tier (nil = memory-only).
-	Cache *Cache
+	Cache *stage.Cache
 	// Fault arms the seeded chaos hooks (nil = disabled).
 	Fault *faultinject.Injector
-}
-
-// memoEntry is one singleflight slot of the in-memory memo: the first
-// requester computes (or loads from disk) under once, everyone else
-// waits on it and shares the files.
-type memoEntry struct {
-	once  sync.Once
-	files map[string][]byte
-	src   string
-	err   error
 }
 
 // Server is the advisory daemon. One Server may serve many listeners
@@ -167,13 +68,16 @@ type Server struct {
 	cfg   ServerConfig
 	pools chan *engine.Pool
 
-	mu   sync.Mutex
-	memo map[string]*memoEntry
+	// The in-memory tier, one memo per artifact kind, each holding
+	// just what a request reads: the decoded profile, the report bytes.
+	profMemo sweep.Memo[*paramedir.Profile]
+	repMemo  sweep.Memo[[]byte]
 
+	mu       sync.Mutex // guards lns and orders it against closed
+	lns      []net.Listener
 	conns    sync.Map // net.Conn -> struct{}
 	wg       sync.WaitGroup
 	closed   atomic.Bool
-	ln       net.Listener
 	requests atomic.Int64
 	connsN   atomic.Int64
 	profiles atomic.Int64
@@ -185,7 +89,7 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	s := &Server{cfg: cfg, memo: make(map[string]*memoEntry)}
+	s := &Server{cfg: cfg}
 	s.pools = make(chan *engine.Pool, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.pools <- engine.NewPool()
@@ -194,7 +98,7 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Cache exposes the persistent tier (nil when memory-only).
-func (s *Server) Cache() *Cache { return s.cfg.Cache }
+func (s *Server) Cache() *stage.Cache { return s.cfg.Cache }
 
 // Stats snapshots the daemon counters.
 func (s *Server) Stats() ServerStats {
@@ -222,111 +126,87 @@ func (s *Server) withPool(fn func(p *engine.Pool) error) error {
 	return fn(p)
 }
 
-// artifact is the memo spine: resolve key through the in-memory memo,
-// then the disk cache, then compute — concurrent requests for one key
-// collapse into a single computation. The returned src attribution is
-// CacheHitMem when another request already owned the entry, otherwise
-// whatever the owning computation found (disk hit or miss).
-func (s *Server) artifact(key, kind string, compute func() (map[string][]byte, error)) (map[string][]byte, string, error) {
-	s.mu.Lock()
-	e, existed := s.memo[key]
-	if !existed {
-		e = &memoEntry{}
-		s.memo[key] = e
-	}
-	s.mu.Unlock()
-
-	e.once.Do(func() {
-		if c := s.cfg.Cache; c != nil {
-			if files, ok := c.Get(key); ok {
-				e.files, e.src = files, CacheHitDisk
-				return
-			}
+// memoized resolves key through m, the in-memory tier: load — the
+// disk tier, then the computation — runs only for the request that
+// claims key, and concurrent requests for it share that one result.
+// The attribution is CacheHitMem unless load ran for this request, and
+// then whether the disk tier served it. A failed key is forgotten, so
+// the error reaches only the requests that shared the failed call and
+// the next request retries.
+func memoized[V any](m *sweep.Memo[V], key string, load func() (V, bool, error)) (V, string, error) {
+	src := CacheHitMem
+	v, err := m.Do(sweep.Key(key), func() (V, error) {
+		v, fromDisk, err := load()
+		src = CacheMiss
+		if fromDisk {
+			src = CacheHitDisk
 		}
-		files, err := compute()
-		if err != nil {
-			e.err = err
-			// Leave no poisoned memo behind: the next request retries.
-			s.mu.Lock()
-			delete(s.memo, key)
-			s.mu.Unlock()
-			return
-		}
-		e.files, e.src = files, CacheMiss
-		if c := s.cfg.Cache; c != nil {
-			_ = c.Put(key, kind, files)
-		}
-	})
-	if e.err != nil {
-		return nil, "", e.err
-	}
-	if existed {
-		return e.files, CacheHitMem, nil
-	}
-	return e.files, e.src, nil
-}
-
-// computeProfile is Stage 1+2 exactly as the library's Profile +
-// Analyze entry points run them: a DDR-placement run with Extrae-style
-// instrumentation, reduced by Paramedir — the artifacts are
-// byte-identical to the in-process path.
-func (s *Server) computeProfile(w *engine.Workload, p ProfileParams) (map[string][]byte, error) {
-	s.profiles.Add(1)
-	var art ProfileArtifact
-	err := s.withPool(func(pool *engine.Pool) error {
-		res, err := engine.Run(w, engine.Config{
-			Machine:    p.Machine,
-			Cores:      p.Cores,
-			Seed:       p.Seed,
-			MakePolicy: baseline.DDR(),
-			RefScale:   p.RefScale,
-			Tag:        "profile",
-			Pool:       pool,
-			Monitor: &engine.MonitorConfig{
-				SamplePeriod: p.SamplePeriod,
-				MinAllocSize: p.MinAllocSize,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		prof, err := paramedir.Analyze(res.Trace)
-		if err != nil {
-			return err
-		}
-		art = ProfileArtifact{Trace: res.Trace, Run: res, Profile: prof}
-		return nil
+		return v, err
 	})
 	if err != nil {
-		return nil, err
+		m.Forget(sweep.Key(key))
 	}
-	return EncodeProfileArtifact(&art)
+	return v, src, err
 }
 
-// computeAdvise is Stage 3 exactly as the library's Advise entry point
-// runs it. The advisor is CPU-bound, not engine-bound, but it still
-// takes a worker slot so a flood of exact-solver requests cannot
-// oversubscribe the host.
-func (s *Server) computeAdvise(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy string) (map[string][]byte, error) {
+// stageProfile is the Stage 1+2 body the daemon runs; tests replace it
+// to inject a failed computation.
+var stageProfile = stage.Profile
+
+// computeProfile is Stage 1+2 exactly as the library's Profile +
+// Analyze entry points run it, on a worker slot's pooled simulator
+// state — the artifacts are byte-identical to the in-process path.
+func (s *Server) computeProfile(w *engine.Workload, p stage.ProfileParams) (*stage.ProfileArtifact, error) {
+	s.profiles.Add(1)
+	var art *stage.ProfileArtifact
+	err := s.withPool(func(pool *engine.Pool) (err error) {
+		art, err = stageProfile(w, p, engine.Config{Pool: pool})
+		return err
+	})
+	return art, err
+}
+
+// computeAdvise is Stage 3 on a worker slot. The advisor is CPU-bound,
+// not engine-bound, but it still takes a slot so a flood of
+// exact-solver requests cannot oversubscribe the host.
+func (s *Server) computeAdvise(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy string) ([]byte, error) {
 	s.advises.Add(1)
+	var out []byte
+	err := s.withPool(func(*engine.Pool) (err error) {
+		out, err = adviseReport(prof, mc, strategy)
+		return err
+	})
+	return out, err
+}
+
+// adviseReport is Stage 3 exactly as the library's Advise entry point
+// runs it, returning the report file's bytes.
+func adviseReport(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy string) ([]byte, error) {
 	strat, err := advisor.StrategyByName(strategy)
 	if err != nil {
 		return nil, err
 	}
-	var out map[string][]byte
-	err = s.withPool(func(*engine.Pool) error {
-		rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if err := rep.Write(&buf); err != nil {
-			return err
-		}
-		out = map[string][]byte{fileReport: buf.Bytes()}
-		return nil
-	})
-	return out, err
+	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := rep.Write(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func encodeReport(b []byte) (map[string][]byte, error) {
+	return map[string][]byte{fileReport: b}, nil
+}
+
+func decodeReport(files map[string][]byte) ([]byte, error) {
+	b, ok := files[fileReport]
+	if !ok {
+		return nil, fmt.Errorf("advisord: report entry missing %s", fileReport)
+	}
+	return b, nil
 }
 
 // session is the per-connection conversational state: the profile the
@@ -345,7 +225,39 @@ type session struct {
 // (the protocol is strict request/response), while expensive work is
 // sharded across the worker slots.
 func (s *Server) Serve(ln net.Listener) error {
-	s.ln = ln
+	s.listen(ln)
+	return s.accept(ln)
+}
+
+// ServeAddr listens on a TCP address and serves; it returns the bound
+// listener so callers using ":0" can learn the port via Addr.
+func (s *Server) ServeAddr(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	// Registered before the accept loop starts, so a Close that follows
+	// at once still finds and closes the listener.
+	s.listen(ln)
+	go s.accept(ln) //nolint:errcheck // surfaced via Close
+	return ln, nil
+}
+
+// listen registers ln for Close; on a closed server it closes ln at
+// once.
+func (s *Server) listen(ln net.Listener) {
+	s.mu.Lock()
+	closed := s.closed.Load()
+	if !closed {
+		s.lns = append(s.lns, ln)
+	}
+	s.mu.Unlock()
+	if closed {
+		ln.Close()
+	}
+}
+
+func (s *Server) accept(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -366,25 +278,18 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ServeAddr listens on a TCP address and serves; it returns the bound
-// listener so callers using ":0" can learn the port via Addr.
-func (s *Server) ServeAddr(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(ln) //nolint:errcheck // surfaced via Close
-	return ln, nil
-}
-
 // Close stops accepting, drops every live connection, and waits for
 // the handlers to drain. The in-memory memo dies with the server; the
 // disk cache is the survivor — that is the restart contract the
 // loadgen verifies.
 func (s *Server) Close() error {
+	s.mu.Lock()
 	s.closed.Store(true)
-	if s.ln != nil {
-		s.ln.Close()
+	lns := s.lns
+	s.lns = nil
+	s.mu.Unlock()
+	for _, ln := range lns {
+		ln.Close()
 	}
 	s.conns.Range(func(k, _ any) bool {
 		k.(net.Conn).Close()
@@ -420,14 +325,14 @@ func (s *Server) handle(req *Request, sess *session) *Response {
 		resp.Stats = &st
 		return resp
 	case OpProfile:
-		art, key, src, err := s.profileFor(req)
+		prof, key, src, err := s.profileFor(req)
 		if err != nil {
 			resp.Err = err.Error()
 			return resp
 		}
-		sess.prof = art.Profile
+		sess.prof = prof
 		var buf bytes.Buffer
-		if err := art.Profile.WriteCSV(&buf); err != nil {
+		if err := prof.WriteCSV(&buf); err != nil {
 			resp.Err = err.Error()
 			return resp
 		}
@@ -456,26 +361,17 @@ func (s *Server) handle(req *Request, sess *session) *Response {
 	return resp
 }
 
-// profileFor resolves a request's profiling artifact through the memo
-// and cache, computing at most once per content key.
-func (s *Server) profileFor(req *Request) (*ProfileArtifact, string, string, error) {
+// profileFor resolves a request's profile through the memo and cache,
+// computing at most once per content key.
+func (s *Server) profileFor(req *Request) (*paramedir.Profile, string, string, error) {
 	if req.Workload == "" {
 		return nil, "", "", fmt.Errorf("advisord: %s needs a workload name", req.Op)
 	}
-	w, err := apps.ByName(req.Workload)
+	w, machine, err := resolveWorkload(req.Workload, req.Machine)
 	if err != nil {
 		return nil, "", "", err
 	}
-	var machine mem.Machine
-	if req.Machine == "" {
-		machine = apps.MachineFor(w)
-	} else {
-		machine, err = MachineByName(req.Machine)
-		if err != nil {
-			return nil, "", "", err
-		}
-	}
-	params := ProfileParams{
+	params := stage.ProfileParams{
 		Machine:      machine,
 		Cores:        req.Cores,
 		Seed:         req.Seed,
@@ -483,31 +379,19 @@ func (s *Server) profileFor(req *Request) (*ProfileArtifact, string, string, err
 		MinAllocSize: req.MinAllocSize,
 		RefScale:     req.RefScale,
 	}.Normalized()
-	key := ProfileKey(w, params)
-	for attempt := 0; ; attempt++ {
-		files, src, err := s.artifact(key, "profile", func() (map[string][]byte, error) {
-			return s.computeProfile(w, params)
-		})
+	key := stage.ProfileKey(w, params)
+	prof, src, err := memoized(&s.profMemo, key, func() (*paramedir.Profile, bool, error) {
+		art, fromDisk, err := stage.Load(s.cfg.Cache, key, "profile", stage.EncodeProfileArtifact, stage.DecodeProfileArtifact,
+			func() (*stage.ProfileArtifact, error) { return s.computeProfile(w, params) })
 		if err != nil {
-			return nil, "", "", err
+			return nil, false, err
 		}
-		art, err := DecodeProfileArtifact(files)
-		if err == nil {
-			return art, key, src, nil
-		}
-		if attempt > 0 {
-			return nil, "", "", err
-		}
-		// Checksums passed but the payload does not decode (an entry
-		// from an incompatible codec): drop it everywhere and recompute
-		// once.
-		if s.cfg.Cache != nil {
-			s.cfg.Cache.Drop(key)
-		}
-		s.mu.Lock()
-		delete(s.memo, key)
-		s.mu.Unlock()
+		return art.Profile, fromDisk, nil
+	})
+	if err != nil {
+		return nil, "", "", err
 	}
+	return prof, key, src, nil
 }
 
 // ingestSamples folds one PEBS-style batch into the session aggregate.
@@ -566,7 +450,7 @@ func (sess *session) sampleProfile(period uint64) *paramedir.Profile {
 
 // advise resolves the request's profile — a named workload's artifact
 // (fresh or cached), the sample aggregate, or the one the conversation
-// established earlier — then the report, each through the memo spine.
+// established earlier — then the report, each through memoized.
 // The response attributes the coldest artifact touched; reuse of an
 // already-established session profile costs nothing and counts as an
 // in-memory hit.
@@ -578,12 +462,12 @@ func (s *Server) advise(req *Request, sess *session) *Response {
 	case req.Workload != "":
 		// An explicit workload always resolves through the memo —
 		// naming a workload overrides whatever the session established.
-		art, _, src, err := s.profileFor(req)
+		p, _, src, err := s.profileFor(req)
 		if err != nil {
 			resp.Err = err.Error()
 			return resp
 		}
-		prof = art.Profile
+		prof = p
 		profSrc = src
 		sess.prof = prof
 	case sess.prof != nil:
@@ -608,21 +492,22 @@ func (s *Server) advise(req *Request, sess *session) *Response {
 		strategy = "misses"
 	}
 	mc := advisor.TwoTier(req.Budget)
-	key := AdviseKey(prof, obs.StrongFingerprint(mc), strategy)
-	files, src, err := s.artifact(key, "report", func() (map[string][]byte, error) {
-		return s.computeAdvise(prof, mc, strategy)
+	key := stage.AdviseKey(prof, obs.StrongFingerprint(mc), strategy)
+	report, src, err := memoized(&s.repMemo, key, func() ([]byte, bool, error) {
+		return stage.Load(s.cfg.Cache, key, "report", encodeReport, decodeReport,
+			func() ([]byte, error) { return s.computeAdvise(prof, mc, strategy) })
 	})
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
-	resp.Report = files[fileReport]
+	resp.Report = report
 	resp.Fingerprint = key
 	resp.Cache = colder(src, profSrc)
 	return resp
 }
 
-// faultDisconnect implements the client-disconnect chaos point for
+// FaultDisconnectVictims implements the client-disconnect chaos point for
 // in-process harnesses: victim selection over nClients, for callers
 // that sever victims' connections mid-conversation.
 func FaultDisconnectVictims(f *faultinject.Injector, nClients int) []bool {

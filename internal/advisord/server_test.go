@@ -2,11 +2,16 @@ package advisord
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/stage"
 	"repro/internal/units"
 )
 
@@ -14,10 +19,10 @@ import (
 // cache directory ("" = memory-only) and tears it down with the test.
 func startServer(t *testing.T, cacheDir string, workers int) (*Server, string) {
 	t.Helper()
-	var cache *Cache
+	var cache *stage.Cache
 	if cacheDir != "" {
 		var err error
-		if cache, err = OpenCache(cacheDir, nil); err != nil {
+		if cache, err = stage.OpenCache(cacheDir, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,7 +35,7 @@ func startServer(t *testing.T, cacheDir string, workers int) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-var testParams = ProfileParams{Seed: 7, RefScale: 0.25}
+var testParams = stage.ProfileParams{Seed: 7, RefScale: 0.25}
 
 // TestDaemonReportByteIdenticalToLocal is the core contract: the
 // report a daemon serves over the wire — through the worker pool, the
@@ -356,5 +361,59 @@ func TestLoadgenClientDisconnectChaos(t *testing.T) {
 	}
 	if !rep.Identical {
 		t.Fatal("chaos run broke byte identity")
+	}
+}
+
+// TestCloseRightAfterServeAddr: a Close issued the moment ServeAddr
+// returns must still close the listener — no connection is accepted
+// afterwards — and must not race the accept loop's start (run under
+// -race).
+func TestCloseRightAfterServeAddr(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		srv := NewServer(ServerConfig{Workers: 1})
+		ln, err := srv.ServeAddr("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+			conn.Close()
+			t.Fatalf("iteration %d: listener still accepts after Close", i)
+		}
+	}
+}
+
+// TestDaemonRetriesAfterFailedProfile: a failed profile computation
+// fails its request without poisoning the key — the next request for
+// the same key recomputes, succeeds and attributes a miss.
+func TestDaemonRetriesAfterFailedProfile(t *testing.T) {
+	boom := errors.New("profile run refused")
+	var calls atomic.Int64
+	stageProfile = func(w *engine.Workload, p stage.ProfileParams, run engine.Config) (*stage.ProfileArtifact, error) {
+		if calls.Add(1) == 1 {
+			return nil, boom
+		}
+		return stage.Profile(w, p, run)
+	}
+	t.Cleanup(func() { stageProfile = stage.Profile })
+
+	srv, addr := startServer(t, t.TempDir(), 1)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.AdviseWorkload("minife", "", testParams, 64*units.MB, "misses"); err == nil || !strings.Contains(err.Error(), boom.Error()) {
+		t.Fatalf("first request err = %v, want the failed computation's", err)
+	}
+	got, err := cl.AdviseWorkload("minife", "", testParams, 64*units.MB, "misses")
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if got.Cache != CacheMiss {
+		t.Fatalf("retry attribution %q, want miss", got.Cache)
+	}
+	if st := srv.Stats(); st.Profiles != 2 || calls.Load() != 2 {
+		t.Fatalf("profiles computed = %d (stage calls %d), want 2", st.Profiles, calls.Load())
 	}
 }

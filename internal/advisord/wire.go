@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/stage"
 )
 
 // The wire protocol is length-prefixed JSON: each frame is a 4-byte
@@ -109,12 +111,12 @@ type Response struct {
 
 // ServerStats snapshots the daemon's lifetime counters.
 type ServerStats struct {
-	Conns    int64      `json:"conns"`
-	Requests int64      `json:"requests"`
-	Profiles int64      `json:"profiles_computed"`
-	Advises  int64      `json:"advises_computed"`
-	Workers  int        `json:"workers"`
-	Cache    CacheStats `json:"cache"`
+	Conns    int64            `json:"conns"`
+	Requests int64            `json:"requests"`
+	Profiles int64            `json:"profiles_computed"`
+	Advises  int64            `json:"advises_computed"`
+	Workers  int              `json:"workers"`
+	Cache    stage.CacheStats `json:"cache"`
 }
 
 // coldness ranks cache attributions; lower is colder.

@@ -1,4 +1,4 @@
-package advisord
+package stage
 
 import (
 	"crypto/sha256"
@@ -63,10 +63,10 @@ type Cache struct {
 // selected writes so tests can prove the corruption path end to end.
 func OpenCache(dir string, fault *faultinject.Injector) (*Cache, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("advisord: empty cache dir")
+		return nil, fmt.Errorf("stage: empty cache dir")
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		return nil, fmt.Errorf("advisord: open cache: %w", err)
+		return nil, fmt.Errorf("stage: open cache: %w", err)
 	}
 	return &Cache{dir: dir, fault: fault}, nil
 }
@@ -154,11 +154,11 @@ func (c *Cache) Put(key, kind string, files map[string][]byte) error {
 		return nil
 	}
 	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
-		return fmt.Errorf("advisord: put %s: %w", key, err)
+		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	tmp, err := os.MkdirTemp(filepath.Dir(dir), "."+filepath.Base(dir)+".tmp-")
 	if err != nil {
-		return fmt.Errorf("advisord: put %s: %w", key, err)
+		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	defer os.RemoveAll(tmp)
 
@@ -175,19 +175,19 @@ func (c *Cache) Put(key, kind string, files map[string][]byte) error {
 			b = garble(b)
 		}
 		if err := os.WriteFile(filepath.Join(tmp, name), b, 0o644); err != nil {
-			return fmt.Errorf("advisord: put %s: %w", key, err)
+			return fmt.Errorf("stage: put %s: %w", key, err)
 		}
 	}
 	mb, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("advisord: put %s: %w", key, err)
+		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	if err := os.WriteFile(filepath.Join(tmp, manifestName), append(mb, '\n'), 0o644); err != nil {
-		return fmt.Errorf("advisord: put %s: %w", key, err)
+		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	os.RemoveAll(dir) // replace a corrupt incumbent, if any
 	if err := os.Rename(tmp, dir); err != nil {
-		return fmt.Errorf("advisord: put %s: %w", key, err)
+		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	return nil
 }

@@ -1,0 +1,217 @@
+// Package stage is the one implementation of the framework's Stage 1+2
+// prefix — the Extrae-style monitored run reduced by Paramedir — and of
+// everything that lets its artifact be reused: the content keys, the
+// artifact codec and the content-addressed on-disk Cache. The root
+// package's Profile/Pipeline/RunSweep and the advisory daemon both run
+// their profiles through it, so an artifact computed by either is
+// byte-identical to one computed by the other, in this process or in
+// another.
+package stage
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+
+	"repro/internal/baseline"
+	"repro/internal/engine"
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/online"
+	"repro/internal/paramedir"
+	"repro/internal/trace"
+	"repro/internal/units"
+)
+
+// ProfileParams are the knobs of a profiling run that shape its
+// artifacts — exactly the fields the root package's ProfileConfig
+// feeds the engine. Zero values take the defaults Normalized spells
+// out; key only normalized params (see ProfileKey), so "0 = default"
+// and the explicit default cannot produce two keys for one artifact.
+type ProfileParams struct {
+	Machine      mem.Machine
+	Cores        int
+	Seed         uint64
+	SamplePeriod uint64
+	MinAllocSize int64
+	RefScale     float64
+}
+
+// Normalized fills a ProfileParams' defaults — SamplePeriod to the
+// scaled paper period, MinAllocSize to 4 KB, Cores to the machine's,
+// RefScale to 1. It is the one owner of the profiling defaults: Monitor
+// takes its monitor settings from here, and the engine defaults Cores
+// and RefScale exactly this way itself.
+func (p ProfileParams) Normalized() ProfileParams {
+	if p.SamplePeriod == 0 {
+		p.SamplePeriod = online.DefaultSamplePeriod
+	}
+	if p.MinAllocSize == 0 {
+		p.MinAllocSize = 4 * units.KB
+	}
+	if p.Cores <= 0 {
+		p.Cores = p.Machine.Cores
+	}
+	if p.RefScale <= 0 {
+		p.RefScale = 1
+	}
+	return p
+}
+
+// ProfileKey content-addresses a Profile+Analyze artifact: the
+// canonical fingerprint of the workload's full structure plus every
+// profiling parameter the trace depends on. Two equal keys mean
+// byte-identical profiling runs — in this process, in another process,
+// or last week's CI run — which is what lets the sweep engine's
+// persistent memo tier and the daemon's artifact cache share work
+// across invocations. Pass normalized params.
+func ProfileKey(w *engine.Workload, p ProfileParams) string {
+	return obs.StrongFingerprint(struct {
+		Kind     string
+		Workload *engine.Workload
+		Params   ProfileParams
+	}{Kind: "profile", Workload: w, Params: p})
+}
+
+// AdviseKey content-addresses an advisor report: the canonical
+// fingerprint of the profile CONTENT (not its provenance), the memory
+// configuration packed against, and the strategy name. The strategy is
+// keyed by name rather than value on purpose: the name is the wire
+// identity, and every named strategy is a pure function of its name
+// (misses thresholds are part of the name).
+func AdviseKey(prof *paramedir.Profile, mcFP string, strategy string) string {
+	return obs.StrongFingerprint(struct {
+		Kind     string
+		Profile  *paramedir.Profile
+		Memory   string
+		Strategy string
+	}{Kind: "advise", Profile: prof, Memory: mcFP, Strategy: strategy})
+}
+
+// Monitor runs w with Extrae-style instrumentation and PEBS sampling —
+// the one monitored-run configuration. run supplies what p does not:
+// the placement policy and manifest tag, and the optional recorder,
+// context and pool. Cores and RefScale reach the engine as given (the
+// run manifest records them raw); only the monitor settings are
+// defaulted here.
+func Monitor(w *engine.Workload, p ProfileParams, run engine.Config) (*engine.Result, error) {
+	n := p.Normalized()
+	run.Machine, run.Cores, run.Seed, run.RefScale = p.Machine, p.Cores, p.Seed, p.RefScale
+	run.Monitor = &engine.MonitorConfig{SamplePeriod: n.SamplePeriod, MinAllocSize: n.MinAllocSize}
+	return engine.Run(w, run)
+}
+
+// Profile is Stage 1+2: the monitored run of w on the DDR placement,
+// reduced by Paramedir. run supplies the optional recorder, context
+// and pool; none of them changes the artifact.
+func Profile(w *engine.Workload, p ProfileParams, run engine.Config) (*ProfileArtifact, error) {
+	run.MakePolicy, run.Tag = baseline.DDR(), "profile"
+	res, err := Monitor(w, p, run)
+	if err != nil {
+		return nil, fmt.Errorf("profile stage: %w", err)
+	}
+	prof, err := paramedir.Analyze(res.Trace)
+	if err != nil {
+		return nil, fmt.Errorf("analyze stage: %w", err)
+	}
+	return &ProfileArtifact{Trace: res.Trace, Run: res, Profile: prof}, nil
+}
+
+// Load is the disk tier: it returns key's value from c when the entry
+// is there and decodes, and otherwise computes it and commits its
+// encoding. An entry whose checksums verify but whose payload does not
+// decode (one written by an incompatible codec) is dropped and
+// recomputed, and a failed encode or commit only skips the write: a
+// cache can slow a caller down, never sink it. fromDisk reports a hit;
+// a nil c always computes.
+func Load[V any](c *Cache, key, kind string, encode func(V) (map[string][]byte, error), decode func(map[string][]byte) (V, error), compute func() (V, error)) (v V, fromDisk bool, err error) {
+	if c != nil {
+		if files, ok := c.Get(key); ok {
+			if v, err := decode(files); err == nil {
+				return v, true, nil
+			}
+			c.Drop(key)
+		}
+	}
+	if v, err = compute(); err != nil || c == nil {
+		return v, false, err
+	}
+	if files, err := encode(v); err == nil {
+		_ = c.Put(key, kind, files)
+	}
+	return v, false, nil
+}
+
+// Artifact file names inside profile cache entries.
+const (
+	fileTrace      = "trace.prv"
+	fileProfileRun = "profrun.json"
+	fileProfileCSV = "profile.csv"
+)
+
+// ProfileArtifact is a profiling run's full artifact set, as stored in
+// and recovered from the cache. Every field round-trips exactly: the
+// trace codec is integer-based and the profile CSV and result JSON
+// preserve all fields bit-for-bit.
+type ProfileArtifact struct {
+	Trace   *trace.Trace
+	Run     *engine.Result
+	Profile *paramedir.Profile
+}
+
+// EncodeProfileArtifact serializes a profiling artifact into cache
+// entry files. The trace is stored once, in its own codec; the run
+// result's Trace pointer is nilled in the JSON and reattached on
+// decode.
+func EncodeProfileArtifact(a *ProfileArtifact) (map[string][]byte, error) {
+	var tb bytes.Buffer
+	if err := a.Trace.Write(&tb); err != nil {
+		return nil, err
+	}
+	run := *a.Run
+	run.Trace = nil
+	rb, err := json.Marshal(&run)
+	if err != nil {
+		return nil, err
+	}
+	var pb bytes.Buffer
+	if err := a.Profile.WriteCSV(&pb); err != nil {
+		return nil, err
+	}
+	return map[string][]byte{
+		fileTrace:      tb.Bytes(),
+		fileProfileRun: rb,
+		fileProfileCSV: pb.Bytes(),
+	}, nil
+}
+
+// DecodeProfileArtifact recovers a profiling artifact from cache entry
+// files.
+func DecodeProfileArtifact(files map[string][]byte) (*ProfileArtifact, error) {
+	tb, ok := files[fileTrace]
+	if !ok {
+		return nil, fmt.Errorf("stage: profile entry missing %s", fileTrace)
+	}
+	tr, err := trace.Read(bytes.NewReader(tb))
+	if err != nil {
+		return nil, err
+	}
+	rb, ok := files[fileProfileRun]
+	if !ok {
+		return nil, fmt.Errorf("stage: profile entry missing %s", fileProfileRun)
+	}
+	run := new(engine.Result)
+	if err := json.Unmarshal(rb, run); err != nil {
+		return nil, err
+	}
+	run.Trace = tr
+	pb, ok := files[fileProfileCSV]
+	if !ok {
+		return nil, fmt.Errorf("stage: profile entry missing %s", fileProfileCSV)
+	}
+	prof, err := paramedir.ReadCSV(bytes.NewReader(pb))
+	if err != nil {
+		return nil, err
+	}
+	return &ProfileArtifact{Trace: tr, Run: run, Profile: prof}, nil
+}

@@ -105,3 +105,57 @@ func TestChaosMemoRecoversPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoForgetRecomputes checks the retry policy: after a failed
+// call is forgotten, the next caller of the key computes afresh and
+// its value sticks.
+func TestMemoForgetRecomputes(t *testing.T) {
+	var m Memo[int]
+	boom := errors.New("compute boom")
+	if _, err := m.Do("k", func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("first call err = %v, want %v", err, boom)
+	}
+	m.Forget("k")
+	v, err := m.Do("k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("after Forget: (%d, %v), want (7, nil)", v, err)
+	}
+	m.Forget("k") // a successful call is never forgotten
+	if v, _ := m.Do("k", func() (int, error) { t.Fatal("recomputed a settled key"); return 0, nil }); v != 7 {
+		t.Errorf("settled key = %d, want 7", v)
+	}
+}
+
+// TestMemoForgetLeavesReclaimedCall checks that a late Forget — from a
+// caller of the failed call, arriving after the key was claimed again —
+// leaves the new call alone, whether it is still running or done.
+func TestMemoForgetLeavesReclaimedCall(t *testing.T) {
+	var m Memo[int]
+	if _, err := m.Do("k", func() (int, error) { return 0, errors.New("boom") }); err == nil {
+		t.Fatal("failing compute returned no error")
+	}
+	m.Forget("k")
+
+	running, release := make(chan struct{}), make(chan struct{})
+	done := make(chan int)
+	go func() {
+		v, _ := m.Do("k", func() (int, error) {
+			close(running)
+			<-release
+			return 7, nil
+		})
+		done <- v
+	}()
+	<-running
+	m.Forget("k") // the late Forget, while the new call runs
+	close(release)
+	if v := <-done; v != 7 {
+		t.Fatalf("re-claimed call = %d, want 7", v)
+	}
+	m.Forget("k") // and once it is done
+	var runs atomic.Int64
+	v, err := m.Do("k", func() (int, error) { runs.Add(1); return 9, nil })
+	if err != nil || v != 7 || runs.Load() != 0 {
+		t.Fatalf("after late Forgets: (%d, %v) with %d recomputes, want (7, nil) with 0", v, err, runs.Load())
+	}
+}

@@ -44,17 +44,26 @@ type Key string
 // verbatim; a panicking compute is recovered as a CellPanic with Cell
 // -1 (which caller claimed the key is scheduling-dependent) and fails
 // every caller of the key. Grid memoizes its per-key setup artifacts
-// through one, and the root package's sweep shares identical
-// executions through another. The zero Memo is ready to use.
+// through one, the root package's sweep shares identical executions
+// through another, and the advisory daemon memoizes its artifacts
+// through two more. The zero Memo is ready to use.
+//
+// There is one error policy: an error is memoized like a value, so
+// every caller of the key gets the same one and compute never reruns.
+// That is what a sweep wants — every cell sharing a failed setup fails
+// alike. A caller that wants the next request to retry instead (the
+// daemon: one failed request must not poison its key) calls Forget
+// after the error.
 type Memo[V any] struct {
 	mu    sync.Mutex
 	calls map[Key]*memoCall[V]
 }
 
 type memoCall[V any] struct {
-	once sync.Once
-	val  V
-	err  error
+	once   sync.Once
+	val    V
+	err    error
+	failed bool // guarded by Memo.mu; set once compute has failed
 }
 
 // Do returns the value computed for k, running compute only if no
@@ -75,10 +84,27 @@ func (m *Memo[V]) Do(k Key, compute func() (V, error)) (V, error) {
 			if v := recover(); v != nil {
 				c.err = &CellPanic{Cell: -1, Value: v, Stack: debug.Stack()}
 			}
+			if c.err != nil {
+				m.mu.Lock()
+				c.failed = true
+				m.mu.Unlock()
+			}
 		}()
 		c.val, c.err = compute()
 	})
 	return c.val, c.err
+}
+
+// Forget drops k if its computation failed, so the next Do recomputes
+// it. A call still running or one that succeeded is left alone — in
+// particular the call that re-claimed k after an earlier Forget, so a
+// late Forget from a caller of the old, failed call cannot discard it.
+func (m *Memo[V]) Forget(k Key) {
+	m.mu.Lock()
+	if c, ok := m.calls[k]; ok && c.failed {
+		delete(m.calls, k)
+	}
+	m.mu.Unlock()
 }
 
 // ErrCellPanic is the sentinel every recovered cell or setup panic

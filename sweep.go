@@ -26,10 +26,10 @@ import (
 	"time"
 
 	"repro/internal/advisor"
-	"repro/internal/advisord"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/stage"
 	"repro/internal/sweep"
 )
 
@@ -143,11 +143,9 @@ type SweepOptions struct {
 // to cold solves — so sharing it across the worker pool cannot break
 // the sweep's bit-identical-to-serial contract.
 type profiled struct {
-	trace *Trace
-	run   *RunResult
-	prof  *ObjectProfile
-	warm  *advisor.WarmState
-	wall  time.Duration
+	*stage.ProfileArtifact
+	warm *advisor.WarmState
+	wall time.Duration
 }
 
 // profileKey derives the memoization key of a pipeline cell: the
@@ -164,13 +162,7 @@ type profiled struct {
 // what lets SweepOptions.Cache share profiling artifacts across
 // processes and daemon restarts.
 func profileKey(w *Workload, cfg *PipelineConfig) sweep.Key {
-	pc := cfg.profileConfig()
-	params := advisord.ProfileParams{
-		Machine: pc.Machine, Cores: pc.Cores, Seed: pc.Seed,
-		SamplePeriod: pc.SamplePeriod, MinAllocSize: pc.MinAllocSize,
-		RefScale: pc.RefScale,
-	}.Normalized()
-	return sweep.Key(advisord.ProfileKey(w, params))
+	return sweep.Key(stage.ProfileKey(w, cfg.profileParams().Normalized()))
 }
 
 // executeKey derives the execution-sharing key of a pipeline cell: the
@@ -338,38 +330,14 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): profile stage: %w",
 				p.Workload.Name, p.Pipeline.Seed, opts.Fault.Errorf(faultinject.SweepSetup, "profile run refused"))
 		}
-		pc := p.Pipeline.profileConfig()
-		pc.Obs = nil
-		pc.ctx = ctx
-		key := string(keyOf(i))
-		if opts.Cache != nil {
-			if files, ok := opts.Cache.Get(key); ok {
-				if art, derr := advisord.DecodeProfileArtifact(files); derr == nil {
-					return &profiled{trace: art.Trace, run: art.Run, prof: art.Profile,
-						warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
-				}
-				// Checksums passed but the payload does not decode (e.g.
-				// an entry from an incompatible codec): drop it and
-				// recompute — a cache can slow a sweep down, never sink it.
-				opts.Cache.Drop(key)
-			}
-		}
-		tr, profRun, err := Profile(p.Workload, pc)
+		art, _, err := stage.Load(opts.Cache, string(keyOf(i)), "profile", stage.EncodeProfileArtifact, stage.DecodeProfileArtifact,
+			func() (*stage.ProfileArtifact, error) {
+				return stage.Profile(p.Workload, p.Pipeline.profileParams(), engine.Config{Ctx: ctx})
+			})
 		if err != nil {
-			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): profile stage: %w", p.Workload.Name, p.Pipeline.Seed, err)
+			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): %w", p.Workload.Name, p.Pipeline.Seed, err)
 		}
-		prof, err := Analyze(tr)
-		if err != nil {
-			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): analyze stage: %w", p.Workload.Name, p.Pipeline.Seed, err)
-		}
-		if opts.Cache != nil {
-			if files, eerr := advisord.EncodeProfileArtifact(&advisord.ProfileArtifact{
-				Trace: tr, Run: profRun, Profile: prof,
-			}); eerr == nil {
-				_ = opts.Cache.Put(key, "profile", files)
-			}
-		}
-		return &profiled{trace: tr, run: profRun, prof: prof, warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
+		return &profiled{ProfileArtifact: art, warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
 	}
 	point := func(i, worker int, art *profiled) (SweepResult, error) {
 		p := cfgs[i]
@@ -419,7 +387,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 				// and stay warm either way.
 				ws = nil
 			}
-			pr, err := adviseAndExecute(p.Workload, cfg, art.trace, art.run, art.prof, ws, runs)
+			pr, err := adviseAndExecute(p.Workload, cfg, art.Trace, art.Run, art.Profile, ws, runs)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}

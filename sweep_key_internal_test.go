@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/apps"
+	"repro/internal/mem"
 	"repro/internal/units"
 )
 
@@ -68,7 +69,7 @@ func TestProfileKeyCompleteness(t *testing.T) {
 		{"machine.TierCapacity", func(w *Workload, c *PipelineConfig) { c.Machine.Tiers[0].Capacity += 4096 }},
 		{"machine.TierLatency", func(w *Workload, c *PipelineConfig) { c.Machine.Tiers[0].LatencyCycles++ }},
 		{"machine.Cores", func(w *Workload, c *PipelineConfig) { c.Machine.Cores /= 2 }},
-		{"machine.CacheMode", func(w *Workload, c *PipelineConfig) { c.Machine = CacheModeMachine(c.Machine) }},
+		{"machine.CacheMode", func(w *Workload, c *PipelineConfig) { c.Machine = mem.WithCacheMode(c.Machine) }},
 		{"machine.Topology", func(w *Workload, c *PipelineConfig) { c.Machine = WithUniformTopology(c.Machine, 2) }},
 		{"workload.Name", func(w *Workload, c *PipelineConfig) { w.Name = "minife-b" }},
 		{"workload.Iterations", func(w *Workload, c *PipelineConfig) { w.Iterations++ }},
@@ -159,7 +160,7 @@ func TestExecuteKeyCompleteness(t *testing.T) {
 		{"workload.Iterations", func(w *Workload, c *PipelineConfig, r *PlacementReport) { w.Iterations++ }},
 		{"workload.ObjectSize", func(w *Workload, c *PipelineConfig, r *PlacementReport) { w.Objects[0].Size += 4096 }},
 		{"machine.TierLatency", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Machine.Tiers[0].LatencyCycles++ }},
-		{"machine.CacheMode", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Machine = CacheModeMachine(c.Machine) }},
+		{"machine.CacheMode", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Machine = mem.WithCacheMode(c.Machine) }},
 		{"config.Cores", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Cores = 2 }},
 		{"config.Seed", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Seed++ }},
 		{"config.RefScale", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.RefScale = 0.5 }},
