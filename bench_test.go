@@ -176,37 +176,6 @@ func BenchmarkFigure5Folding(b *testing.B) {
 	b.ReportMetric(dipPct, "dip-%of-peak")
 }
 
-// fig4SweepPoints builds the Figure 4 grid for one application: every
-// baseline plus the full budget×strategy pipeline plane — the workload
-// the sweep engine exists for.
-func fig4SweepPoints(w *Workload) []SweepPoint {
-	m := MachineFor(w)
-	cfg := ExecuteConfig{Machine: m, Seed: 21}
-	pts := []SweepPoint{
-		BaselinePoint("ddr", w, BaselineDDR, cfg),
-		BaselinePoint("numactl", w, BaselineNumactl, cfg),
-		BaselinePoint("autohbw", w, BaselineAutoHBW, cfg),
-		BaselinePoint("cache", w, BaselineCacheMode, cfg),
-	}
-	strategies := []struct {
-		name string
-		s    Strategy
-	}{
-		{"density", StrategyDensity},
-		{"misses0", StrategyMisses(0)},
-		{"misses1", StrategyMisses(1)},
-		{"misses5", StrategyMisses(5)},
-	}
-	for _, budget := range BudgetsFor(w) {
-		for _, st := range strategies {
-			pts = append(pts, PipelinePoint(st.name, w, PipelineConfig{
-				Machine: m, Seed: 21, Budget: budget, Strategy: st.s,
-			}))
-		}
-	}
-	return pts
-}
-
 // BenchmarkSweepFigure4 runs one application's full Figure 4 grid
 // through the sweep engine: the profile is computed once, the 16
 // advise+execute cells and 4 baselines fan out across the worker pool.
@@ -220,7 +189,7 @@ func BenchmarkSweepFigure4(b *testing.B) {
 	}
 	var fom float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunSweep(fig4SweepPoints(w), SweepOptions{})
+		res, err := RunSweep(Figure4Points(w, 1), SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +208,7 @@ func BenchmarkSweepFigure4Serial(b *testing.B) {
 	}
 	var fom float64
 	for i := 0; i < b.N; i++ {
-		for _, p := range fig4SweepPoints(w) {
+		for _, p := range Figure4Points(w, 1) {
 			var res *RunResult
 			var err error
 			switch {

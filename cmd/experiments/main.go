@@ -70,9 +70,11 @@ var showMetrics = flag.Bool("metrics", false, "print per-cell engine counters (p
 // traceRec is the -trace flight recorder (nil = tracing off); every
 // sweep-shaped mode feeds it through runSweep. traceClose finalizes
 // the trace file and is invoked from flushProfiles so it runs on every
-// exit path.
+// exit path; it leaves the first write or close error in traceErr, on
+// which main exits 1.
 var traceRec *hm.FlightRecorder
 var traceClose func()
+var traceErr error
 
 // strategyFlag overrides the pipeline packing strategy of the
 // sweep-shaped modes (hm.StrategyByName grammar); "exact" additionally
@@ -142,7 +144,6 @@ func main() {
 	}
 
 	startProfiles(*cpuProfile, *memProfile)
-	defer flushProfiles()
 
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -158,10 +159,13 @@ func main() {
 			ConfigFP: hm.ConfigFingerprint(os.Args[1:]),
 		})
 		traceClose = func() {
-			if err := traceRec.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: trace:", err)
+			traceErr = traceRec.Err()
+			if err := f.Close(); traceErr == nil {
+				traceErr = err
 			}
-			f.Close()
+			if traceErr != nil {
+				fmt.Fprintln(os.Stderr, "experiments: trace:", traceErr)
+			}
 		}
 	}
 
@@ -210,6 +214,10 @@ func main() {
 		flushProfiles()
 		flag.Usage()
 		os.Exit(2)
+	}
+	flushProfiles()
+	if traceErr != nil {
+		os.Exit(1)
 	}
 }
 
@@ -366,53 +374,17 @@ func figure4(only string, scale float64) {
 	}
 }
 
-// fig4Grid builds one application's Figure 4 sweep: the four baseline
-// placements followed by the budget×strategy pipeline plane. Every
-// pipeline cell shares one memoized profile (same workload, machine,
-// seed and scale), so the grid costs one profiling run plus the
-// advise+execute fan-out.
-func fig4Grid(w *hm.Workload, scale float64) ([]hm.SweepPoint, []int64) {
-	m := hm.MachineFor(w)
-	cfg := scaled(hm.ExecuteConfig{Machine: m, Seed: 21}, scale)
-	pts := []hm.SweepPoint{
-		hm.BaselinePoint("DDR", w, hm.BaselineDDR, cfg),
-		hm.BaselinePoint("MCDRAM*(numactl)", w, hm.BaselineNumactl, cfg),
-		hm.BaselinePoint("autohbw/1m", w, hm.BaselineAutoHBW, cfg),
-		hm.BaselinePoint("cache", w, hm.BaselineCacheMode, cfg),
-	}
-	strategies := []struct {
-		name string
-		s    hm.Strategy
-	}{
-		{"density", hm.StrategyDensity},
-		{"misses(0%)", hm.StrategyMisses(0)},
-		{"misses(1%)", hm.StrategyMisses(1)},
-		{"misses(5%)", hm.StrategyMisses(5)},
-	}
-	if stratOverride != nil {
-		strategies = strategies[:0]
-		strategies = append(strategies, struct {
-			name string
-			s    hm.Strategy
-		}{stratOverride.Name(), stratOverride})
-	}
-	var budgets []int64
-	for _, budget := range hm.BudgetsFor(w) {
-		for _, st := range strategies {
-			pts = append(pts, hm.PipelinePoint(
-				fmt.Sprintf("%s @%s", st.name, units.HumanBytes(budget)),
-				w, hm.PipelineConfig{
-					Machine: m, Seed: 21, Budget: budget, Strategy: st.s, RefScale: scale,
-				}))
-			budgets = append(budgets, budget)
-		}
-	}
-	return pts, budgets
-}
-
+// figure4App prints one application's Figure 4 grid. Every pipeline
+// cell shares one memoized profile (same workload, machine, seed and
+// scale), so the grid costs one profiling run plus the advise+execute
+// fan-out.
 func figure4App(w *hm.Workload, scale float64) {
 	header(fmt.Sprintf("Figure 4: %s (%s)", w.Name, w.FOMUnit))
-	pts, budgets := fig4Grid(w, scale)
+	var strategies []hm.Strategy
+	if stratOverride != nil {
+		strategies = []hm.Strategy{stratOverride}
+	}
+	pts := hm.Figure4Points(w, scale, strategies...)
 	res := runSweep(pts)
 	ddr := res[0].Run
 
@@ -421,18 +393,21 @@ func figure4App(w *hm.Workload, scale float64) {
 		mcTotal /= int64(w.Ranks)
 	}
 	rows := []fig4Row{
-		{"DDR", ddr.FOM, 0, 0},
-		{"MCDRAM*(numactl)", res[1].Run.FOM, res[1].Run.HBWHWM, hm.DeltaFOMPerMB(res[1].Run.FOM, ddr.FOM, mcTotal)},
-		{"autohbw/1m", res[2].Run.FOM, res[2].Run.HBWHWM, 0},
-		{"cache", res[3].Run.FOM, 0, hm.DeltaFOMPerMB(res[3].Run.FOM, ddr.FOM, mcTotal)},
+		{res[0].Label, ddr.FOM, 0, 0},
+		{res[1].Label, res[1].Run.FOM, res[1].Run.HBWHWM, hm.DeltaFOMPerMB(res[1].Run.FOM, ddr.FOM, mcTotal)},
+		{res[2].Label, res[2].Run.FOM, res[2].Run.HBWHWM, 0},
+		{res[3].Label, res[3].Run.FOM, 0, hm.DeltaFOMPerMB(res[3].Run.FOM, ddr.FOM, mcTotal)},
 	}
+	var budgets []int64
 	for i, r := range res[4:] {
+		budget := pts[4+i].Pipeline.Budget
 		rows = append(rows, fig4Row{
 			label: r.Label,
 			fom:   r.Run.FOM,
 			hwm:   r.Run.HBWHWM,
-			dfom:  hm.DeltaFOMPerMB(r.Run.FOM, ddr.FOM, budgets[i]),
+			dfom:  hm.DeltaFOMPerMB(r.Run.FOM, ddr.FOM, budget),
 		})
+		budgets = append(budgets, budget)
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -478,11 +453,6 @@ func gapTable(caption string, budgets []int64, cells []*hm.PipelineResult, mcFor
 			ratioOf(hm.StrategyMisses(0)), ratioOf(hm.StrategyDensity))
 	}
 	tw.Flush()
-}
-
-func scaled(cfg hm.ExecuteConfig, scale float64) hm.ExecuteConfig {
-	cfg.RefScale = scale
-	return cfg
 }
 
 // onlineTable compares the offline framework against the online

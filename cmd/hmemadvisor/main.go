@@ -78,13 +78,20 @@ func main() {
 		fail(err)
 	}
 	var rec *hm.FlightRecorder
+	closeTrace := func() error { return nil }
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
 		if err != nil {
 			fail(err)
 		}
-		defer tf.Close()
 		rec = hm.NewFlightRecorder(tf)
+		closeTrace = func() error {
+			err := rec.Err()
+			if cerr := tf.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
 		obs.Emit(rec, hm.RunManifest{
 			App:      prof.App,
 			Strategy: strat.Name(),
@@ -102,6 +109,9 @@ func main() {
 	}
 	if err != nil {
 		fail(err)
+	}
+	if err := closeTrace(); err != nil {
+		fail(fmt.Errorf("trace: %w", err))
 	}
 	o, err := os.Create(*out)
 	if err != nil {

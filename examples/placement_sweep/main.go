@@ -24,45 +24,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := hm.MachineFor(w)
-	cfg := hm.ExecuteConfig{Machine: m, Seed: 21}
-
-	ddr, err := hm.RunBaseline(w, hm.BaselineDDR, cfg)
+	// One sweep over the whole grid: the pipeline cells share one
+	// profiling run and fan out across GOMAXPROCS workers.
+	pts := hm.Figure4Points(w, 1)
+	res, err := hm.RunSweep(pts, hm.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ddr := res[0].Run
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "config\t%s\tHWM MB\tdFOM/MB\tvs DDR\n", w.FOMUnit)
 	fmt.Fprintf(tw, "DDR\t%.3f\t-\t-\t-\n", ddr.FOM)
-
-	for _, b := range []hm.Baseline{hm.BaselineNumactl, hm.BaselineAutoHBW, hm.BaselineCacheMode} {
-		r, err := hm.RunBaseline(w, b, cfg)
-		if err != nil {
-			log.Fatal(err)
+	for i, r := range res[1:] {
+		p := pts[1+i]
+		if p.Baseline != nil {
+			fmt.Fprintf(tw, "%s\t%.3f\t%d\t-\t%+.1f%%\n", p.Baseline.Baseline, r.Run.FOM, r.Run.HBWHWM/hm.MB,
+				hm.ImprovementPct(r.Run.FOM, ddr.FOM))
+			continue
 		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%d\t-\t%+.1f%%\n", b, r.FOM, r.HBWHWM/hm.MB,
-			hm.ImprovementPct(r.FOM, ddr.FOM))
-	}
-
-	strategies := map[string]hm.Strategy{
-		"density":    hm.StrategyDensity,
-		"misses(0%)": hm.StrategyMisses(0),
-		"misses(1%)": hm.StrategyMisses(1),
-		"misses(5%)": hm.StrategyMisses(5),
-	}
-	for _, budget := range hm.BudgetsFor(w) {
-		for _, name := range []string{"density", "misses(0%)", "misses(1%)", "misses(5%)"} {
-			pr, err := hm.Pipeline(w, hm.PipelineConfig{
-				Machine: m, Seed: 21, Budget: budget, Strategy: strategies[name],
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(tw, "%s @%dMB\t%.3f\t%d\t%.5f\t%+.1f%%\n",
-				name, budget/hm.MB, pr.Run.FOM, pr.Run.HBWHWM/hm.MB,
-				hm.DeltaFOMPerMB(pr.Run.FOM, ddr.FOM, budget),
-				hm.ImprovementPct(pr.Run.FOM, ddr.FOM))
-		}
+		budget := p.Pipeline.Budget
+		fmt.Fprintf(tw, "%s @%dMB\t%.3f\t%d\t%.5f\t%+.1f%%\n",
+			p.Pipeline.Strategy.Name(), budget/hm.MB, r.Run.FOM, r.Run.HBWHWM/hm.MB,
+			hm.DeltaFOMPerMB(r.Run.FOM, ddr.FOM, budget),
+			hm.ImprovementPct(r.Run.FOM, ddr.FOM))
 	}
 	tw.Flush()
 }

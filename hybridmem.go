@@ -278,6 +278,34 @@ func MachineFor(w *Workload) Machine { return apps.MachineFor(w) }
 // BudgetsFor returns the Figure 4 MCDRAM budget sweep for a workload.
 func BudgetsFor(w *Workload) []int64 { return apps.Budgets(w) }
 
+// Figure4Points is the Figure 4 grid for w at access-volume scale
+// scale, under the seed EXPERIMENTS.md pins (21): the four baselines
+// (DDR, numactl, autohbw, cache mode), then the framework at every
+// BudgetsFor(w) budget under each strategy, budget-major. With no
+// strategies it sweeps the paper's four: density and misses at 0, 1
+// and 5 %. Pipeline cells are labelled "<strategy> @<budget>" and all
+// share one profiling configuration, so RunSweep profiles w once.
+func Figure4Points(w *Workload, scale float64, strategies ...Strategy) []SweepPoint {
+	if len(strategies) == 0 {
+		strategies = []Strategy{StrategyDensity, StrategyMisses(0), StrategyMisses(1), StrategyMisses(5)}
+	}
+	m := MachineFor(w)
+	cfg := ExecuteConfig{Machine: m, Seed: 21, RefScale: scale}
+	pts := []SweepPoint{
+		BaselinePoint("DDR", w, BaselineDDR, cfg),
+		BaselinePoint("MCDRAM*(numactl)", w, BaselineNumactl, cfg),
+		BaselinePoint("autohbw/1m", w, BaselineAutoHBW, cfg),
+		BaselinePoint("cache", w, BaselineCacheMode, cfg),
+	}
+	for _, budget := range BudgetsFor(w) {
+		for _, s := range strategies {
+			pts = append(pts, PipelinePoint(fmt.Sprintf("%s @%s", s.Name(), units.HumanBytes(budget)), w,
+				PipelineConfig{Machine: m, Seed: 21, Budget: budget, Strategy: s, RefScale: scale}))
+		}
+	}
+	return pts
+}
+
 // DeltaFOMPerMB is Equation 1: fast-memory efficiency of a result.
 func DeltaFOMPerMB(fom, fomDDR float64, memBytes int64) float64 {
 	return metrics.DeltaFOMPerMB(fom, fomDDR, memBytes)

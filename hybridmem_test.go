@@ -3,7 +3,10 @@ package hybridmem
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+
+	"repro/internal/units"
 )
 
 // TestPipelineEndToEnd drives all four stages on HPCG and checks every
@@ -225,5 +228,54 @@ func TestPredictAndPatternAPI(t *testing.T) {
 	}
 	if single.SpeedupVsDDR <= 1 {
 		t.Fatalf("predicted speedup = %v", single.SpeedupVsDDR)
+	}
+}
+
+// TestFigure4PointsShape pins the Figure 4 grid every consumer shares:
+// the four baselines, then BudgetsFor(w) × the paper's four strategies
+// budget-major, uniquely labelled, each cell's budget and strategy
+// matching its label; a strategy override keeps one cell per budget.
+func TestFigure4PointsShape(t *testing.T) {
+	baselines := []struct {
+		label string
+		b     Baseline
+	}{
+		{"DDR", BaselineDDR}, {"MCDRAM*(numactl)", BaselineNumactl},
+		{"autohbw/1m", BaselineAutoHBW}, {"cache", BaselineCacheMode},
+	}
+	paper := []Strategy{StrategyDensity, StrategyMisses(0), StrategyMisses(1), StrategyMisses(5)}
+	for _, w := range Workloads() {
+		budgets := BudgetsFor(w)
+		for _, strategies := range [][]Strategy{nil, {StrategyExactNTier}} {
+			want := strategies
+			if want == nil {
+				want = paper
+			}
+			pts := Figure4Points(w, 0.5, strategies...)
+			if len(pts) != len(baselines)+len(budgets)*len(want) {
+				t.Fatalf("%s: %d cells, want %d baselines + %d budgets x %d strategies",
+					w.Name, len(pts), len(baselines), len(budgets), len(want))
+			}
+			seen := map[string]bool{}
+			for i, p := range pts {
+				if seen[p.Label] {
+					t.Errorf("%s: duplicate label %q", w.Name, p.Label)
+				}
+				seen[p.Label] = true
+				if i < len(baselines) {
+					if b := baselines[i]; p.Label != b.label || p.Baseline == nil || p.Baseline.Baseline != b.b {
+						t.Errorf("%s cell %d = %q, want baseline %q", w.Name, i, p.Label, b.label)
+					}
+					continue
+				}
+				k := i - len(baselines)
+				budget, s := budgets[k/len(want)], want[k%len(want)]
+				label := fmt.Sprintf("%s @%s", s.Name(), units.HumanBytes(budget))
+				if p.Pipeline == nil || p.Label != label || p.Pipeline.Budget != budget ||
+					p.Pipeline.Strategy.Name() != s.Name() || p.Pipeline.RefScale != 0.5 {
+					t.Errorf("%s cell %d = %q, want pipeline %q", w.Name, i, p.Label, label)
+				}
+			}
+		}
 	}
 }

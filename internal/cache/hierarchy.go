@@ -8,39 +8,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// Level identifies where an access was satisfied.
-type Level uint8
-
-// Access outcomes, from fastest to slowest.
-const (
-	LevelL1 Level = iota
-	LevelLLC
-	LevelMCDRAMCache // cache-mode MCDRAM hit
-	LevelMemory      // served by a memory tier (flat mode) or DDR (cache mode miss)
-)
-
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case LevelL1:
-		return "L1"
-	case LevelLLC:
-		return "LLC"
-	case LevelMCDRAMCache:
-		return "MCDRAM$"
-	case LevelMemory:
-		return "MEM"
-	default:
-		return fmt.Sprintf("level(%d)", uint8(l))
-	}
-}
-
-// Result describes one access walked through the hierarchy.
-type Result struct {
-	Level Level
-	Tier  mem.TierID // meaningful when Level >= LevelMCDRAMCache
-}
-
 // Hierarchy wires L1 -> LLC -> (MCDRAM cache) -> memory tiers and
 // accumulates both hit-cost cycles and per-tier traffic. The OnLLCMiss
 // hook is where the PEBS engine taps the stream, exactly as PEBS
@@ -57,9 +24,8 @@ type Hierarchy struct {
 
 	// Run-length batching of the flat-mode miss path. Demand misses
 	// stream: consecutive LLC misses overwhelmingly fall inside one
-	// constant-tier extent (a page for the per-reference Access path, a
-	// whole segment-or-promoted-range for the batched AccessRun path),
-	// so the hierarchy caches the last missed extent's tier and
+	// constant-tier extent (PageTable.TierExtent: a whole segment or
+	// promoted range), so the hierarchy caches the last missed extent's tier and
 	// accumulates the run's line count locally, paying one page-table
 	// query plus one Traffic.AddBulk per run instead of one lookup and
 	// one counter add per miss. The cache is private to this hierarchy
@@ -75,11 +41,10 @@ type Hierarchy struct {
 
 	// OnLLCMiss, if set, observes every LLC miss before it is resolved
 	// against memory. refIdx is the index of the missing reference
-	// within the current batched call (AccessRun/AccessRandomRun); a
-	// single Access always reports 0. Adding it to a running reference
-	// count reconstructs the per-reference stream position, which is
-	// how the engine keeps PEBS sample indices bit-identical to the
-	// unbatched path.
+	// within the current batched call (AccessRun/AccessRandomRun).
+	// Adding it to a running reference count reconstructs the
+	// per-reference stream position, which is how the engine keeps PEBS
+	// sample indices bit-identical to a reference-at-a-time walk.
 	OnLLCMiss func(addr uint64, refIdx int64)
 }
 
@@ -122,65 +87,12 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Access walks one memory reference of the line containing addr
-// through the hierarchy, updating costs and traffic.
-func (h *Hierarchy) Access(addr uint64) Result {
-	if h.l1.Access(addr) {
-		h.hitCycles += h.machine.LLC.L1Hit
-		return Result{Level: LevelL1}
-	}
-	if h.llc.Access(addr) {
-		h.hitCycles += h.machine.LLC.HitCycles
-		return Result{Level: LevelLLC}
-	}
-	if h.OnLLCMiss != nil {
-		h.OnLLCMiss(addr, 0)
-	}
-	line := h.machine.LineSize
-	if h.mcCache != nil {
-		// Cache mode: MCDRAM fronts DDR for all data.
-		if h.mcCache.Access(addr) {
-			h.traffic.Add(mem.TierMCDRAM, line)
-			return Result{Level: LevelMCDRAMCache, Tier: mem.TierMCDRAM}
-		}
-		// Miss: the demand line crosses DDR, plus a quarter line of
-		// average fill/writeback overhead (a cache-mode miss moves
-		// data DDR->MCDRAM and evicts a possibly dirty victim, so its
-		// effective DDR cost exceeds a flat-mode access — the reason
-		// cache mode loses to conscious flat placement in the paper).
-		// The fill write also consumes MCDRAM bandwidth. The exact
-		// charge — line + line/4 on DDR, line on MCDRAM — is pinned by
-		// TestCacheModeMissCharge.
-		h.traffic.Add(mem.TierDDR, line)
-		h.traffic.Add(mem.TierDDR, line/4)
-		h.traffic.Add(mem.TierMCDRAM, line)
-		return Result{Level: LevelMemory, Tier: mem.TierDDR}
-	}
-	if h.runLines > 0 && addr >= h.runStart && addr < h.runEnd && h.runGen == h.pt.Gen() {
-		h.runLines++
-		return Result{Level: LevelMemory, Tier: h.runTier}
-	}
-	h.flushRun()
-	// The per-reference path keeps the original page-granular run: the
-	// containing page is the cheapest always-correct constant-tier
-	// extent (overrides are page-granular and coarse ranges only break
-	// pages at their byte-granular edges, which TierOf resolves per
-	// address anyway). The batched paths install wider TierExtent runs
-	// in the same cache; both validate by bounds+Gen, so they compose.
-	tier := h.pt.TierOf(addr)
-	start := addr / uint64(units.PageSize) * uint64(units.PageSize)
-	h.runStart, h.runEnd = start, start+uint64(units.PageSize)
-	h.runGen, h.runTier, h.runLines = h.pt.Gen(), tier, 1
-	return Result{Level: LevelMemory, Tier: tier}
-}
-
 // accessLine is the line-crossing slow path of the batched access
 // loops: one full L1→LLC→memory walk for the reference with index
-// refIdx inside the current batched call. It is Access minus the
-// Result plumbing, with the wide TierExtent run installed on the miss
-// path (the batched caller streams whole objects, so the page-granular
-// run of the per-reference path would re-query the table every page —
-// or, for strides wider than a page, every single miss).
+// refIdx inside the current batched call, with a wide TierExtent run
+// installed on the miss path (the batched caller streams whole
+// objects, so a page-granular run would re-query the table every page
+// — or, for strides wider than a page, every single miss).
 func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 	if h.l1.Access(addr) {
 		h.hitCycles += h.machine.LLC.L1Hit
@@ -195,11 +107,19 @@ func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 	}
 	line := h.machine.LineSize
 	if h.mcCache != nil {
-		// Cache mode: identical charges to Access (see there).
+		// Cache mode: MCDRAM fronts DDR for all data.
 		if h.mcCache.Access(addr) {
 			h.traffic.Add(mem.TierMCDRAM, line)
 			return
 		}
+		// Miss: the demand line crosses DDR, plus a quarter line of
+		// average fill/writeback overhead (a cache-mode miss moves
+		// data DDR->MCDRAM and evicts a possibly dirty victim, so its
+		// effective DDR cost exceeds a flat-mode access — the reason
+		// cache mode loses to conscious flat placement in the paper).
+		// The fill write also consumes MCDRAM bandwidth. The exact
+		// charge — line + line/4 on DDR, line on MCDRAM — is pinned by
+		// TestCacheModeMissCharge.
 		h.traffic.Add(mem.TierDDR, line)
 		h.traffic.Add(mem.TierDDR, line/4)
 		h.traffic.Add(mem.TierMCDRAM, line)
@@ -217,10 +137,11 @@ func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 
 // AccessRun walks refs strided references over [base, base+span)
 // through the hierarchy, wrapping at the span — the batched equivalent
-// of calling Access(base + (i*stride)%span) for i in [0, refs). All
-// bookkeeping (hit cycles, cache hit/miss counters, per-tier traffic,
-// OnLLCMiss callbacks with intra-run indices) is bit-identical to the
-// per-reference loop; the batching only changes how it is computed:
+// of walking base + (i*stride)%span for i in [0, refs) one reference
+// at a time. All bookkeeping (hit cycles, cache hit/miss counters,
+// per-tier traffic, OnLLCMiss callbacks with intra-run indices) is
+// bit-identical to that per-reference loop, which the package tests
+// keep as the oracle; the batching only changes how it is computed:
 //
 //   - A reference falling in the SAME cache line as its predecessor is
 //     a deterministic L1 hit (the predecessor made that line MRU and

@@ -11,7 +11,7 @@ import (
 
 // hotPathFixture builds a flat-mode hierarchy over a page table shaped
 // like a real run's: coarse segment bindings for the heaps plus a
-// page-granular placed range inside the fast heap — so Access exercises
+// page-granular placed range inside the fast heap — so the walks exercise
 // the radix lookup, the coarse fast path AND the default fallthrough.
 func hotPathFixture(t testing.TB) (*Hierarchy, *mem.Machine, []uint64) {
 	t.Helper()
@@ -53,22 +53,33 @@ func hotPathFixture(t testing.TB) (*Hierarchy, *mem.Machine, []uint64) {
 	return h, &m, addrs
 }
 
+// walk drives one fixture address through every access entry point:
+// the per-reference oracle Access, plus a short strided AccessRun and
+// a short AccessRandomRun from the same address — the walks the engine
+// runs.
+func walk(h *Hierarchy, addr uint64, rng *xrand.RNG) {
+	h.Access(addr)
+	h.AccessRun(addr, 64, 16<<10, 16)
+	h.AccessRandomRun(addr, 16<<10, 16, rng)
+}
+
 // TestHierarchyAccessZeroAllocs pins the central claim of the hot-path
 // overhaul: walking a reference through L1/LLC/page-table/traffic does
-// not allocate in steady state.
+// not allocate in steady state, on the oracle and the batched walks.
 func TestHierarchyAccessZeroAllocs(t *testing.T) {
 	h, _, addrs := hotPathFixture(t)
+	rng := xrand.New(11)
 	// Warm up caches and counters.
 	for _, a := range addrs {
-		h.Access(a)
+		walk(h, a, rng)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(10000, func() {
-		h.Access(addrs[i&(len(addrs)-1)])
+		walk(h, addrs[i&(len(addrs)-1)], rng)
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Hierarchy.Access allocates %.1f times per call, want 0", allocs)
+		t.Errorf("the access walk allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -80,13 +91,14 @@ func TestHierarchyAccessZeroAllocs(t *testing.T) {
 // letting an event escape to the heap before the nil check.
 func TestAccessWithDisabledRecorderZeroAllocs(t *testing.T) {
 	h, _, addrs := hotPathFixture(t)
+	rng := xrand.New(11)
 	for _, a := range addrs {
-		h.Access(a)
+		walk(h, a, rng)
 	}
 	var rec *obs.Recorder // every untraced run carries exactly this
 	i := 0
 	allocs := testing.AllocsPerRun(10000, func() {
-		h.Access(addrs[i&(len(addrs)-1)])
+		walk(h, addrs[i&(len(addrs)-1)], rng)
 		obs.Emit(rec, obs.GateEvent{Epoch: i, Decision: obs.DecisionAccept, Moves: 1})
 		obs.Emit(rec, obs.EpochEvent{Epoch: i, Refs: int64(i)})
 		i++
@@ -102,11 +114,12 @@ func TestAccessWithDisabledRecorderZeroAllocs(t *testing.T) {
 // run.
 func TestDrainPhaseZeroAllocs(t *testing.T) {
 	h, m, addrs := hotPathFixture(t)
+	rng := xrand.New(11)
 	for _, a := range addrs {
-		h.Access(a)
+		walk(h, a, rng)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.Access(addrs[0])
+		walk(h, addrs[0], rng)
 		h.DrainPhase(m.Cores)
 	})
 	if allocs != 0 {

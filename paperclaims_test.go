@@ -8,50 +8,83 @@ package hybridmem
 // paper's findings, a test here fails.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"repro/internal/units"
 )
 
-// runAll executes the standard comparison set for one workload: the
-// four baselines plus the framework at the largest budget under both
-// strategy families.
+// fig4Grids memoizes each application's Figure 4 grid — one RunSweep
+// over Figure4Points(w, 1), the cells `experiments -fig 4` prints —
+// so every claim below reads the same cells, and each grid runs at
+// most once per test binary. Values are func() (fig4Cells, error)
+// from sync.OnceValues, keyed by workload name.
+var fig4Grids sync.Map
+
+// fig4Cells maps a Figure 4 cell label to its run.
+type fig4Cells map[string]*RunResult
+
+// fig4 returns name's Figure 4 cells.
+func fig4(t *testing.T, name string) fig4Cells {
+	t.Helper()
+	once, _ := fig4Grids.LoadOrStore(name, sync.OnceValues(func() (fig4Cells, error) {
+		w, err := WorkloadByName(name)
+		if err != nil {
+			return nil, err
+		}
+		res, err := RunSweep(Figure4Points(w, 1), SweepOptions{})
+		if err != nil {
+			return nil, err
+		}
+		cells := fig4Cells{}
+		for _, r := range res {
+			cells[r.Label] = r.Run
+		}
+		return cells, nil
+	}))
+	cells, err := once.(func() (fig4Cells, error))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
+// run returns the cell labelled label.
+func (c fig4Cells) run(t *testing.T, label string) *RunResult {
+	t.Helper()
+	r, ok := c[label]
+	if !ok {
+		t.Fatalf("no Figure 4 cell %q", label)
+	}
+	return r
+}
+
+// framework returns the pipeline cell of strategy s at budget.
+func (c fig4Cells) framework(t *testing.T, s string, budget int64) *RunResult {
+	t.Helper()
+	return c.run(t, fmt.Sprintf("%s @%s", s, units.HumanBytes(budget)))
+}
+
+// comparison is the standard comparison set for one workload: the
+// four baselines plus the framework at one budget under both strategy
+// families.
 type comparison struct {
 	ddr, numactl, autohbw, cache *RunResult
 	density, misses              *RunResult
-	densityRep, missesRep        *PlacementReport
 }
 
 func compare(t *testing.T, name string, budget int64) *comparison {
 	t.Helper()
-	w, err := WorkloadByName(name)
-	if err != nil {
-		t.Fatal(err)
+	cells := fig4(t, name)
+	return &comparison{
+		ddr:     cells.run(t, "DDR"),
+		numactl: cells.run(t, "MCDRAM*(numactl)"),
+		autohbw: cells.run(t, "autohbw/1m"),
+		cache:   cells.run(t, "cache"),
+		density: cells.framework(t, "density", budget),
+		misses:  cells.framework(t, "misses(0%)", budget),
 	}
-	m := MachineFor(w)
-	cfg := ExecuteConfig{Machine: m, Seed: 21}
-	c := &comparison{}
-	if c.ddr, err = RunBaseline(w, BaselineDDR, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if c.numactl, err = RunBaseline(w, BaselineNumactl, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if c.autohbw, err = RunBaseline(w, BaselineAutoHBW, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if c.cache, err = RunBaseline(w, BaselineCacheMode, cfg); err != nil {
-		t.Fatal(err)
-	}
-	pd, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: budget, Strategy: StrategyDensity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.density, c.densityRep = pd.Run, pd.Report
-	pm, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: budget, Strategy: StrategyMisses(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.misses, c.missesRep = pm.Run, pm.Report
-	return c
 }
 
 func (c *comparison) bestFramework() float64 {
@@ -178,15 +211,10 @@ func TestCGPOPNumactlWinsAndFlat(t *testing.T) {
 	}
 	// The converted hot arrays fit even 32 MB: performance is flat
 	// across the budget sweep.
-	w, _ := WorkloadByName("cgpop")
-	m := MachineFor(w)
-	small, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: 32 * MB, Strategy: StrategyMisses(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := small.Run.FOM / c.misses.FOM
+	small := fig4(t, "cgpop").framework(t, "misses(1%)", 32*MB)
+	ratio := small.FOM / c.misses.FOM
 	if ratio < 0.9 {
-		t.Errorf("CGPOP 32 MB (%v) should match 256 MB (%v): flat sweep", small.Run.FOM, c.misses.FOM)
+		t.Errorf("CGPOP 32 MB (%v) should match 256 MB (%v): flat sweep", small.FOM, c.misses.FOM)
 	}
 }
 
@@ -209,22 +237,13 @@ func TestSNAPNumactlWinsViaStack(t *testing.T) {
 // chunks, because after them the 240 MB flux buffer no longer fits;
 // Misses(0%) at 256 MB packs the flux buffer instead.
 func TestSNAPDensityStrandsLargeBuffer(t *testing.T) {
-	w, _ := WorkloadByName("snap")
-	m := MachineFor(w)
+	cells := fig4(t, "snap")
 	for _, budget := range []int64{128 * MB, 256 * MB} {
-		pr, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: budget, Strategy: StrategyDensity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hwm := pr.Run.HBWHWM; hwm > 80*MB {
+		if hwm := cells.framework(t, "density", budget).HBWHWM; hwm > 80*MB {
 			t.Errorf("density @%d MB used %d MB, want the ~64 MB chunk plateau", budget/MB, hwm/MB)
 		}
 	}
-	pm, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: 256 * MB, Strategy: StrategyMisses(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hwm := pm.Run.HBWHWM; hwm < 200*MB {
+	if hwm := cells.framework(t, "misses(0%)", 256*MB).HBWHWM; hwm < 200*MB {
 		t.Errorf("misses(0%%) @256 MB used %d MB, want the flux buffer packed (~256 MB)", hwm/MB)
 	}
 }
@@ -366,19 +385,12 @@ func TestSweetSpots(t *testing.T) {
 	// the smallest budget (32 MB per process).
 	for _, name := range []string{"cgpop", "snap", "gtc-p"} {
 		w, _ := WorkloadByName(name)
-		m := MachineFor(w)
-		ddr, err := RunBaseline(w, BaselineDDR, ExecuteConfig{Machine: m, Seed: 21})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cells := fig4(t, name)
+		ddr := cells.run(t, "DDR")
 		var foms []float64
 		budgets := BudgetsFor(w)
 		for _, b := range budgets {
-			pr, err := Pipeline(w, PipelineConfig{Machine: m, Seed: 21, Budget: b, Strategy: StrategyDensity})
-			if err != nil {
-				t.Fatal(err)
-			}
-			foms = append(foms, pr.Run.FOM)
+			foms = append(foms, cells.framework(t, "density", b).FOM)
 		}
 		best := -1
 		bestVal := 0.0
