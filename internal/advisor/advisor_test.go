@@ -340,6 +340,54 @@ func TestAdviseThreeTiers(t *testing.T) {
 	}
 }
 
+// prefixStrategy takes candidates in input order while they fit. With
+// copy unset it returns a sub-slice of its input, which the Strategy
+// contract allows.
+type prefixStrategy struct{ copy bool }
+
+func (prefixStrategy) Name() string { return "prefix" }
+func (s prefixStrategy) Select(objs []Object, budget int64) []Object {
+	k, used := 0, int64(0)
+	for k < len(objs) && used+units.PageAlign(objs[k].Size) <= budget {
+		used += units.PageAlign(objs[k].Size)
+		k++
+	}
+	if s.copy {
+		return append([]Object(nil), objs[:k]...)
+	}
+	return objs[:k]
+}
+
+// TestWaterfallKeepsSubsliceSelections: a selection the cascade has
+// kept for one tier must survive the filtering of the tiers after it,
+// even when the strategy handed back a sub-slice of its input.
+func TestWaterfallKeepsSubsliceSelections(t *testing.T) {
+	mc := MemoryConfig{DefaultTier: "DDR", Tiers: []TierConfig{
+		{Name: "HBM", Capacity: 8 * units.MB, RelativePerf: 6},
+		{Name: "MCDRAM", Capacity: 8 * units.MB, RelativePerf: 4.8},
+		{Name: "DDR", Capacity: units.GB, RelativePerf: 1},
+	}}
+	objs := []Object{obj("a", 4, 50), obj("b", 4, 40), obj("c", 4, 30), obj("d", 4, 20), obj("e", 4, 10)}
+	want, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{copy: true}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sub-slice selections changed the report:\n got %+v\nwant %+v", got.Entries, want.Entries)
+	}
+	var placed []string
+	for _, e := range got.Entries {
+		placed = append(placed, e.Tier+":"+e.ID)
+	}
+	if fmt.Sprint(placed) != "[HBM:a HBM:b MCDRAM:c MCDRAM:d]" {
+		t.Fatalf("placement = %v", placed)
+	}
+}
+
 func TestAdviseDefaultTierMidHierarchy(t *testing.T) {
 	// DDR default in the MIDDLE of the hierarchy: the fastest tier
 	// fills first, DDR keeps the best of the overflow implicitly (no

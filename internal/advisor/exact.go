@@ -406,14 +406,16 @@ func (e ExactNTier) selectHierarchy(ctx context.Context, objs []Object, tiers []
 	return out, stats, nil
 }
 
-// rejectHierarchyStrategyCascade guards the advisors that only use a
-// Strategy's one-knapsack seam (time-aware, partitioned): cascading a
-// hierarchy-aware solver tier by tier is NOT a joint solve, yet the
-// report would still carry its name — an oracle must not lie, so
-// N-tier configurations are refused. The two-tier degenerate is
-// allowed: there the strategy only supplies the packing order, exactly
-// as for every greedy strategy.
-func rejectHierarchyStrategyCascade(variant string, strat Strategy, tiers []TierConfig, def string) error {
+// RejectHierarchyStrategyCascade is the one guard for the placers
+// that only use a Strategy's one-knapsack seam — the time-aware and
+// partitioned advisors and the online placer's per-epoch re-solve,
+// passed as variant: cascading a hierarchy-aware solver tier by tier
+// is NOT a joint solve, yet the output would still carry its name — an
+// oracle must not lie, so N-tier configurations are refused. The
+// two-tier degenerate (one fast tier over a trailing default) is
+// allowed: there the single fast knapsack is the whole decision, as
+// for every greedy strategy.
+func RejectHierarchyStrategyCascade(variant string, strat Strategy, tiers []TierConfig, def string) error {
 	if _, ok := strat.(HierarchyStrategy); ok && !(len(tiers) == 2 && tiers[1].Name == def) {
 		return fmt.Errorf("advisor: strategy %s solves whole hierarchies jointly and has no %s variant; a per-tier cascade would mislabel its output as exact",
 			strat.Name(), variant)

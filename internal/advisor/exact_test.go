@@ -446,6 +446,18 @@ func TestAdviseRejectsOverpackedSelection(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "overpacked") {
 		t.Fatalf("N-tier overpacked selection accepted: err=%v", err)
 	}
+	// The partitioned advisor's overflow tiers pack through the same
+	// cascade, so a rogue selection for a tier below the fastest is
+	// refused there too.
+	hbm := MemoryConfig{DefaultTier: "DDR", Tiers: []TierConfig{
+		{Name: "HBM", Capacity: 4 * units.MB, RelativePerf: 6},
+		{Name: "MCDRAM", Capacity: 8 * units.MB, RelativePerf: 4.8},
+		{Name: "DDR", Capacity: units.GB, RelativePerf: 1},
+	}}
+	_, err = AdvisePartitioned("app", objs, nil, hbm, overpackStrategy{})
+	if err == nil || !strings.Contains(err.Error(), "overpacked") {
+		t.Fatalf("partitioned overflow overpacked selection accepted: err=%v", err)
+	}
 	// Honest strategies on the same instance simply skip the object.
 	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil, nil)
 	if err != nil {

@@ -37,7 +37,7 @@ func AdvisePartitioned(app string, objs []Object, hot map[string]paramedir.HotRa
 		return nil, fmt.Errorf("advisor: nil strategy")
 	}
 	tiers, def := mc.hierarchy()
-	if err := rejectHierarchyStrategyCascade("partitioned", strat, tiers, def); err != nil {
+	if err := RejectHierarchyStrategyCascade("partitioned", strat, tiers, def); err != nil {
 		return nil, err
 	}
 	fast := tiers[0]
@@ -46,18 +46,14 @@ func AdvisePartitioned(app string, objs []Object, hot map[string]paramedir.HotRa
 	// loop below applies whole-or-partition placement.
 	ordered := strat.Select(objs, ClampBudget(objs, 1<<62))
 
-	rep := &Report{App: app, Strategy: strat.Name() + "+partition", Budget: fast.Capacity}
-	var packed []TierBudget
-	if fast.Name != def {
-		packed = append(packed, TierBudget{Name: fast.Name, Capacity: fast.Capacity})
-	}
+	var fastEntries []Entry
 	remaining := fast.Capacity / units.PageSize
 	var overflow []Object
 	for _, o := range ordered {
 		pages := o.pages()
 		if pages > 0 && pages <= remaining {
 			remaining -= pages
-			rep.Entries = append(rep.Entries, Entry{
+			fastEntries = append(fastEntries, Entry{
 				Tier: fast.Name, ID: o.ID, Site: o.Site, Size: o.Size,
 				Misses: o.Misses, Static: o.Static,
 			})
@@ -75,30 +71,21 @@ func AdvisePartitioned(app string, objs []Object, hot map[string]paramedir.HotRa
 			continue
 		}
 		remaining -= hp
-		rep.Entries = append(rep.Entries, Entry{
+		fastEntries = append(fastEntries, Entry{
 			Tier: fast.Name, ID: o.ID, Site: o.Site, Size: o.Size,
 			Misses:     int64(float64(o.Misses) * hr.SampleShare),
 			PartOffset: hr.Offset, PartSize: hr.Size,
 		})
 	}
 	// Waterfall the whole-object overflow down the remaining tiers.
-	for i, tier := range tiers[1:] {
-		if tier.Name == def && i == len(tiers)-2 {
-			break // trailing default absorbs the remainder implicitly
-		}
-		chosen := strat.Select(overflow, ClampBudget(overflow, tier.Capacity))
-		if tier.Name != def {
-			packed = append(packed, TierBudget{Name: tier.Name, Capacity: tier.Capacity})
-			for _, o := range chosen {
-				rep.Entries = append(rep.Entries, Entry{
-					Tier: tier.Name, ID: o.ID, Site: o.Site, Size: o.Size,
-					Misses: o.Misses, Static: o.Static,
-				})
-			}
-		}
-		overflow = filterOut(overflow, chosen)
+	rest, err := Waterfall(overflow, withoutTrailingDefault(tiers[1:], def), strat, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	rep.Tiers = tiersForReport(packed, tiers[0].Name)
+	rep := newReport(app, strat.Name()+"+partition", tiers, def, append([][]Object{nil}, rest...))
+	// The fastest tier's whole and partition entries lead, in
+	// hierarchy order; the size bounds must cover them too.
+	rep.Entries = append(fastEntries, rep.Entries...)
 	rep.computeSizeBounds()
 	return rep, nil
 }

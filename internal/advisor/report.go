@@ -161,33 +161,22 @@ func ClampBudget(objs []Object, budget int64) int64 {
 	return budget
 }
 
-// filterOut returns remaining minus the chosen objects, reusing
-// remaining's storage (the waterfall's cascade step).
+// filterOut returns remaining minus the chosen objects (the
+// waterfall's cascade step). It allocates: a strategy may return a
+// sub-slice of its input, so rewriting remaining in place could
+// overwrite a selection the cascade has already kept.
 func filterOut(remaining, chosen []Object) []Object {
 	inChosen := make(map[string]bool, len(chosen))
 	for _, o := range chosen {
 		inChosen[o.ID] = true
 	}
-	next := remaining[:0]
+	next := make([]Object, 0, len(remaining))
 	for _, o := range remaining {
 		if !inChosen[o.ID] {
 			next = append(next, o)
 		}
 	}
 	return next
-}
-
-// tiersForReport decides whether a report must carry explicit
-// per-tier budgets: any packing beyond "one knapsack on the fastest
-// tier" is not expressible in the legacy two-tier format — including
-// a SINGLE packed tier that is not the fastest (a DDR+NVM config
-// packs only the floor), which a reader would otherwise misread as a
-// promote-everything report.
-func tiersForReport(packed []TierBudget, fastest string) []TierBudget {
-	if len(packed) == 0 || (len(packed) == 1 && packed[0].Name == fastest) {
-		return nil
-	}
-	return packed
 }
 
 // Entry is one promoted object in the advisor report.
@@ -308,27 +297,47 @@ func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, str
 	return waterfallCascade(app, objs, tiers, def, strat, ws, rec)
 }
 
-// waterfallCascade is the per-tier greedy packing loop shared by the
-// plain-strategy path of Advise and the exact solver's
-// degradation fallback: each tier's knapsack takes the best of what
-// the faster tiers rejected, and the overflow cascades down.
+// waterfallCascade is the per-tier greedy packing shared by the
+// plain-strategy path of Advise and the exact solver's degradation
+// fallback: the Waterfall over every tier but a trailing default, which
+// absorbs the remainder implicitly — running the strategy against its
+// (huge) capacity would be pure waste, pseudo-polynomial for ExactDP.
 func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+	// The strategies get a private copy, as SelectHierarchy does: the
+	// caller's slice may be shared by concurrent sweep cells.
+	byTier, err := Waterfall(append([]Object(nil), objs...), withoutTrailingDefault(tiers, def), strat, ws, rec)
+	if err != nil {
+		return nil, err
+	}
+	return newReport(app, strat.Name(), tiers, def, byTier), nil
+}
+
+// withoutTrailingDefault drops the last tier when it is the default:
+// the cascades that leave default placements implicit never pack it.
+func withoutTrailingDefault(tiers []TierConfig, def string) []TierConfig {
+	if tiers[len(tiers)-1].Name == def {
+		return tiers[:len(tiers)-1]
+	}
+	return tiers
+}
+
+// Waterfall is the one tier-by-tier cascade: Advise, the partitioned
+// advisor's overflow and the online placer's epoch re-solve all pack
+// through it. Each tier, in the order given, takes the strategy's pick
+// of what the tiers before it left. It packs exactly the tiers it is
+// given, so callers that leave a trailing default implicit drop it
+// first. Per tier the budget is clamped to the candidates' footprint,
+// the strategy selects (SelectWarm, slotted by tier name, when ws is
+// non-nil), an overpacked selection is refused, and rec gets one pack
+// event. byTier[i] is tiers[i]'s selection in packing order.
+func Waterfall(objs []Object, tiers []TierConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) ([][]Object, error) {
 	wstrat, warmable := strat.(WarmStrategy)
-	rep := &Report{App: app, Strategy: strat.Name(), Budget: tiers[0].Capacity}
-	var packed []TierBudget
-	remaining := append([]Object(nil), objs...)
+	byTier := make([][]Object, len(tiers))
+	remaining := objs
 	for i, tier := range tiers {
-		if tier.Name == def && i == len(tiers)-1 {
-			// A trailing default absorbs the remainder implicitly;
-			// running the strategy against its (huge) capacity would
-			// be pure waste — pseudo-polynomial waste for ExactDP.
-			break
-		}
 		budget := ClampBudget(remaining, tier.Capacity)
 		var chosen []Object
 		if warmable && ws != nil {
-			// One order cache slot per waterfall knapsack: the tier name
-			// keys it, the strategy prefixes its own name inside.
 			chosen = wstrat.SelectWarm(remaining, budget, ws, tier.Name)
 		} else {
 			chosen = strat.Select(remaining, budget)
@@ -341,20 +350,43 @@ func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string,
 			Candidates: len(remaining), Chosen: len(chosen),
 			ChosenBytes: TotalPages(chosen) * units.PageSize,
 		})
-		if tier.Name != def {
-			packed = append(packed, TierBudget{Name: tier.Name, Capacity: tier.Capacity})
-			for _, o := range chosen {
-				rep.Entries = append(rep.Entries, Entry{
-					Tier: tier.Name, ID: o.ID, Site: o.Site, Size: o.Size,
-					Misses: o.Misses, Static: o.Static,
-				})
-			}
+		byTier[i] = chosen
+		if i+1 < len(tiers) {
+			remaining = filterOut(remaining, chosen)
 		}
-		remaining = filterOut(remaining, chosen)
 	}
-	rep.Tiers = tiersForReport(packed, tiers[0].Name)
+	return byTier, nil
+}
+
+// newReport assembles every advise path's report from per-tier
+// selections: byTier[i] is tiers[i]'s pick (byTier may stop short of
+// a trailing default). Entries follow hierarchy order; default-tier
+// picks get none, since plain malloc already puts them there. Any
+// packing beyond "one knapsack on the fastest tier" records its
+// per-tier budgets, which the legacy two-tier format cannot express —
+// including a SINGLE packed tier that is not the fastest (a DDR+NVM
+// config packs only the floor), which a reader would otherwise misread
+// as a promote-everything report.
+func newReport(app, strategy string, tiers []TierConfig, def string, byTier [][]Object) *Report {
+	rep := &Report{App: app, Strategy: strategy, Budget: tiers[0].Capacity}
+	var packed []TierBudget
+	for i, tier := range tiers {
+		if tier.Name == def {
+			continue
+		}
+		packed = append(packed, TierBudget{Name: tier.Name, Capacity: tier.Capacity})
+		for _, o := range byTier[i] {
+			rep.Entries = append(rep.Entries, Entry{
+				Tier: tier.Name, ID: o.ID, Site: o.Site, Size: o.Size,
+				Misses: o.Misses, Static: o.Static,
+			})
+		}
+	}
+	if len(packed) > 1 || (len(packed) == 1 && packed[0].Name != tiers[0].Name) {
+		rep.Tiers = packed
+	}
 	rep.computeSizeBounds()
-	return rep, nil
+	return rep
 }
 
 // adviseHierarchyStrategy is the whole-hierarchy twin of the waterfall
@@ -434,13 +466,11 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 		}
 	}
 	placed := make(map[string]bool)
-	rep := &Report{App: app, Strategy: hs.Name(), Budget: tiers[0].Capacity}
-	var packed []TierBudget
-	for _, tier := range tiers {
+	byTier := make([][]Object, len(tiers))
+	for i, tier := range tiers {
 		if tier.Name == def {
 			continue // default placements stay implicit, as in the cascade
 		}
-		packed = append(packed, TierBudget{Name: tier.Name, Capacity: tier.Capacity})
 		chosen := sel[tier.Name]
 		if err := checkSelectionFits(hs.Name(), tier.Name, chosen, tier.Capacity); err != nil {
 			return nil, err
@@ -450,15 +480,10 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 				return nil, fmt.Errorf("advisor: strategy %s placed object %s on two tiers", hs.Name(), o.ID)
 			}
 			placed[o.ID] = true
-			rep.Entries = append(rep.Entries, Entry{
-				Tier: tier.Name, ID: o.ID, Site: o.Site, Size: o.Size,
-				Misses: o.Misses, Static: o.Static,
-			})
 		}
+		byTier[i] = chosen
 	}
-	rep.Tiers = tiersForReport(packed, tiers[0].Name)
-	rep.computeSizeBounds()
-	return rep, nil
+	return newReport(app, hs.Name(), tiers, def, byTier), nil
 }
 
 // checkSelectionFits enforces the Strategy contract at the advisor's

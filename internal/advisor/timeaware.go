@@ -118,7 +118,7 @@ func AdviseTimeAware(app string, objs []TimedObject, mc MemoryConfig, strat Stra
 		return nil, fmt.Errorf("advisor: nil strategy")
 	}
 	tiers, def := mc.hierarchy()
-	if err := rejectHierarchyStrategyCascade("time-aware", strat, tiers, def); err != nil {
+	if err := RejectHierarchyStrategyCascade("time-aware", strat, tiers, def); err != nil {
 		return nil, err
 	}
 
@@ -133,17 +133,9 @@ func AdviseTimeAware(app string, objs []TimedObject, mc MemoryConfig, strat Stra
 	}
 	ordered := strat.Select(plain, ClampBudget(plain, 1<<62))
 
-	rep := &Report{App: app, Strategy: strat.Name() + "+timeaware", Budget: tiers[0].Capacity}
-	var packed []TierBudget
-	for i, tier := range tiers {
-		if tier.Name == def && i == len(tiers)-1 {
-			break // trailing default absorbs the remainder implicitly
-		}
+	byTier := make([][]Object, len(tiers))
+	for i, tier := range withoutTrailingDefault(tiers, def) {
 		check := &concurrencyChecker{}
-		isDefault := tier.Name == def
-		if !isDefault {
-			packed = append(packed, TierBudget{Name: tier.Name, Capacity: tier.Capacity})
-		}
 		var next []Object
 		for _, o := range ordered {
 			to := byID[o.ID]
@@ -155,18 +147,11 @@ func AdviseTimeAware(app string, objs []TimedObject, mc MemoryConfig, strat Stra
 				continue
 			}
 			check.add(to)
-			if !isDefault {
-				rep.Entries = append(rep.Entries, Entry{
-					Tier: tier.Name, ID: o.ID, Site: o.Site, Size: o.Size,
-					Misses: o.Misses, Static: o.Static,
-				})
-			}
+			byTier[i] = append(byTier[i], o)
 		}
 		ordered = next
 	}
-	rep.Tiers = tiersForReport(packed, tiers[0].Name)
-	rep.computeSizeBounds()
-	return rep, nil
+	return newReport(app, strat.Name()+"+timeaware", tiers, def, byTier), nil
 }
 
 // PeakConcurrentBytes reports the peak concurrent page-aligned

@@ -164,7 +164,8 @@ const (
 
 // DegradeEvent records a graceful solver degradation (ev "degrade"):
 // the requested solver gave up (node limit, deadline, or an epoch
-// re-solve panic) and a fallback produced the placement instead. It
+// re-solve that panicked or was refused) and a fallback produced the
+// placement instead. It
 // is the trace-side twin of the report's Degraded marker, so every
 // non-exact answer in a trace explains itself.
 type DegradeEvent struct {

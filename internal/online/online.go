@@ -17,13 +17,14 @@
 // bandwidth is refused while the application is streaming the
 // controller the copy would cross.
 //
-// The placer is tier-count-agnostic: the per-epoch solve is the same
-// waterfall the offline advisor runs — fill the fastest tier, cascade
-// the overflow down the hierarchy — so on a DDR+MCDRAM+NVM node a
-// cooling object does not merely fall out of MCDRAM; when the DDR
-// knapsack rejects it too, it is DEMOTED BELOW DDR to the NVM floor,
-// freeing default-tier room for the newly warm set. Migrations run
-// between arbitrary tier pairs with pairwise move costs.
+// The placer is tier-count-agnostic: the per-epoch solve IS the
+// offline advisor's cascade, advisor.Waterfall — fill the fastest
+// tier, cascade the overflow down the hierarchy, default tier
+// included — so on a DDR+MCDRAM+NVM node a cooling object does not
+// merely fall out of MCDRAM; when the DDR knapsack rejects it too, it
+// is DEMOTED BELOW DDR to the NVM floor, freeing default-tier room for
+// the newly warm set. Migrations run between arbitrary tier pairs with
+// pairwise move costs.
 //
 // Everything is allocated on the default heap (spilling down the
 // hierarchy when an N-tier node's default tier fills); placement is
@@ -159,7 +160,7 @@ type Stats struct {
 	BytesPromoted     int64 // bytes migrated towards faster tiers
 	BytesDemoted      int64 // bytes migrated towards slower tiers
 	BindsAtAlloc      int64 // allocations bound to their tier at birth (no copy)
-	SolvePanics       int64 // epoch re-solves that panicked (placement kept)
+	SolvePanics       int64 // epoch re-solves that panicked or were refused (placement kept)
 }
 
 // region is one live allocation the placer tracks.
@@ -185,6 +186,10 @@ type Policy struct {
 	// budgets bounds the bytes bound per non-default tier; the default
 	// tier is unbudgeted (its knapsack capacity bounds assignment).
 	budgets map[mem.TierID]int64
+	// packTiers is the hierarchy as the epoch re-solve's waterfall packs
+	// it, index-aligned with tiers: each tier capped by its budget, the
+	// default tier by its capacity.
+	packTiers []advisor.TierConfig
 
 	regions []region // live, sorted by start
 	freed   []region // freed during the current epoch (sample graveyard)
@@ -268,15 +273,6 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		return nil, fmt.Errorf("online: negative min samples %d", opts.MinSamples)
 	}
 	opts.fill()
-	// The per-epoch re-solve cascades Strategy.Select one tier at a
-	// time; a hierarchy-aware solver run that way is greedy yet would
-	// still sign its reports with the oracle's name, so it is refused
-	// on any configuration beyond the two-tier degenerate (where the
-	// single fast knapsack IS the whole decision).
-	if _, ok := opts.Strategy.(advisor.HierarchyStrategy); ok && !(len(hier) == 2 && hier[1].ID == def.ID) {
-		return nil, fmt.Errorf("online: strategy %s solves whole hierarchies jointly; the per-epoch re-solve cascades per tier and would mislabel its output as exact",
-			opts.Strategy.Name())
-	}
 	p := &Policy{
 		mk: mk, prog: prog, opts: opts,
 		tiers:    hier,
@@ -294,21 +290,25 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 	}
 	for _, t := range hier {
 		p.perf[t.ID] = opts.Machine.EffectivePerf(t)
-		if t.ID == p.defID {
-			continue
-		}
+		cap := t.Capacity
 		switch {
+		case t.ID == p.defID:
+			// Unbudgeted: its knapsack capacity bounds assignment.
 		case t.ID == fast.ID:
-			p.budgets[t.ID] = opts.Budget
+			cap = opts.Budget
+		case opts.Budgets[t.ID] > t.Capacity:
+			return nil, fmt.Errorf("online: budget %d exceeds %s capacity %d",
+				opts.Budgets[t.ID], t.Name, t.Capacity)
 		case opts.Budgets[t.ID] > 0:
-			if opts.Budgets[t.ID] > t.Capacity {
-				return nil, fmt.Errorf("online: budget %d exceeds %s capacity %d",
-					opts.Budgets[t.ID], t.Name, t.Capacity)
-			}
-			p.budgets[t.ID] = opts.Budgets[t.ID]
-		default:
-			p.budgets[t.ID] = t.Capacity
+			cap = opts.Budgets[t.ID]
 		}
+		if t.ID != p.defID {
+			p.budgets[t.ID] = cap
+		}
+		p.packTiers = append(p.packTiers, advisor.TierConfig{Name: t.Name, Capacity: cap})
+	}
+	if err := advisor.RejectHierarchyStrategyCascade("online", opts.Strategy, p.packTiers, def.Name); err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
 	return p, nil
 }
@@ -801,38 +801,48 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	return moves
 }
 
-// solve re-runs the advisor's waterfall over the live footprint with
-// decayed scores as the cost proxy: the fastest tier's knapsack packs
-// against the placer's budget, each slower tier takes the best of the
+// safeSolve runs the epoch re-solve under recover. The strategy is
+// caller-supplied code running inside the engine's epoch loop, and
+// one failing solve must not take the whole run down: when the solve
+// panics, or the advisor refuses its selection (an overpacked tier),
+// the placer keeps the current placement for this epoch, counts the
+// failure (Stats.SolvePanics, metric solver_panics), and emits a
+// degrade event so the trace explains the skipped re-plan.
+func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem.TierID, ok bool) {
+	var reason string
+	defer func() {
+		if v := recover(); v != nil {
+			reason = "epoch-solve-panic"
+		}
+		if reason != "" {
+			p.stats.SolvePanics++
+			obs.Emit(p.opts.Obs, obs.DegradeEvent{
+				Strategy: p.opts.Strategy.Name(), Reason: reason,
+				Fallback: "keep-placement", Epoch: epoch,
+			})
+			ordered, next, ok = nil, nil, false
+		}
+	}()
+	ordered, next, err := p.solve()
+	if err != nil {
+		reason = "epoch-solve-error"
+	}
+	return ordered, next, err == nil
+}
+
+// solve re-runs advisor.Waterfall over the live footprint with
+// decayed scores as the cost proxy: the fastest tier packs against the
+// placer's budget, each slower tier — the default included, whose
+// picks anchor the rescue of spilled regions — takes the best of the
 // overflow, and what even the slowest knapsack rejects rests
 // unassigned on its backing segment. A candidate is sized by its live
 // page-aligned bytes; a churny site with nothing live at the boundary
 // claims the room its next temporary will need — this epoch's largest
 // request, or the all-time maximum if it did not allocate this epoch —
 // so one historically huge allocation cannot permanently price a
-// now-small site out of the knapsack.
-// safeSolve runs the epoch re-solve under recover. The strategy is
-// caller-supplied code running inside the engine's epoch loop, and
-// one panicking solve must not take the whole run down: the placer
-// keeps the current placement for this epoch, counts the failure
-// (Stats.SolvePanics, metric solver_panics), and emits a degrade
-// event so the trace explains the skipped re-plan.
-func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem.TierID, ok bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			p.stats.SolvePanics++
-			obs.Emit(p.opts.Obs, obs.DegradeEvent{
-				Strategy: p.opts.Strategy.Name(), Reason: "epoch-solve-panic",
-				Fallback: "keep-placement", Epoch: epoch,
-			})
-			ordered, next, ok = nil, nil, false
-		}
-	}()
-	ordered, next = p.solve()
-	return ordered, next, true
-}
-
-func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID) {
+// now-small site out of the knapsack. The recorder is nil: the epoch
+// trace carries one solver event per re-solve, not per-tier pack events.
+func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID, error) {
 	live := make(map[string]int64)
 	for _, rg := range p.regions {
 		live[rg.site] += units.PageAlign(rg.size)
@@ -861,42 +871,21 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID) {
 	p.resolves++
 	p.lastCands = len(objs)
 	before := p.warm.Stats()
-	wstrat, warmable := p.opts.Strategy.(advisor.WarmStrategy)
-
+	byTier, err := advisor.Waterfall(objs, p.packTiers, p.opts.Strategy, p.warm, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	var ordered []siteAssign
 	next := make(map[string]mem.TierID)
-	remaining := objs
-	for _, t := range p.tiers {
-		cap := t.Capacity
-		if b, capped := p.budgets[t.ID]; capped {
-			cap = b
-		}
-		var chosen []advisor.Object
-		if warmable {
-			// Epoch N's sorted order warm-starts epoch N+1; the tier name
-			// slots one order cache per waterfall knapsack. Selection is
-			// byte-identical to the cold Select.
-			chosen = wstrat.SelectWarm(remaining, advisor.ClampBudget(remaining, cap), p.warm, t.Name)
-		} else {
-			chosen = p.opts.Strategy.Select(remaining, advisor.ClampBudget(remaining, cap))
-		}
-		inChosen := make(map[string]bool, len(chosen))
+	for i, chosen := range byTier {
 		for _, o := range chosen {
-			inChosen[o.ID] = true
-			ordered = append(ordered, siteAssign{site: o.ID, tier: t.ID})
-			next[o.ID] = t.ID
+			ordered = append(ordered, siteAssign{site: o.ID, tier: p.tiers[i].ID})
+			next[o.ID] = p.tiers[i].ID
 		}
-		keep := remaining[:0:0]
-		for _, o := range remaining {
-			if !inChosen[o.ID] {
-				keep = append(keep, o)
-			}
-		}
-		remaining = keep
 	}
 	after := p.warm.Stats()
 	p.lastWarm = after.OrderMisses == before.OrderMisses && after.OrderHits > before.OrderHits
-	return ordered, next
+	return ordered, next, nil
 }
 
 // planMoves builds the migration list a commit would need: moves

@@ -1,7 +1,9 @@
 package online_test
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/advisor"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/interpose"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/paramedir"
 	"repro/internal/units"
@@ -355,5 +358,66 @@ func TestFloorBytesTriggerDrivesRescue(t *testing.T) {
 	}
 	if res.Migrations == 0 || pol.Stats().MoveEpochs == 0 {
 		t.Fatalf("floor-triggered epochs never rescued data: %+v", pol.Stats())
+	}
+}
+
+// panicStrategy is caller-supplied solver code that crashes.
+type panicStrategy struct{}
+
+func (panicStrategy) Name() string                                           { return "panics" }
+func (panicStrategy) Select(objs []advisor.Object, _ int64) []advisor.Object { panic("solver bug") }
+
+// overpackStrategy violates the Strategy contract by selecting every
+// candidate regardless of budget; the advisor's cascade refuses it.
+type overpackStrategy struct{}
+
+func (overpackStrategy) Name() string { return "overpack" }
+func (overpackStrategy) Select(objs []advisor.Object, _ int64) []advisor.Object {
+	return append([]advisor.Object(nil), objs...)
+}
+
+// TestFailedSolveKeepsPlacement: an epoch re-solve that panics or is
+// refused must not stop the run. The placer keeps its placement,
+// counts the failure, explains it in the trace and migrates nothing.
+func TestFailedSolveKeepsPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		strat  advisor.Strategy
+		reason string
+	}{
+		{panicStrategy{}, "epoch-solve-panic"},
+		// The budget is below one hot group, so every selection overpacks.
+		{overpackStrategy{}, "epoch-solve-error"},
+	} {
+		t.Run(tc.strat.Name(), func(t *testing.T) {
+			m, w := ntierShift()
+			var trace bytes.Buffer
+			var pol *online.Policy
+			res, err := engine.Run(w, engine.Config{
+				Machine: m, Seed: 5,
+				MakePolicy: func(mk *alloc.Memkind, prog *callstack.Program) (engine.Policy, error) {
+					p, err := online.New(mk, prog, online.Options{
+						Machine: m, Budget: 8 * units.MB, Strategy: tc.strat,
+						SamplePeriod: testPeriod, TotalEpochs: w.Iterations,
+						Obs: obs.New(&trace),
+					})
+					pol = p
+					return p, err
+				},
+			})
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			if n := pol.MetricsSnapshot()["solver_panics"]; n == 0 || n != pol.Stats().SolvePanics {
+				t.Fatalf("solver_panics = %d, Stats.SolvePanics = %d", n, pol.Stats().SolvePanics)
+			}
+			if res.Migrations != 0 || res.MigratedBytes != 0 || len(pol.Assignments()) != 0 {
+				t.Fatalf("failed solves moved data: %d migrations, %d bytes, assignments %v",
+					res.Migrations, res.MigratedBytes, pol.Assignments())
+			}
+			want := `"ev":"degrade","strategy":"` + tc.strat.Name() + `","reason":"` + tc.reason + `","fallback":"keep-placement"`
+			if got := strings.Count(trace.String(), want); int64(got) != pol.Stats().SolvePanics {
+				t.Fatalf("%d degrade events %s for %d failed solves", got, want, pol.Stats().SolvePanics)
+			}
+		})
 	}
 }
