@@ -156,7 +156,7 @@ func main() {
 			Workload: *app,
 			Strategy: *strategyFlag,
 			RefScale: *scale,
-			ConfigFP: hm.ConfigFingerprint(os.Args[1:]),
+			ConfigFP: hm.ConfigFingerprint(resultFlags()),
 		})
 		traceClose = func() {
 			traceErr = traceRec.Err()
@@ -779,4 +779,17 @@ func check(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// resultFlags maps every flag, set or defaulted, to its value, leaving
+// out the output paths (-trace, -cpuprofile, -memprofile). Where a run
+// writes does not change its results, so the same run written to two
+// files gets the same config_fp.
+func resultFlags() map[string]string {
+	vals := make(map[string]string)
+	flag.VisitAll(func(f *flag.Flag) { vals[f.Name] = f.Value.String() })
+	for _, name := range []string{"trace", "cpuprofile", "memprofile"} {
+		delete(vals, name)
+	}
+	return vals
 }

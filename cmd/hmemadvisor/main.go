@@ -46,7 +46,6 @@ func main() {
 	out := flag.String("out", "", "output placement report (required)")
 	budget := flag.String("budget", "256M", "fast-memory budget (e.g. 128M, 16G)")
 	strategy := flag.String("strategy", "misses:0", "packing strategy: density | misses[:pct] | exact | exact-strict | exactdp | fcfs")
-	strict := flag.Bool("strict", false, "with -strategy exact: fail on solver node-limit instead of degrading to the density waterfall")
 	timeAware := flag.Bool("timeaware", false, "budget the peak concurrent footprint from the liveness timeline")
 	predictTrace := flag.String("predict", "", "trace file to predict the placement's speedup against (optional)")
 	app := flag.String("app", "", "workload name for -predict machine derivation (defaults to the profile's app)")
@@ -64,9 +63,6 @@ func main() {
 	strat, err := hm.StrategyByName(*strategy)
 	if err != nil {
 		fail(err)
-	}
-	if *strict && strat == hm.StrategyExactNTier {
-		strat = hm.StrategyExactStrict
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -95,7 +91,7 @@ func main() {
 		obs.Emit(rec, hm.RunManifest{
 			App:      prof.App,
 			Strategy: strat.Name(),
-			ConfigFP: hm.ConfigFingerprint(os.Args[1:]),
+			ConfigFP: hm.ConfigFingerprint(resultFlags()),
 		})
 	}
 	mc := hm.TwoTier(b)
@@ -125,7 +121,7 @@ func main() {
 		rep.App, rep.Strategy, units.HumanBytes(rep.Budget), len(rep.Entries),
 		units.HumanBytes(rep.PromotedBytes()), *out)
 	if d := rep.Degraded; d != nil {
-		fmt.Printf("WARNING: exact solve degraded (%s after %d nodes): report carries the %s waterfall's placement, guaranteed >= %.3f of the optimal bound; rerun with -strict or a larger node budget for the exact answer\n",
+		fmt.Printf("WARNING: exact solve degraded (%s after %d nodes): report carries the %s waterfall's placement, guaranteed >= %.3f of the optimal bound; rerun with -strategy exact-strict or a larger node budget for the exact answer\n",
 			d.Reason, d.Nodes, d.Fallback, d.RatioBound)
 	}
 	if adv := rep.StaticAdvice(); len(adv) > 0 {
@@ -164,4 +160,17 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "hmemadvisor:", err)
 	os.Exit(1)
+}
+
+// resultFlags maps every flag, set or defaulted, to its value, leaving
+// out the output paths (-out, -trace). Where a run writes does not change its
+// results, so the same run written to two files gets the same
+// config_fp.
+func resultFlags() map[string]string {
+	vals := make(map[string]string)
+	flag.VisitAll(func(f *flag.Flag) { vals[f.Name] = f.Value.String() })
+	for _, name := range []string{"out", "trace"} {
+		delete(vals, name)
+	}
+	return vals
 }

@@ -740,6 +740,9 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 		pairSamples[tierPair{oldOf(s), newOf(s)}] += float64(p.agg.EpochSamples(s))
 	}
 
+	// The hysteresis/cost-benefit gate: the plan only executes when
+	// its predicted net gain, sustained over the horizon, exceeds the
+	// pairwise migration cost with the hysteresis margin.
 	net, horizon := p.gateTerms(info, pairSamples)
 	pass := net*horizon > float64(moveCost)*p.opts.Hysteresis
 	if o := p.opts.Obs; o != nil {
@@ -954,17 +957,6 @@ func (p *Policy) planMoves(ordered []siteAssign, next map[string]mem.TierID) ([]
 
 // tierPair is one source/destination tier combination of a plan.
 type tierPair struct{ from, to mem.TierID }
-
-// gatePasses is the hysteresis/cost-benefit gate: the epoch's sample
-// volume changing tiers (pre-weighted by the caller, grouped by
-// source/destination pair), expanded by the sampling period, predicts
-// the signed per-epoch cycle delta (internal/predict); the plan only
-// executes when that net gain, sustained over the horizon, exceeds the
-// pairwise migration cost with the hysteresis margin.
-func (p *Policy) gatePasses(info engine.EpochInfo, pairSamples map[tierPair]float64, moveCost units.Cycles) bool {
-	net, horizon := p.gateTerms(info, pairSamples)
-	return net*horizon > float64(moveCost)*p.opts.Hysteresis
-}
 
 // gateTerms computes the gate's two inputs — the predicted per-epoch
 // net gain of the plan and the amortization horizon — separately from

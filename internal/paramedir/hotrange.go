@@ -1,8 +1,6 @@
 package paramedir
 
 import (
-	"sort"
-
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -53,51 +51,18 @@ func AnalyzeHotRanges(p *Profile, tr *trace.Trace) map[string]HotRange {
 	return out
 }
 
-// collectOffsets rebuilds live regions and gathers per-object sample
-// offsets (shared with pattern classification).
+// collectOffsets gathers per-object sample offsets (shared with
+// pattern classification).
 func collectOffsets(tr *trace.Trace) map[string][]int64 {
-	type regionT struct {
-		start, end uint64
-		id         string
-	}
-	var live []regionT
-	insert := func(r regionT) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start >= r.start })
-		live = append(live, regionT{})
-		copy(live[i+1:], live[i:])
-		live[i] = r
-	}
-	removeAt := func(addr uint64) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start >= addr })
-		if i < len(live) && live[i].start == addr {
-			live = append(live[:i], live[i+1:]...)
-		}
-	}
-	find := func(addr uint64) (regionT, bool) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start > addr })
-		if i > 0 && addr < live[i-1].end {
-			return live[i-1], true
-		}
-		return regionT{}, false
-	}
 	offsets := make(map[string][]int64)
-	for _, rec := range tr.Records {
-		switch rec.Type {
-		case trace.EvAlloc:
-			insert(regionT{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: string(rec.Site)})
-		case trace.EvRealloc:
-			removeAt(rec.Aux)
-			insert(regionT{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: string(rec.Site)})
-		case trace.EvFree:
-			removeAt(rec.Addr)
-		case trace.EvStatic:
-			insert(regionT{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: "static:" + rec.Routine})
-		case trace.EvSample:
-			if r, ok := find(rec.Addr); ok {
-				offsets[r.id] = append(offsets[r.id], int64(rec.Addr-r.start))
-			}
+	// The visitor never fails, so neither does the walk; the regions
+	// still live at the end do not matter here.
+	_, _ = tr.Walk(func(_ int, rec *trace.Record, reg trace.Region, ok bool) error {
+		if ok && rec.Type == trace.EvSample {
+			offsets[reg.ID] = append(offsets[reg.ID], int64(rec.Addr-reg.Start))
 		}
-	}
+		return nil
+	})
 	return offsets
 }
 

@@ -86,119 +86,67 @@ func (p *Profile) Object(id string) (ObjectStat, bool) {
 	return ObjectStat{}, false
 }
 
-// region is a live address range during replay.
-type region struct {
-	start, end uint64
-	id         string
-	born       units.Cycles
-	size       int64
-}
-
-// Analyze replays tr and reduces it to a Profile.
+// Analyze replays tr and reduces it to a Profile. It rejects what the
+// replay itself tolerates: an ALLOC of size ≤ 0 and a REALLOC of an
+// unknown non-zero address.
 func Analyze(tr *trace.Trace) (*Profile, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("paramedir: nil trace")
 	}
-	p := &Profile{App: tr.App}
-	if s, ok := tr.Meta["period"]; ok {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
-			p.SamplePeriod = v
-		}
-	}
+	p := &Profile{App: tr.App, SamplePeriod: tr.Period()}
 
 	stats := make(map[string]*ObjectStat)
-	getStat := func(id string, site callstack.Key, static bool) *ObjectStat {
-		if s, ok := stats[id]; ok {
-			return s
-		}
-		s := &ObjectStat{ID: id, Site: site, Static: static}
-		stats[id] = s
-		return s
-	}
-
-	var live []region // sorted by start
-	insert := func(r region) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start >= r.start })
-		live = append(live, region{})
-		copy(live[i+1:], live[i:])
-		live[i] = r
-	}
-	removeAt := func(addr uint64) (region, bool) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start >= addr })
-		if i < len(live) && live[i].start == addr {
-			r := live[i]
-			live = append(live[:i], live[i+1:]...)
-			return r, true
-		}
-		return region{}, false
-	}
-	find := func(addr uint64) (region, bool) {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start > addr })
-		if i > 0 && addr < live[i-1].end {
-			return live[i-1], true
-		}
-		return region{}, false
-	}
-
 	var lastTime units.Cycles
-	closeRegion := func(r region, at units.Cycles) {
-		st := stats[r.id]
-		if st == nil {
-			return
-		}
-		st.Intervals = append(st.Intervals, LiveInterval{Start: r.born, End: at, Size: r.size})
+	closeRegion := func(r trace.Region, at units.Cycles) {
+		st := stats[r.ID]
+		st.Intervals = append(st.Intervals, LiveInterval{Start: r.Born, End: at, Size: r.Size})
 	}
-	for idx, rec := range tr.Records {
+	live, err := tr.Walk(func(idx int, rec *trace.Record, reg trace.Region, ok bool) error {
 		if rec.Time > lastTime {
 			lastTime = rec.Time
 		}
 		switch rec.Type {
-		case trace.EvAlloc:
-			if rec.Size <= 0 {
-				return nil, fmt.Errorf("paramedir: record %d: alloc with size %d", idx, rec.Size)
+		case trace.EvAlloc, trace.EvRealloc, trace.EvStatic:
+			if rec.Type == trace.EvAlloc && rec.Size <= 0 {
+				return fmt.Errorf("paramedir: record %d: alloc with size %d", idx, rec.Size)
 			}
-			id := string(rec.Site)
-			st := getStat(id, rec.Site, false)
+			if rec.Type == trace.EvRealloc && !ok && rec.Aux != 0 {
+				return fmt.Errorf("paramedir: record %d: realloc of unknown region %#x", idx, rec.Aux)
+			}
+			if ok {
+				closeRegion(reg, rec.Time)
+			}
+			id := rec.ObjectID()
+			st, seen := stats[id]
+			if !seen {
+				st = &ObjectStat{ID: id, Static: rec.Type == trace.EvStatic}
+				if !st.Static {
+					st.Site = rec.Site
+				}
+				stats[id] = st
+			}
 			st.AllocCount++
 			if rec.Size > st.MaxSize {
 				st.MaxSize = rec.Size
 			}
-			insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: id, born: rec.Time, size: rec.Size})
-		case trace.EvRealloc:
-			if old, ok := removeAt(rec.Aux); ok {
-				closeRegion(old, rec.Time)
-			} else if rec.Aux != 0 {
-				return nil, fmt.Errorf("paramedir: record %d: realloc of unknown region %#x", idx, rec.Aux)
-			}
-			id := string(rec.Site)
-			st := getStat(id, rec.Site, false)
-			st.AllocCount++
-			if rec.Size > st.MaxSize {
-				st.MaxSize = rec.Size
-			}
-			insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: id, born: rec.Time, size: rec.Size})
 		case trace.EvFree:
 			// Frees of uninstrumented (small) allocations legitimately
 			// miss; ignore them as Extrae does.
-			if old, ok := removeAt(rec.Addr); ok {
-				closeRegion(old, rec.Time)
+			if ok {
+				closeRegion(reg, rec.Time)
 			}
-		case trace.EvStatic:
-			id := "static:" + rec.Routine
-			st := getStat(id, "", true)
-			st.AllocCount++
-			if rec.Size > st.MaxSize {
-				st.MaxSize = rec.Size
-			}
-			insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), id: id, born: rec.Time, size: rec.Size})
 		case trace.EvSample:
 			p.TotalSamples++
-			if r, ok := find(rec.Addr); ok {
-				stats[r.id].Misses++
+			if ok {
+				stats[reg.ID].Misses++
 			} else {
 				p.Unattributed++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Close whatever is still live at the end of the trace.
 	for _, r := range live {

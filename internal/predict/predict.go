@@ -44,18 +44,10 @@ type Prediction struct {
 	PhaseSpeedups map[string]float64
 }
 
-// region tracks a live allocation during replay.
-type region struct {
-	start, end uint64
-	site       string
-}
-
-// replayer rebuilds live regions and per-phase sample streams.
+// replayer holds one walk's per-phase sample streams.
 type replayer struct {
 	machine mem.Machine
-	period  float64
 
-	live   []region // sorted by start
 	phase  string
 	phases map[string]*phaseAcc
 	order  []string
@@ -75,37 +67,28 @@ type phaseAcc struct {
 // with the given placement report enforced, relative to the DDR
 // profiling run the trace records.
 func Replay(tr *trace.Trace, rep *advisor.Report, machine mem.Machine) (*Prediction, error) {
-	if tr == nil || rep == nil {
-		return nil, fmt.Errorf("predict: nil trace or report")
-	}
-	if err := machine.Validate(); err != nil {
+	if err := check(tr, rep, machine); err != nil {
 		return nil, err
 	}
-	r := &replayer{
-		machine: machine,
-		period:  1,
-		phases:  make(map[string]*phaseAcc),
-	}
-	if p, ok := tr.Meta["period"]; ok {
-		var v float64
-		fmt.Sscanf(p, "%g", &v)
-		if v > 0 {
-			r.period = v
-		}
-	}
+	return replay(tr, machine).finish(rep)
+}
 
-	for idx := range tr.Records {
-		rec := &tr.Records[idx]
+// check validates Replay's inputs.
+func check(tr *trace.Trace, rep *advisor.Report, machine mem.Machine) error {
+	if tr == nil || rep == nil {
+		return fmt.Errorf("predict: nil trace or report")
+	}
+	return machine.Validate()
+}
+
+// replay walks tr once into per-phase sample streams, which finish
+// then prices against any number of reports.
+func replay(tr *trace.Trace, machine mem.Machine) *replayer {
+	r := &replayer{machine: machine, phases: make(map[string]*phaseAcc)}
+	// The visitor never fails, so neither does the walk; the regions
+	// still live at the end do not matter here.
+	_, _ = tr.Walk(func(_ int, rec *trace.Record, reg trace.Region, _ bool) error {
 		switch rec.Type {
-		case trace.EvAlloc:
-			r.insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), site: string(rec.Site)})
-		case trace.EvRealloc:
-			r.remove(rec.Aux)
-			r.insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), site: string(rec.Site)})
-		case trace.EvFree:
-			r.remove(rec.Addr)
-		case trace.EvStatic:
-			r.insert(region{start: rec.Addr, end: rec.Addr + uint64(rec.Size), site: "static:" + rec.Routine})
 		case trace.EvPhaseBegin:
 			if rec.Routine != "__iter__" {
 				r.beginPhase(rec.Routine, rec.Time)
@@ -115,32 +98,12 @@ func Replay(tr *trace.Trace, rep *advisor.Report, machine mem.Machine) (*Predict
 				r.endPhase(rec.Routine, rec.Time)
 			}
 		case trace.EvSample:
-			r.sample(rec.Addr)
+			// reg is the zero Region, ID "", when no object holds it.
+			r.sample(reg.ID)
 		}
-	}
-	return r.finish(rep)
-}
-
-func (r *replayer) insert(rg region) {
-	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].start >= rg.start })
-	r.live = append(r.live, region{})
-	copy(r.live[i+1:], r.live[i:])
-	r.live[i] = rg
-}
-
-func (r *replayer) remove(addr uint64) {
-	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].start >= addr })
-	if i < len(r.live) && r.live[i].start == addr {
-		r.live = append(r.live[:i], r.live[i+1:]...)
-	}
-}
-
-func (r *replayer) siteOf(addr uint64) string {
-	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].start > addr })
-	if i > 0 && addr < r.live[i-1].end {
-		return r.live[i-1].site
-	}
-	return ""
+		return nil
+	})
+	return r
 }
 
 func (r *replayer) acc(name string) *phaseAcc {
@@ -169,9 +132,9 @@ func (r *replayer) endPhase(name string, t units.Cycles) {
 	}
 }
 
-func (r *replayer) sample(addr uint64) {
+func (r *replayer) sample(site string) {
 	a := r.acc(r.phase)
-	a.samplesBySite[r.siteOf(addr)]++
+	a.samplesBySite[site]++
 	a.total++
 }
 
@@ -294,18 +257,25 @@ func EpochGain(m *mem.Machine, cores int, misses int64, from, to mem.TierID) uni
 	return units.Cycles(d)
 }
 
-// RankPlacements replays the trace against several candidate reports
-// and returns their indices ordered by predicted speedup, best first —
-// the screening use case the paper envisions.
+// RankPlacements replays the trace once, prices that replay against
+// several candidate reports and returns their indices ordered by
+// predicted speedup, best first — the screening use case the paper
+// envisions.
 func RankPlacements(tr *trace.Trace, reports []*advisor.Report, machine mem.Machine) ([]int, []*Prediction, error) {
 	preds := make([]*Prediction, len(reports))
 	idx := make([]int, len(reports))
+	var r *replayer // walked once, at the first report
 	for i, rep := range reports {
-		p, err := Replay(tr, rep, machine)
+		err := check(tr, rep, machine)
+		if err == nil {
+			if r == nil {
+				r = replay(tr, machine)
+			}
+			preds[i], err = r.finish(rep)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("predict: report %d: %w", i, err)
 		}
-		preds[i] = p
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/advisor"
@@ -230,5 +231,29 @@ func TestReplayHonorsPerEntryTiers(t *testing.T) {
 	}
 	if preds[1].SpeedupVsDDR <= 1 {
 		t.Fatalf("MCDRAM placement predicted speedup %v, want > 1", preds[1].SpeedupVsDDR)
+	}
+}
+
+// TestRankPlacementsMatchesReplay pins that RankPlacements' single
+// walk of the trace predicts exactly what one Replay per report does.
+func TestRankPlacementsMatchesReplay(t *testing.T) {
+	_, m, profRun := profileApp(t, "hpcg")
+	var reports []*advisor.Report
+	for _, b := range []int64{32 * units.MB, 128 * units.MB, 256 * units.MB} {
+		reports = append(reports, adviseBudget(t, profRun, b))
+	}
+	reports = append(reports, &advisor.Report{App: "hpcg", Budget: 256 * units.MB})
+	_, preds, err := RankPlacements(profRun.Trace, reports, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		want, err := Replay(profRun.Trace, rep, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(preds[i], want) {
+			t.Errorf("report %d: RankPlacements %+v, Replay %+v", i, preds[i], want)
+		}
 	}
 }

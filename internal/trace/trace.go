@@ -2,7 +2,8 @@
 // event trace of memory allocations, deallocations, sampled LLC misses
 // and phase (routine) boundaries, with a line-oriented text codec so
 // the pipeline stages can be run as separate programs exchanging
-// files, exactly as Extrae → Paramedir do in the paper.
+// files, exactly as Extrae → Paramedir do in the paper, and the one
+// replay (Walk) that attributes samples to the live objects.
 package trace
 
 import (
@@ -90,6 +91,86 @@ func (t *Trace) CountType(ty EventType) int {
 		}
 	}
 	return n
+}
+
+// Period returns the PEBS sampling period the trace was recorded
+// with (its "period" metadata), or 0 when that is absent or malformed.
+func (t *Trace) Period() uint64 {
+	v, err := strconv.ParseUint(t.Meta["period"], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
+// ObjectID is the identity of the object an ALLOC, REALLOC or STATIC
+// record creates: the allocation call-stack key for dynamic objects,
+// "static:<name>" for static ones.
+func (r *Record) ObjectID() string {
+	if r.Type == EvStatic {
+		return "static:" + r.Routine
+	}
+	return string(r.Site)
+}
+
+// Region is one live address range of a replayed trace.
+type Region struct {
+	Start, End uint64
+	ID         string       // see Record.ObjectID
+	Born       units.Cycles // time of the record that created it
+	Size       int64
+}
+
+// Walk replays the records in order and is the one place samples are
+// attributed to objects. It keeps the live regions sorted by start:
+// ALLOC, REALLOC and STATIC insert one, REALLOC after removing the
+// region starting at Aux (with Aux 0 and no such region it is a plain
+// allocation), and FREE removes the region starting at Addr. Frees and
+// reallocs of unknown addresses change nothing; Walk rejects no
+// record. visit sees every record with the region involved — the one a
+// SAMPLE falls in, or the one a REALLOC or FREE ended — and ok false
+// (and a zero Region) when there is none. Walk stops at the first
+// error visit returns; otherwise it returns the regions still live,
+// sorted by start.
+func (t *Trace) Walk(visit func(i int, rec *Record, reg Region, ok bool) error) ([]Region, error) {
+	var live []Region
+	// at is the index of the first live region starting at or above addr.
+	at := func(addr uint64) int {
+		return sort.Search(len(live), func(i int) bool { return live[i].Start >= addr })
+	}
+	for i := range t.Records {
+		rec := &t.Records[i]
+		var reg Region
+		var ok bool
+		switch rec.Type {
+		case EvRealloc, EvFree:
+			addr := rec.Addr
+			if rec.Type == EvRealloc {
+				addr = rec.Aux
+			}
+			if j := at(addr); j < len(live) && live[j].Start == addr {
+				reg, ok = live[j], true
+				live = append(live[:j], live[j+1:]...)
+			}
+		case EvSample:
+			// Only the last region starting at or below Addr can hold it.
+			j := sort.Search(len(live), func(i int) bool { return live[i].Start > rec.Addr })
+			if j > 0 && rec.Addr < live[j-1].End {
+				reg, ok = live[j-1], true
+			}
+		}
+		switch rec.Type {
+		case EvAlloc, EvRealloc, EvStatic:
+			j := at(rec.Addr)
+			live = append(live, Region{})
+			copy(live[j+1:], live[j:])
+			live[j] = Region{Start: rec.Addr, End: rec.Addr + uint64(rec.Size), ID: rec.ObjectID(), Born: rec.Time, Size: rec.Size}
+		}
+		if err := visit(i, rec, reg, ok); err != nil {
+			return nil, err
+		}
+	}
+	return live, nil
 }
 
 // SortByTime orders records by timestamp (stable so simultaneous

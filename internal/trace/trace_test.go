@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,5 +125,73 @@ func TestSortByTimeStable(t *testing.T) {
 func TestEventTypeString(t *testing.T) {
 	if EvAlloc.String() != "ALLOC" || EventType(99).String() != "event(99)" {
 		t.Fatal("EventType.String wrong")
+	}
+}
+
+func TestPeriod(t *testing.T) {
+	for meta, want := range map[string]uint64{"37589": 37589, "": 0, "1e3": 0, "-5": 0, "99999999999999999999": 0} {
+		tr := New("app")
+		if meta != "" {
+			tr.Meta["period"] = meta
+		}
+		if got := tr.Period(); got != want {
+			t.Errorf("period %q: Period() = %d, want %d", meta, got, want)
+		}
+	}
+}
+
+// TestWalkAttribution pins the replay rules every consumer of Walk
+// shares: which region each record hands its visitor and what stays
+// live at the end.
+func TestWalkAttribution(t *testing.T) {
+	tr := New("app")
+	for _, r := range []Record{
+		{Time: 1, Type: EvAlloc, Addr: 0x1000, Size: 0x100, Site: "a"},
+		{Time: 2, Type: EvStatic, Addr: 0x9000, Size: 0x10, Site: "ignored", Routine: "grid"},
+		{Time: 3, Type: EvSample, Addr: 0x10ff},
+		{Time: 4, Type: EvSample, Addr: 0x1100}, // one past the end
+		{Time: 5, Type: EvRealloc, Addr: 0x2000, Aux: 0x1000, Size: 0x200, Site: "b"},
+		{Time: 6, Type: EvRealloc, Addr: 0x4000, Aux: 0, Size: 0x10, Site: "c"},
+		{Time: 7, Type: EvRealloc, Addr: 0x5000, Aux: 0x7777, Size: 0x10, Site: "d"},
+		{Time: 8, Type: EvFree, Addr: 0x2000},
+		{Time: 9, Type: EvFree, Addr: 0x2000},
+		{Time: 10, Type: EvSample, Addr: 0x9008},
+		{Time: 11, Type: EvPhaseBegin, Routine: "main"},
+	} {
+		tr.Append(r)
+	}
+	var got []string
+	live, err := tr.Walk(func(i int, rec *Record, reg Region, ok bool) error {
+		if ok {
+			got = append(got, fmt.Sprintf("%d:%s[%#x,%#x)@%d", i, reg.ID, reg.Start, reg.End, reg.Born))
+		} else if reg != (Region{}) {
+			t.Errorf("record %d: no region but %+v", i, reg)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"2:a[0x1000,0x1100)@1", // sample inside a
+		"4:a[0x1000,0x1100)@1", // realloc ends a
+		"7:b[0x2000,0x2200)@5", // free ends b; the second free finds nothing
+		"9:static:grid[0x9000,0x9010)@2",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visited regions:\n got %q\nwant %q", got, want)
+	}
+	var ids []string
+	for _, r := range live {
+		ids = append(ids, r.ID)
+	}
+	if want := []string{"c", "d", "static:grid"}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("live at end = %q, want %q", ids, want)
+	}
+
+	stop := errors.New("stop")
+	n := 0
+	if _, err := tr.Walk(func(int, *Record, Region, bool) error { n++; return stop }); err != stop || n != 1 {
+		t.Errorf("visitor error: err %v after %d visits, want stop after 1", err, n)
 	}
 }
