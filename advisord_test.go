@@ -13,10 +13,11 @@ import (
 	"repro/internal/units"
 )
 
-// localReport computes the advisory report fully in-process through
-// the public facade — the byte-level ground truth every daemon answer
+// localReports computes the advisory report for each strategy fully
+// in-process through the public facade — one Profile→Analyze, then one
+// Advise per strategy — the byte-level ground truth every daemon answer
 // must match.
-func localReport(t *testing.T, workload string, seed uint64, refScale float64, budget int64, strategy string) []byte {
+func localReports(t *testing.T, workload string, seed uint64, refScale float64, budget int64, strategies []string) map[string][]byte {
 	t.Helper()
 	w, err := hm.WorkloadByName(workload)
 	if err != nil {
@@ -31,14 +32,23 @@ func localReport(t *testing.T, workload string, seed uint64, refScale float64, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat, err := hm.StrategyByName(strategy)
-	if err != nil {
-		t.Fatal(err)
+	out := make(map[string][]byte, len(strategies))
+	for _, name := range strategies {
+		strat, err := hm.StrategyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := hm.Advise(prof, budget, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = reportBytes(t, rep)
 	}
-	rep, err := hm.Advise(prof, budget, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
+
+func reportBytes(t *testing.T, rep *hm.PlacementReport) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -46,11 +56,46 @@ func localReport(t *testing.T, workload string, seed uint64, refScale float64, b
 	return buf.Bytes()
 }
 
+// sweepReports runs one RunSweep pipeline cell per strategy on the
+// workload's canonical machine and returns each cell's written report:
+// the memoized-profile, warm-started Stage 3 path.
+func sweepReports(t *testing.T, workload string, seed uint64, refScale float64, budget int64, strategies []string) map[string][]byte {
+	t.Helper()
+	w, err := hm.WorkloadByName(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []hm.SweepPoint
+	for _, name := range strategies {
+		strat, err := hm.StrategyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, hm.PipelinePoint(name, w, hm.PipelineConfig{
+			Machine: hm.MachineFor(w), Seed: seed, RefScale: refScale, Budget: budget, Strategy: strat,
+		}))
+	}
+	cells, err := hm.RunSweep(pts, hm.SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(cells))
+	for _, c := range cells {
+		if c.Err != nil {
+			t.Fatalf("sweep cell %s: %v", c.Label, c.Err)
+		}
+		out[c.Label] = reportBytes(t, c.Pipeline.Report)
+	}
+	return out
+}
+
 // TestAdvisorDaemonMatchesFacade drives the daemon through the public
-// facade: concurrent clients must all receive report bytes identical
-// to the in-process Profile→Analyze→Advise path, and a restarted
-// daemon over the same cache directory must serve the same bytes from
-// disk without recomputing.
+// facade: for every strategy, concurrent clients must all receive
+// report bytes identical to the in-process Profile→Analyze→Advise path
+// and to a RunSweep pipeline cell of the same workload, seed, RefScale
+// and budget — the three Stage 3 callers write one byte stream — and a
+// restarted daemon over the same cache directory must serve the same
+// bytes from disk without recomputing.
 func TestAdvisorDaemonMatchesFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon round trips run engine profiles; not -short")
@@ -60,9 +105,16 @@ func TestAdvisorDaemonMatchesFacade(t *testing.T) {
 		seed     = uint64(7)
 		refScale = 0.25
 		budget   = 64 * units.MB
-		strategy = "misses"
 	)
-	want := localReport(t, workload, seed, refScale, budget, strategy)
+	strategies := []string{"misses", "density", "exact"}
+	want := localReports(t, workload, seed, refScale, budget, strategies)
+	swept := sweepReports(t, workload, seed, refScale, budget, strategies)
+	for _, strategy := range strategies {
+		if !bytes.Equal(swept[strategy], want[strategy]) {
+			t.Fatalf("%s: sweep cell report differs from in-process facade advise:\n--- local ---\n%s\n--- sweep ---\n%s",
+				strategy, want[strategy], swept[strategy])
+		}
+	}
 	params := hm.AdvisorProfileParams{Seed: seed, RefScale: refScale}
 
 	dir := t.TempDir()
@@ -76,37 +128,40 @@ func TestAdvisorDaemonMatchesFacade(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 
-	const clients = 3
-	reports := make([][]byte, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl, err := hm.DialAdvisor(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer cl.Close()
-			res, err := cl.AdviseWorkload(workload, "", params, budget, strategy)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			reports[i] = res.ReportBytes
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
+	for _, strategy := range strategies {
+		const clients = 3
+		reports := make([][]byte, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				cl, err := hm.DialAdvisor(addr)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer cl.Close()
+				res, err := cl.AdviseWorkload(workload, "", params, budget, strategy)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				reports[i] = res.ReportBytes
+			}(i)
 		}
-	}
-	for i, rep := range reports {
-		if !bytes.Equal(rep, want) {
-			t.Fatalf("client %d: daemon report differs from in-process facade advise:\n--- local ---\n%s\n--- daemon ---\n%s", i, want, rep)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: client %d: %v", strategy, i, err)
+			}
+		}
+		for i, rep := range reports {
+			if !bytes.Equal(rep, want[strategy]) {
+				t.Fatalf("%s: client %d: daemon report differs from in-process facade advise:\n--- local ---\n%s\n--- daemon ---\n%s",
+					strategy, i, want[strategy], rep)
+			}
 		}
 	}
 	if err := srv.Close(); err != nil {
@@ -131,15 +186,17 @@ func TestAdvisorDaemonMatchesFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.AdviseWorkload(workload, "", params, budget, strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != hm.AdvisorCacheHitDisk {
-		t.Fatalf("restarted daemon attribution = %q, want %q (artifacts did not survive the restart)", res.Cache, hm.AdvisorCacheHitDisk)
-	}
-	if !bytes.Equal(res.ReportBytes, want) {
-		t.Fatal("restarted daemon served different report bytes")
+	for _, strategy := range strategies {
+		res, err := cl.AdviseWorkload(workload, "", params, budget, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != hm.AdvisorCacheHitDisk {
+			t.Fatalf("%s: restarted daemon attribution = %q, want %q (artifacts did not survive the restart)", strategy, res.Cache, hm.AdvisorCacheHitDisk)
+		}
+		if !bytes.Equal(res.ReportBytes, want[strategy]) {
+			t.Fatalf("%s: restarted daemon served different report bytes", strategy)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 // -trace FILE additionally records the advise stage as flight-recorder
 // JSONL: a manifest, the waterfall's per-tier packing steps and — under
 // -strategy exact — the branch-and-bound solver's node/prune counters.
+// Under -timeaware it holds the manifest only (see stage.Advise).
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	hm "repro"
 	"repro/internal/obs"
+	"repro/internal/stage"
 	"repro/internal/units"
 )
 
@@ -94,15 +96,7 @@ func main() {
 			ConfigFP: hm.ConfigFingerprint(resultFlags()),
 		})
 	}
-	mc := hm.TwoTier(b)
-	var rep *hm.PlacementReport
-	if *timeAware {
-		// The time-aware packer has no observed variant; the trace
-		// carries the manifest only.
-		rep, err = hm.AdviseTimeAware(prof, mc, strat)
-	} else {
-		rep, err = hm.AdviseHierarchy(context.Background(), prof, mc, strat, rec)
-	}
+	rep, err := stage.Advise(context.Background(), prof, hm.TwoTier(b), strat, *timeAware, nil, rec)
 	if err != nil {
 		fail(err)
 	}

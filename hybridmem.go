@@ -25,7 +25,7 @@
 //
 // Beyond the paper's offline pipeline, the library implements Section
 // V's dynamic-placement future work as an online subsystem (RunOnline,
-// BaselineOnline, internal/online): the run is sliced into epochs, an
+// OnlinePoint, internal/online): the run is sliced into epochs, an
 // in-run PEBS monitor feeds an exponential-decay aggregator, the
 // knapsack is re-solved against the live footprint at every boundary,
 // and objects migrate between DDR and MCDRAM mid-run when a
@@ -519,10 +519,7 @@ func MemoryConfigFor(m Machine, fastBudget int64) MemoryConfig {
 // under StrategyExactNTier — the solver's node/prune counters as
 // pack/solver events.
 func AdviseHierarchy(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, nil, rec)
+	return stage.Advise(ctx, prof, mc, strat, false, nil, rec)
 }
 
 // AdviseTimeAware is the liveness-aware variant of AdviseHierarchy
@@ -532,10 +529,7 @@ func AdviseHierarchy(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, 
 // packs each tier against the peak CONCURRENT footprint reconstructed
 // from the trace's allocation timeline.
 func AdviseTimeAware(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("hybridmem: nil profile")
-	}
-	return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
+	return stage.Advise(context.Background(), prof, mc, strat, true, nil, nil)
 }
 
 // ExecuteConfig parameterizes Stage 4 and baseline runs.
@@ -584,7 +578,7 @@ func Execute(w *Workload, rep *PlacementReport, opts InterposeOptions, cfg Execu
 // Baseline identifies one of the paper's comparison placements.
 type Baseline uint8
 
-// The four Figure 4 reference placements plus the online placer.
+// The four Figure 4 reference placements.
 const (
 	// BaselineDDR places everything in regular memory.
 	BaselineDDR Baseline = iota
@@ -595,10 +589,6 @@ const (
 	BaselineAutoHBW
 	// BaselineCacheMode configures MCDRAM as a memory-side cache.
 	BaselineCacheMode
-	// BaselineOnline is the epoch-driven adaptive placer of
-	// internal/online, given the machine's whole MCDRAM tier as its
-	// budget (use RunOnline to sweep budgets and tuning knobs).
-	BaselineOnline
 )
 
 // String implements fmt.Stringer.
@@ -612,8 +602,6 @@ func (b Baseline) String() string {
 		return "autohbw/1m"
 	case BaselineCacheMode:
 		return "cache"
-	case BaselineOnline:
-		return "online"
 	default:
 		return fmt.Sprintf("baseline(%d)", uint8(b))
 	}
@@ -643,12 +631,6 @@ func RunBaseline(w *Workload, b Baseline, cfg ExecuteConfig) (*RunResult, error)
 	case BaselineCacheMode:
 		ec.Machine = mem.WithCacheMode(cfg.Machine)
 		ec.MakePolicy = baseline.DDR()
-	case BaselineOnline:
-		return RunOnline(w, OnlineConfig{
-			Machine: cfg.Machine, Cores: cfg.Cores, Seed: cfg.Seed,
-			RefScale: cfg.RefScale, Obs: cfg.Obs, pool: cfg.pool,
-			ctx: cfg.ctx, fault: cfg.fault,
-		})
 	default:
 		return nil, fmt.Errorf("hybridmem: unknown baseline %v", b)
 	}
@@ -683,12 +665,6 @@ type OnlineConfig struct {
 	// SamplePeriod is the in-run monitor's PEBS decimation
 	// (0 = DefaultScaledPeriod).
 	SamplePeriod uint64
-	// Decay, Hysteresis, HorizonEpochs and MinSamples tune the
-	// re-advisor; zero values take internal/online's defaults.
-	Decay         float64
-	Hysteresis    float64
-	HorizonEpochs float64
-	MinSamples    int
 	// Strategy packs the per-epoch knapsack (nil = StrategyDensity).
 	Strategy Strategy
 	// Obs, when non-nil, records the run's manifest and epoch events
@@ -748,10 +724,8 @@ func RunOnline(w *Workload, cfg OnlineConfig) (*RunResult, error) {
 			Budgets:         cfg.Budgets,
 			EveryIterations: cfg.EveryIterations, EveryRefs: cfg.EveryRefs,
 			EveryFloorBytes: cfg.EveryFloorBytes,
-			SamplePeriod:    cfg.SamplePeriod, Decay: cfg.Decay,
-			Hysteresis: cfg.Hysteresis, HorizonEpochs: cfg.HorizonEpochs,
-			MinSamples:  cfg.MinSamples,
-			TotalEpochs: totalEpochs, Strategy: cfg.Strategy,
+			SamplePeriod:    cfg.SamplePeriod,
+			TotalEpochs:     totalEpochs, Strategy: cfg.Strategy,
 			Obs: cfg.Obs,
 		}),
 	})
@@ -893,13 +867,7 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 	if cfg.Memory != nil {
 		mc = *cfg.Memory
 	}
-	var rep *PlacementReport
-	var err error
-	if cfg.TimeAware {
-		rep, err = AdviseTimeAware(prof, mc, strat)
-	} else {
-		rep, err = advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, ws, cfg.Obs)
-	}
+	rep, err := stage.Advise(ctx, prof, mc, strat, cfg.TimeAware, ws, cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: advise stage: %w", err)
 	}

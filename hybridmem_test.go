@@ -137,7 +137,7 @@ func TestBaselineString(t *testing.T) {
 	for b, want := range map[Baseline]string{
 		BaselineDDR: "ddr", BaselineNumactl: "numactl",
 		BaselineAutoHBW: "autohbw/1m", BaselineCacheMode: "cache",
-		BaselineOnline: "online", Baseline(9): "baseline(9)",
+		Baseline(4): "baseline(4)", Baseline(9): "baseline(9)",
 	} {
 		if b.String() != want {
 			t.Errorf("Baseline(%d) = %q, want %q", b, b.String(), want)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -44,9 +43,6 @@ func resolveWorkload(workload, machine string) (*engine.Workload, mem.Machine, e
 	}
 	return nil, mem.Machine{}, fmt.Errorf("advisord: unknown machine %q (knl|knl-optane|hbm-cxl|dual-socket-hbm)", machine)
 }
-
-// fileReport is the file name of a report cache entry.
-const fileReport = "report.tsv"
 
 // ServerConfig parameterizes a daemon instance.
 type ServerConfig struct {
@@ -186,7 +182,7 @@ func adviseReport(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy str
 	if err != nil {
 		return nil, err
 	}
-	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), mc, strat, nil, nil)
+	rep, err := stage.Advise(context.Background(), prof, mc, strat, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,18 +191,6 @@ func adviseReport(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy str
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-func encodeReport(b []byte) (map[string][]byte, error) {
-	return map[string][]byte{fileReport: b}, nil
-}
-
-func decodeReport(files map[string][]byte) ([]byte, error) {
-	b, ok := files[fileReport]
-	if !ok {
-		return nil, fmt.Errorf("advisord: report entry missing %s", fileReport)
-	}
-	return b, nil
 }
 
 // session is the per-connection conversational state: the profile the
@@ -425,9 +409,9 @@ func (s *Server) ingestSamples(req *Request, sess *session) {
 }
 
 // sampleProfile reduces the session's sample aggregate to a Profile
-// ordered exactly the way paramedir orders its reductions — misses
-// descending, ID ascending — so a sampled-up profile advises
-// identically to an uploaded or computed one with the same content.
+// in Paramedir's object order (paramedir.SortObjects), so a sampled-up
+// profile advises identically to an uploaded or computed one with the
+// same content.
 func (sess *session) sampleProfile(period uint64) *paramedir.Profile {
 	p := &paramedir.Profile{
 		App:          sess.sampleApp,
@@ -439,12 +423,7 @@ func (sess *session) sampleProfile(period uint64) *paramedir.Profile {
 	for _, st := range sess.samples {
 		p.Objects = append(p.Objects, *st)
 	}
-	sort.Slice(p.Objects, func(i, j int) bool {
-		if p.Objects[i].Misses != p.Objects[j].Misses {
-			return p.Objects[i].Misses > p.Objects[j].Misses
-		}
-		return p.Objects[i].ID < p.Objects[j].ID
-	})
+	paramedir.SortObjects(p.Objects)
 	return p
 }
 
@@ -494,7 +473,7 @@ func (s *Server) advise(req *Request, sess *session) *Response {
 	mc := advisor.TwoTier(req.Budget)
 	key := stage.AdviseKey(prof, obs.StrongFingerprint(mc), strategy)
 	report, src, err := memoized(&s.repMemo, key, func() ([]byte, bool, error) {
-		return stage.Load(s.cfg.Cache, key, "report", encodeReport, decodeReport,
+		return stage.Load(s.cfg.Cache, key, "report", stage.EncodeReport, stage.DecodeReport,
 			func() ([]byte, error) { return s.computeAdvise(prof, mc, strategy) })
 	})
 	if err != nil {

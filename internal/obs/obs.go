@@ -176,6 +176,9 @@ type DegradeEvent struct {
 	Nodes      int64   `json:"nodes,omitempty"`
 	RatioBound float64 `json:"ratio_bound,omitempty"`
 	Epoch      int     `json:"epoch,omitempty"`
+	// Detail is the failure behind an epoch re-solve's degradation:
+	// the advisor's refusal or the recovered panic value.
+	Detail string `json:"detail,omitempty"`
 }
 
 // CellFailedEvent records a sweep cell that errored or panicked (ev

@@ -16,12 +16,11 @@ type Aggregator struct {
 }
 
 // NewAggregator returns an empty aggregator with the given per-epoch
-// decay in (0, 1]; out-of-range values fall back to the placer's
-// default of 0.35 (Options validates before it gets here — the
-// fallback only matters for direct construction).
+// decay in (0, 1]; out-of-range values fall back to the placer's own
+// epochDecay.
 func NewAggregator(decay float64) *Aggregator {
 	if decay <= 0 || decay > 1 {
-		decay = 0.35
+		decay = epochDecay
 	}
 	return &Aggregator{
 		decay:  decay,

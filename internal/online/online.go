@@ -57,6 +57,22 @@ import (
 // yields the hundreds of samples the re-advisor needs.
 const DefaultSamplePeriod = 1499
 
+// The re-advisor's fixed tuning.
+const (
+	// epochDecay is the aggregator's per-epoch retention: how fast the
+	// placer forgets cold history. A decayed steady-state score is
+	// d/(1-d) of a fresh epoch's, so any value below 0.5 guarantees a
+	// newly-hot group overtakes a stale one within a single epoch —
+	// 0.35 leaves clear daylight.
+	epochDecay = 0.35
+	// minEpochSamples is the minimum attributed samples an epoch needs
+	// before the placer acts on it — sparse epochs only decay.
+	minEpochSamples = 8
+	// horizonEpochs is how many future epochs a new placement is
+	// assumed to persist when weighing gain against move cost.
+	horizonEpochs = 3
+)
+
 // replanCycles is the modeled cost of one epoch's aggregation and
 // knapsack re-solve (the greedy strategies are linear after sorting;
 // ~5 µs at 1.4 GHz).
@@ -90,23 +106,11 @@ type Options struct {
 	// (0 = DefaultSamplePeriod).
 	SamplePeriod uint64
 
-	// Decay is the aggregator's per-epoch retention in (0, 1]
-	// (0 = 0.35): how fast the placer forgets cold history. A decayed
-	// steady-state score is d/(1-d) of a fresh epoch's, so any value
-	// below 0.5 guarantees a newly-hot group overtakes a stale one
-	// within a single epoch — the default leaves clear daylight.
-	Decay float64
-	// MinSamples is the minimum attributed samples an epoch needs
-	// before the placer acts on it (0 = 8) — sparse epochs only decay.
-	MinSamples int
 	// Hysteresis is the gate's safety factor (0 = 1.5): predicted
 	// gain over the horizon must exceed Hysteresis times the
 	// migration cost, so near-break-even churn (two objects of
 	// similar heat swapping places) never moves data.
 	Hysteresis float64
-	// HorizonEpochs is how many future epochs a new placement is
-	// assumed to persist when weighing gain against move cost (0 = 3).
-	HorizonEpochs float64
 	// TotalEpochs, when positive, caps the horizon by the epochs
 	// actually remaining — near the end of a run even a profitable
 	// move cannot amortize.
@@ -126,17 +130,8 @@ func (o *Options) fill() {
 	if o.SamplePeriod == 0 {
 		o.SamplePeriod = DefaultSamplePeriod
 	}
-	if o.Decay == 0 {
-		o.Decay = 0.35
-	}
-	if o.MinSamples == 0 {
-		o.MinSamples = 8
-	}
 	if o.Hysteresis == 0 {
 		o.Hysteresis = 1.5
-	}
-	if o.HorizonEpochs == 0 {
-		o.HorizonEpochs = 3
 	}
 	if o.Strategy == nil {
 		o.Strategy = advisor.DensityStrategy{}
@@ -259,18 +254,9 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		return nil, fmt.Errorf("online: budget %d exceeds %s capacity %d",
 			opts.Budget, fast.Name, fast.Capacity)
 	}
-	if opts.Decay < 0 || opts.Decay > 1 {
-		return nil, fmt.Errorf("online: decay %g outside (0, 1]", opts.Decay)
-	}
-	// Negative gate knobs would invert the cost-benefit comparison.
+	// A negative safety factor would invert the cost-benefit comparison.
 	if opts.Hysteresis < 0 {
 		return nil, fmt.Errorf("online: negative hysteresis %g", opts.Hysteresis)
-	}
-	if opts.HorizonEpochs < 0 {
-		return nil, fmt.Errorf("online: negative horizon %g", opts.HorizonEpochs)
-	}
-	if opts.MinSamples < 0 {
-		return nil, fmt.Errorf("online: negative min samples %d", opts.MinSamples)
 	}
 	opts.fill()
 	p := &Policy{
@@ -282,7 +268,7 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		maxSize:  make(map[string]int64),
 		epochMax: make(map[string]int64),
 		siteOf:   make(map[uint64]string),
-		agg:      NewAggregator(opts.Decay),
+		agg:      NewAggregator(epochDecay),
 		assigned: make(map[string]mem.TierID),
 		usedBy:   make(map[mem.TierID]int64),
 		warm:     advisor.NewWarmState(),
@@ -646,7 +632,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	defer p.agg.EndEpoch()
 	defer func() { p.epochMax = make(map[string]int64) }()
 
-	if attributed < int64(p.opts.MinSamples) {
+	if attributed < minEpochSamples {
 		return nil
 	}
 
@@ -810,25 +796,26 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 // panics, or the advisor refuses its selection (an overpacked tier),
 // the placer keeps the current placement for this epoch, counts the
 // failure (Stats.SolvePanics, metric solver_panics), and emits a
-// degrade event so the trace explains the skipped re-plan.
+// degrade event whose Detail carries the refusal or the panic value,
+// so the trace explains the skipped re-plan.
 func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem.TierID, ok bool) {
-	var reason string
+	var reason, detail string
 	defer func() {
 		if v := recover(); v != nil {
-			reason = "epoch-solve-panic"
+			reason, detail = "epoch-solve-panic", fmt.Sprint(v)
 		}
 		if reason != "" {
 			p.stats.SolvePanics++
 			obs.Emit(p.opts.Obs, obs.DegradeEvent{
 				Strategy: p.opts.Strategy.Name(), Reason: reason,
-				Fallback: "keep-placement", Epoch: epoch,
+				Fallback: "keep-placement", Epoch: epoch, Detail: detail,
 			})
 			ordered, next, ok = nil, nil, false
 		}
 	}()
 	ordered, next, err := p.solve()
 	if err != nil {
-		reason = "epoch-solve-error"
+		reason, detail = "epoch-solve-error", err.Error()
 	}
 	return ordered, next, err == nil
 }
@@ -972,7 +959,7 @@ func (p *Policy) gateTerms(info engine.EpochInfo, pairSamples map[tierPair]float
 		net += predict.EpochDelta(m, p.opts.Cores, misses, pr.from, pr.to)
 	}
 
-	horizon = p.opts.HorizonEpochs
+	horizon = horizonEpochs
 	if p.opts.TotalEpochs > 0 {
 		rem := float64(p.opts.TotalEpochs - info.Index - 1)
 		switch {

@@ -383,10 +383,11 @@ func TestFailedSolveKeepsPlacement(t *testing.T) {
 	for _, tc := range []struct {
 		strat  advisor.Strategy
 		reason string
+		detail string // what the event's detail must mention
 	}{
-		{panicStrategy{}, "epoch-solve-panic"},
+		{panicStrategy{}, "epoch-solve-panic", `"detail":"solver bug"`},
 		// The budget is below one hot group, so every selection overpacks.
-		{overpackStrategy{}, "epoch-solve-error"},
+		{overpackStrategy{}, "epoch-solve-error", "overpacked"},
 	} {
 		t.Run(tc.strat.Name(), func(t *testing.T) {
 			m, w := ntierShift()
@@ -417,6 +418,12 @@ func TestFailedSolveKeepsPlacement(t *testing.T) {
 			want := `"ev":"degrade","strategy":"` + tc.strat.Name() + `","reason":"` + tc.reason + `","fallback":"keep-placement"`
 			if got := strings.Count(trace.String(), want); int64(got) != pol.Stats().SolvePanics {
 				t.Fatalf("%d degrade events %s for %d failed solves", got, want, pol.Stats().SolvePanics)
+			}
+			// Every degrade event keeps the reason the solve failed.
+			for _, line := range strings.Split(trace.String(), "\n") {
+				if strings.Contains(line, want) && !strings.Contains(line, tc.detail) {
+					t.Fatalf("degrade event does not mention %s: %s", tc.detail, line)
+				}
 			}
 		})
 	}

@@ -87,8 +87,9 @@ func (p *Profile) Object(id string) (ObjectStat, bool) {
 }
 
 // Analyze replays tr and reduces it to a Profile. It rejects what the
-// replay itself tolerates: an ALLOC of size ≤ 0 and a REALLOC of an
-// unknown non-zero address.
+// replay itself tolerates: an ALLOC, REALLOC or STATIC of size ≤ 0
+// (a negative size would wrap the region's end over the address
+// space) and a REALLOC of an unknown non-zero address.
 func Analyze(tr *trace.Trace) (*Profile, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("paramedir: nil trace")
@@ -107,8 +108,8 @@ func Analyze(tr *trace.Trace) (*Profile, error) {
 		}
 		switch rec.Type {
 		case trace.EvAlloc, trace.EvRealloc, trace.EvStatic:
-			if rec.Type == trace.EvAlloc && rec.Size <= 0 {
-				return fmt.Errorf("paramedir: record %d: alloc with size %d", idx, rec.Size)
+			if rec.Size <= 0 {
+				return fmt.Errorf("paramedir: record %d: %s with size %d", idx, strings.ToLower(rec.Type.String()), rec.Size)
 			}
 			if rec.Type == trace.EvRealloc && !ok && rec.Aux != 0 {
 				return fmt.Errorf("paramedir: record %d: realloc of unknown region %#x", idx, rec.Aux)
@@ -157,13 +158,21 @@ func Analyze(tr *trace.Trace) (*Profile, error) {
 	for _, s := range stats {
 		p.Objects = append(p.Objects, *s)
 	}
-	sort.Slice(p.Objects, func(i, j int) bool {
-		if p.Objects[i].Misses != p.Objects[j].Misses {
-			return p.Objects[i].Misses > p.Objects[j].Misses
-		}
-		return p.Objects[i].ID < p.Objects[j].ID
-	})
+	SortObjects(p.Objects)
 	return p, nil
+}
+
+// SortObjects puts objs in Paramedir's reduction order: misses
+// descending, then ID ascending. Every Profile that is built rather
+// than read (Analyze's, the daemon's sample aggregate) is sorted by it,
+// so equal content advises identically whatever its source.
+func SortObjects(objs []ObjectStat) {
+	sort.Slice(objs, func(i, j int) bool {
+		if objs[i].Misses != objs[j].Misses {
+			return objs[i].Misses > objs[j].Misses
+		}
+		return objs[i].ID < objs[j].ID
+	})
 }
 
 // csvHeader is the column layout of the Paramedir CSV. The intervals

@@ -114,6 +114,20 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := Analyze(bad2); err == nil {
 		t.Fatal("realloc of unknown region accepted")
 	}
+	// A negative size wraps the region's end: this static would claim
+	// nearly the whole address space, the far sample included.
+	wrap := trace.New("x")
+	wrap.Append(trace.Record{Type: trace.EvStatic, Addr: 16, Size: -32, Routine: "wrap"})
+	wrap.Append(trace.Record{Type: trace.EvSample, Addr: 1 << 62})
+	if _, err := Analyze(wrap); err == nil {
+		t.Fatal("negative-size static accepted")
+	}
+	zero := trace.New("x")
+	zero.Append(trace.Record{Type: trace.EvAlloc, Addr: 0x1000, Size: 64})
+	zero.Append(trace.Record{Type: trace.EvRealloc, Addr: 0x2000, Aux: 0x1000, Size: 0})
+	if _, err := Analyze(zero); err == nil {
+		t.Fatal("zero-size realloc accepted")
+	}
 }
 
 func TestAnalyzeFreeOfUninstrumentedIsIgnored(t *testing.T) {

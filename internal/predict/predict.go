@@ -247,16 +247,6 @@ func EpochDelta(m *mem.Machine, cores int, misses int64, from, to mem.TierID) fl
 	return float64(was.MemoryTime(m, cores)) - float64(now.MemoryTime(m, cores))
 }
 
-// EpochGain is EpochDelta clamped to improvements: zero when the move
-// would not help.
-func EpochGain(m *mem.Machine, cores int, misses int64, from, to mem.TierID) units.Cycles {
-	d := EpochDelta(m, cores, misses, from, to)
-	if d <= 0 {
-		return 0
-	}
-	return units.Cycles(d)
-}
-
 // RankPlacements replays the trace once, prices that replay against
 // several candidate reports and returns their indices ordered by
 // predicted speedup, best first — the screening use case the paper

@@ -152,25 +152,21 @@ func TestReplayPhaseSpeedups(t *testing.T) {
 	}
 }
 
-func TestEpochGain(t *testing.T) {
+func TestEpochDelta(t *testing.T) {
 	m := mem.DefaultKNL()
-	if g := EpochGain(&m, m.Cores, 0, mem.TierDDR, mem.TierMCDRAM); g != 0 {
-		t.Errorf("zero misses gained %d", g)
+	if d := EpochDelta(&m, m.Cores, 0, mem.TierDDR, mem.TierMCDRAM); d != 0 {
+		t.Errorf("zero misses gained %v", d)
 	}
-	if g := EpochGain(&m, m.Cores, 1_000_000, mem.TierDDR, mem.TierDDR); g != 0 {
-		t.Errorf("same-tier move gained %d", g)
+	if d := EpochDelta(&m, m.Cores, 1_000_000, mem.TierDDR, mem.TierDDR); d != 0 {
+		t.Errorf("same-tier move gained %v", d)
 	}
-	up := EpochGain(&m, m.Cores, 1_000_000, mem.TierDDR, mem.TierMCDRAM)
+	up := EpochDelta(&m, m.Cores, 1_000_000, mem.TierDDR, mem.TierMCDRAM)
 	if up <= 0 {
-		t.Fatalf("promoting a million misses gained %d cycles", up)
-	}
-	// Demotion can only lose time, and EpochGain clamps at zero.
-	if g := EpochGain(&m, m.Cores, 1_000_000, mem.TierMCDRAM, mem.TierDDR); g != 0 {
-		t.Errorf("demotion predicted a gain of %d", g)
+		t.Fatalf("promoting a million misses gained %v cycles", up)
 	}
 	// More misses, more gain.
-	if more := EpochGain(&m, m.Cores, 2_000_000, mem.TierDDR, mem.TierMCDRAM); more <= up {
-		t.Errorf("gain did not grow with miss volume: %d vs %d", more, up)
+	if more := EpochDelta(&m, m.Cores, 2_000_000, mem.TierDDR, mem.TierMCDRAM); more <= up {
+		t.Errorf("gain did not grow with miss volume: %v vs %v", more, up)
 	}
 }
 
@@ -194,10 +190,6 @@ func TestEpochDeltaSignsAcrossHierarchy(t *testing.T) {
 	// Antisymmetry: a move and its reverse cancel.
 	if back := EpochDelta(&m, m.Cores, misses, mem.TierNVM, mem.TierDDR); back != -down {
 		t.Fatalf("delta not antisymmetric: %v vs %v", back, -down)
-	}
-	// EpochGain clamps the losing direction to zero.
-	if g := EpochGain(&m, m.Cores, misses, mem.TierDDR, mem.TierNVM); g != 0 {
-		t.Fatalf("gain of a demotion = %v, want 0", g)
 	}
 }
 

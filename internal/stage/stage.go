@@ -1,18 +1,21 @@
-// Package stage is the one implementation of the framework's Stage 1+2
-// prefix — the Extrae-style monitored run reduced by Paramedir — and of
-// everything that lets its artifact be reused: the content keys, the
-// artifact codec and the content-addressed on-disk Cache. The root
-// package's Profile/Pipeline/RunSweep and the advisory daemon both run
-// their profiles through it, so an artifact computed by either is
-// byte-identical to one computed by the other, in this process or in
-// another.
+// Package stage is the one implementation of the framework's Stages
+// 1–3 — the Extrae-style monitored run reduced by Paramedir, and the
+// hmem_advisor that turns its profile into a placement report — and of
+// everything that lets their artifacts be reused: the content keys,
+// the artifact codecs and the content-addressed on-disk Cache. The
+// root package's Profile/Pipeline/RunSweep, cmd/hmemadvisor and the
+// advisory daemon all run their profiles and reports through it, so an
+// artifact computed by any of them is byte-identical to one computed
+// by another, in this process or in another.
 package stage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/advisor"
 	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -117,6 +120,24 @@ func Profile(w *engine.Workload, p ProfileParams, run engine.Config) (*ProfileAr
 	return &ProfileArtifact{Trace: res.Trace, Run: res, Profile: prof}, nil
 }
 
+// Advise is Stage 3: it packs prof's objects over mc with strat and
+// returns the placement report. With timeAware it budgets each tier
+// against the peak concurrent footprint of the profile's liveness
+// timeline (advisor.AdviseTimeAware); that packer has no warm-start or
+// recorder seam, so ws and rec are ignored and a trace of it carries
+// no pack events. Otherwise it is the stock waterfall
+// (advisor.Advise), warm-started from ws and recording into rec when
+// they are non-nil. ctx is polled only by the exact solver.
+func Advise(ctx context.Context, prof *paramedir.Profile, mc advisor.MemoryConfig, strat advisor.Strategy, timeAware bool, ws *advisor.WarmState, rec *obs.Recorder) (*advisor.Report, error) {
+	if prof == nil {
+		return nil, fmt.Errorf("stage: nil profile")
+	}
+	if timeAware {
+		return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
+	}
+	return advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, ws, rec)
+}
+
 // Load is the disk tier: it returns key's value from c when the entry
 // is there and decodes, and otherwise computes it and commits its
 // encoding. An entry whose checksums verify but whose payload does not
@@ -142,11 +163,12 @@ func Load[V any](c *Cache, key, kind string, encode func(V) (map[string][]byte, 
 	return v, false, nil
 }
 
-// Artifact file names inside profile cache entries.
+// Artifact file names inside profile and report cache entries.
 const (
 	fileTrace      = "trace.prv"
 	fileProfileRun = "profrun.json"
 	fileProfileCSV = "profile.csv"
+	fileReport     = "report.tsv"
 )
 
 // ProfileArtifact is a profiling run's full artifact set, as stored in
@@ -214,4 +236,20 @@ func DecodeProfileArtifact(files map[string][]byte) (*ProfileArtifact, error) {
 		return nil, err
 	}
 	return &ProfileArtifact{Trace: tr, Run: run, Profile: prof}, nil
+}
+
+// EncodeReport stores a written advisor report as a report cache
+// entry.
+func EncodeReport(b []byte) (map[string][]byte, error) {
+	return map[string][]byte{fileReport: b}, nil
+}
+
+// DecodeReport recovers a written advisor report from a report cache
+// entry.
+func DecodeReport(files map[string][]byte) ([]byte, error) {
+	b, ok := files[fileReport]
+	if !ok {
+		return nil, fmt.Errorf("stage: report entry missing %s", fileReport)
+	}
+	return b, nil
 }
