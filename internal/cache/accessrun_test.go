@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,11 +14,14 @@ import (
 // AccessRandomRun must be BIT-identical to the per-reference Access
 // loop they replace — same cache hit/miss counters, same drained
 // cycles, same per-tier traffic, same OnLLCMiss callback sequence
-// (addresses AND reconstructed stream indices). The suite drives both
-// paths over fresh hierarchies for every touch pattern of the engine,
-// in flat and cache mode, across placement edge cases (hot-fraction
+// (addresses AND reconstructed stream indices), same contents and LRU
+// order in every cache set. The suite drives both paths over fresh
+// hierarchies for every touch pattern of the engine and for call
+// sequences aimed at the single-pass kernel, in flat and cache mode
+// and on a wide-way LLC, across placement edge cases (hot-fraction
 // boundaries, sub-line spans, strides wider than the span, placement
-// mutations between phases) and fails on the first diverging counter.
+// mutations between calls) and fails on the first diverging call;
+// FuzzAccessRun drives it with arbitrary call sequences.
 
 // miss records one OnLLCMiss callback: the address plus the
 // reconstructed per-reference stream index (base + intra-call refIdx).
@@ -54,7 +59,7 @@ func snapshot(h *Hierarchy, cores int) hierState {
 	return s
 }
 
-func diffStates(t *testing.T, label string, got, want hierState) {
+func diffStates(t testing.TB, label string, got, want hierState) {
 	t.Helper()
 	if got.l1Hits != want.l1Hits || got.l1Misses != want.l1Misses {
 		t.Errorf("%s: L1 hits/misses = %d/%d, per-ref %d/%d", label, got.l1Hits, got.l1Misses, want.l1Hits, want.l1Misses)
@@ -81,36 +86,7 @@ func diffStates(t *testing.T, label string, got, want hierState) {
 	}
 }
 
-// refStridedRun is the per-reference loop AccessRun replaces, kept
-// verbatim as the differential oracle.
-func refStridedRun(h *Hierarchy, base uint64, stride, span, refs int64) {
-	if refs <= 0 || span <= 0 {
-		return
-	}
-	step := stride % span
-	off := int64(0)
-	for i := int64(0); i < refs; i++ {
-		h.Access(base + uint64(off))
-		off += step
-		if off >= span {
-			off -= span
-		}
-	}
-}
-
-// refRandomRun is the per-reference oracle of AccessRandomRun.
-func refRandomRun(h *Hierarchy, base uint64, span, refs int64, rng *xrand.RNG) {
-	if refs <= 0 || span <= 0 {
-		return
-	}
-	for i := int64(0); i < refs; i++ {
-		h.Access(base + (rng.Uint64n(uint64(span)) &^ 7))
-	}
-}
-
-// runPattern drives one touch pattern over h via the batched path when
-// batched is true, the per-reference oracle otherwise. phase counts
-// OnLLCMiss stream indices from phaseBase, as the engine does.
+// patternSpec is one engine touch pattern.
 type patternSpec struct {
 	name         string
 	base         uint64
@@ -118,49 +94,158 @@ type patternSpec struct {
 	random       bool
 }
 
-func drive(h *Hierarchy, p patternSpec, refs int64, seed uint64, batched bool, phaseBase int64, misses *[]miss) {
+// call is one batched access call of a differential call sequence.
+type call struct {
+	base         uint64
+	stride, span int64
+	refs         int64
+	random       bool
+	seed         uint64
+	mutate       bool // rebind four pages at base before the call (flat mode)
+}
+
+// drive runs c through the batched walk, recording OnLLCMiss callbacks
+// with stream indices counted from phaseBase, as the engine does.
+func drive(h *Hierarchy, c call, phaseBase int64, misses *[]miss) {
 	h.OnLLCMiss = func(a uint64, refIdx int64) {
 		*misses = append(*misses, miss{addr: a, idx: phaseBase + refIdx})
 	}
-	if p.random {
-		rng := xrand.New(seed)
-		if batched {
-			h.AccessRandomRun(p.base, p.span, refs, rng)
-		} else {
-			refRandomRun(h, p.base, p.span, refs, rng)
-		}
+	if c.random {
+		h.AccessRandomRun(c.base, c.span, c.refs, xrand.New(c.seed))
 		return
 	}
-	if batched {
-		h.AccessRun(p.base, p.stride, p.span, refs)
-	} else {
-		refStridedRun(h, p.base, p.stride, p.span, refs)
-	}
+	h.AccessRun(c.base, c.stride, c.span, c.refs)
 }
 
-// Oracle side: per-ref Access reports refIdx 0 for every miss, so the
-// engine-equivalent index of the i-th reference must be counted by the
-// caller. refOracleMisses replays the pattern per-ref while tracking
-// the true stream index.
-func driveOracle(h *Hierarchy, p patternSpec, refs int64, seed uint64, phaseBase int64, misses *[]miss) {
+// driveOracle runs c one reference at a time through the per-reference
+// oracle Access. Access reports refIdx 0 for every miss, so the
+// engine-equivalent index of the i-th reference is counted here.
+func driveOracle(h *Hierarchy, c call, phaseBase int64, misses *[]miss) {
 	i := int64(0)
 	h.OnLLCMiss = func(a uint64, _ int64) {
 		*misses = append(*misses, miss{addr: a, idx: phaseBase + i})
 	}
-	if p.random {
-		rng := xrand.New(seed)
-		for ; i < refs; i++ {
-			h.Access(p.base + (rng.Uint64n(uint64(p.span)) &^ 7))
+	if c.random {
+		rng := xrand.New(c.seed)
+		for ; i < c.refs; i++ {
+			h.Access(c.base + (rng.Uint64n(uint64(c.span)) &^ 7))
 		}
 		return
 	}
-	step := p.stride % p.span
+	step := c.stride % c.span
 	off := int64(0)
-	for ; i < refs; i++ {
-		h.Access(p.base + uint64(off))
+	for ; i < c.refs; i++ {
+		h.Access(c.base + uint64(off))
 		off += step
-		if off >= p.span {
-			off -= p.span
+		if off >= c.span {
+			off -= c.span
+		}
+	}
+}
+
+// setRecency lists every set's tags from MRU to LRU (0 = empty way):
+// the observable state of a SetAssoc. Which way holds a line is not
+// observable, so the batched walk may place lines differently from the
+// per-reference one but must agree on this list.
+func setRecency(c *SetAssoc) []uint64 {
+	out := make([]uint64, 0, len(c.tags))
+	for s := 0; s <= int(c.setMask); s++ {
+		ts := c.tags[s*c.ways : (s+1)*c.ways]
+		if c.order == nil {
+			out = append(out, ts...)
+			continue
+		}
+		for o, w := c.order[s], 0; w < c.ways; o, w = o>>4, w+1 {
+			out = append(out, ts[o&0xf])
+		}
+	}
+	return out
+}
+
+// placement is a machine and page-table shape every differential case
+// runs on.
+type placement struct {
+	name    string
+	mode    mem.CacheModeKind
+	hot     float64 // leading fraction of the bound range promoted to MCDRAM
+	wideLLC bool    // a 32-way LLC: SetAssoc's wide-way fallback
+}
+
+var placements = []placement{
+	{name: "flat-all-ddr", mode: mem.FlatMode},
+	{name: "flat-hot-half", mode: mem.FlatMode, hot: 0.5},
+	{name: "flat-all-hot", mode: mem.FlatMode, hot: 1},
+	{name: "cache-mode", mode: mem.CacheMode},
+	{name: "flat-wide-llc", mode: mem.FlatMode, wideLLC: true},
+}
+
+func (pl placement) machine() mem.Machine {
+	m := testMachine()
+	m.Mode = pl.mode
+	if pl.wideLLC {
+		m.LLC.Ways = 32
+	}
+	return m
+}
+
+// diffCalls drives calls through the batched walk and the
+// per-reference oracle on two fresh hierarchies of machine m and
+// compares, after every call, the counters, drained cycles, per-tier
+// traffic, the OnLLCMiss sequence with its stream indices, and every
+// set's contents and LRU order (L1, LLC and, in cache mode, the MCDRAM
+// front cache). The page table binds [lo, hi) as one coarse DDR
+// segment, as the engine binds heap segments, and promotes its first
+// hotBytes to MCDRAM.
+func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64, calls []call) {
+	t.Helper()
+	build := func() (*Hierarchy, *mem.PageTable) {
+		pt := mem.NewPageTable(mem.TierDDR)
+		if err := pt.SetCoarseRange(lo, int64(hi-lo), mem.TierDDR); err != nil {
+			t.Fatal(err)
+		}
+		if hotBytes > 0 {
+			pt.SetRange(lo, hotBytes, mem.TierMCDRAM)
+		}
+		h, err := NewHierarchy(&m, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, pt
+	}
+	hBatch, ptBatch := build()
+	hRef, ptRef := build()
+	var mBatch, mRef []miss
+	var pos int64
+	for k, c := range calls {
+		// A migration bumps Gen, so any cached extent must be dropped
+		// (flat mode only — cache mode ignores the table).
+		if c.mutate && m.Mode == mem.FlatMode {
+			tier := mem.TierNVM
+			if k%2 == 0 {
+				tier = mem.TierMCDRAM
+			}
+			ptBatch.SetRange(c.base, 4*units.PageSize, tier)
+			ptRef.SetRange(c.base, 4*units.PageSize, tier)
+		}
+		drive(hBatch, c, pos, &mBatch)
+		driveOracle(hRef, c, pos, &mRef)
+		pos += c.refs
+		label := fmt.Sprintf("call %d %+v", k, c)
+		diffStates(t, label, snapshot(hBatch, 4), snapshot(hRef, 4))
+		if !slices.Equal(setRecency(hBatch.L1()), setRecency(hRef.L1())) {
+			t.Errorf("%s: L1 set contents or LRU order differ from per-ref", label)
+		}
+		if !slices.Equal(setRecency(hBatch.LLC()), setRecency(hRef.LLC())) {
+			t.Errorf("%s: LLC set contents or LRU order differ from per-ref", label)
+		}
+		if mc := hBatch.MCDRAMCache(); mc != nil && !slices.Equal(mc.tags, hRef.MCDRAMCache().tags) {
+			t.Errorf("%s: MCDRAM$ contents differ from per-ref", label)
+		}
+		if !slices.Equal(mBatch, mRef) {
+			t.Errorf("%s: OnLLCMiss sequence differs from per-ref (%d vs %d callbacks)", label, len(mBatch), len(mRef))
+		}
+		if t.Failed() {
+			return
 		}
 	}
 }
@@ -191,77 +276,134 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 		// Random gather within one line (span < line, all hits).
 		{name: "random-subline", base: 1 << 32, span: 64, random: true},
 	}
-	placements := []struct {
-		name string
-		mode mem.CacheModeKind
-		hot  float64 // leading fraction of the span promoted to MCDRAM
+	// Call sequences for the single-pass kernel (strided calls that do
+	// not wrap their span), over a 16 MB segment at seqBase: passes far
+	// longer than the LLC, passes that start on warm caches so L1 and
+	// LLC hits land in sets the call later saturates, set-conflicting
+	// and sub-line strides, and placement mutations between calls.
+	const seqBase = uint64(1) << 32
+	kb := uint64(units.KB)
+	sequences := []struct {
+		name  string
+		calls []call
 	}{
-		{name: "flat-all-ddr", mode: mem.FlatMode, hot: 0},
-		{name: "flat-hot-half", mode: mem.FlatMode, hot: 0.5},
-		{name: "flat-all-hot", mode: mem.FlatMode, hot: 1},
-		{name: "cache-mode", mode: mem.CacheMode, hot: 0},
+		{"single-pass-longer-than-llc", []call{
+			{base: seqBase, stride: 64, span: 1 * units.MB, refs: 16384},
+			{base: seqBase, stride: 256, span: 1 * units.MB, refs: 4096},
+			{base: seqBase + 24, stride: 3 * units.PageSize, span: 8 * units.MB, refs: 600},
+			{base: seqBase, stride: 64, span: 1 * units.MB, refs: 9000}, // stops short of the span
+			// One ref past a single pass: the last wraps to the base.
+			{base: seqBase, stride: 64, span: 64 * units.KB, refs: 1025},
+			{base: seqBase + 8, stride: 256, span: 64 * units.KB, refs: 256},
+		}},
+		{"single-pass-prewarmed", []call{
+			{base: seqBase, span: 96 * units.KB, refs: 6000, random: true, seed: 3},
+			{base: seqBase, stride: 64, span: 512 * units.KB, refs: 8192},
+			// Restart inside the previous pass's tail: LLC hits first,
+			// L1 hits on its last lines, then fresh lines saturate.
+			{base: seqBase + 480*kb, stride: 64, span: 256 * units.KB, refs: 4096},
+			{base: seqBase + 500*kb, stride: 192, span: 200 * units.KB, refs: 1000},
+			{base: seqBase, stride: 64, span: 16 * units.KB, refs: 200},
+			{base: seqBase, span: 160 * units.KB, refs: 3000, random: true, seed: 9},
+			{base: seqBase + 64*kb, stride: 128, span: 256 * units.KB, refs: 2048},
+		}},
+		// The third line of the conflicting pass hits L1, so the LLC
+		// set it maps to saturates with one L1 hit among its last 17
+		// lines: the LLC rebuild must skip it.
+		{"single-pass-l1-hit-in-saturated-llc-set", []call{
+			{base: seqBase + 8192, stride: 64, span: 64, refs: 1},
+			{base: seqBase, stride: 4096, span: 4 * units.MB, refs: 18},
+			{base: seqBase + 4096 + 64, stride: 64, span: 128, refs: 2},
+			{base: seqBase + 64, stride: 4096, span: 4 * units.MB, refs: 20},
+		}},
+		{"single-pass-set-conflict", []call{
+			{base: seqBase, stride: 4096, span: 4 * units.MB, refs: 1024},
+			{base: seqBase + 64, stride: 4096, span: 4 * units.MB, refs: 40},
+			{base: seqBase, stride: 512, span: 1 * units.MB, refs: 2048},
+			{base: seqBase, stride: 4096, span: 4 * units.MB, refs: 1024},
+		}},
+		{"single-pass-sub-line", []call{
+			{base: seqBase + 40, stride: 24, span: 256 * units.KB, refs: 10000},
+			{base: seqBase + 8, stride: 8, span: 128 * units.KB, refs: 16384},
+			{base: seqBase + 100000, stride: 40, span: 96 * units.KB, refs: 2400},
+		}},
+		{"single-pass-mutations", []call{
+			{base: seqBase, stride: 64, span: 512 * units.KB, refs: 8192},
+			{base: seqBase, stride: 64, span: 512 * units.KB, refs: 8192, mutate: true},
+			{base: seqBase + 256*kb, stride: 320, span: 256 * units.KB, refs: 800, mutate: true},
+			{base: seqBase, stride: 64, span: 512 * units.KB, refs: 4096, mutate: true},
+		}},
 	}
 	for _, pl := range placements {
 		for _, p := range patterns {
 			t.Run(pl.name+"/"+p.name, func(t *testing.T) {
-				m := testMachine()
-				m.Mode = pl.mode
-				build := func() (*Hierarchy, *mem.PageTable) {
-					pt := mem.NewPageTable(mem.TierDDR)
-					// The engine binds heap segments as coarse ranges;
-					// segment bounds are page-aligned.
-					spanPages := (p.span + units.PageSize - 1) / units.PageSize * units.PageSize
-					if err := pt.SetCoarseRange(p.base, spanPages+units.PageSize, mem.TierDDR); err != nil {
-						t.Fatal(err)
-					}
-					if pl.hot > 0 {
-						hotBytes := int64(float64(p.span) * pl.hot)
-						pt.SetRange(p.base, hotBytes, mem.TierMCDRAM)
-					}
-					h, err := NewHierarchy(&m, pt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return h, pt
-				}
-				seed := uint64(0xfeed + len(p.name))
-
-				hBatch, ptBatch := build()
-				hRef, ptRef := build()
-				var mBatch, mRef []miss
-
-				// Phase 1.
-				drive(hBatch, p, refs, seed, true, 0, &mBatch)
-				driveOracle(hRef, p, refs, seed, 0, &mRef)
-				sBatch := snapshot(hBatch, 4)
-				sRef := snapshot(hRef, 4)
-				diffStates(t, "phase1", sBatch, sRef)
-
-				// Mutate placement between phases: a migration bumps Gen,
-				// so any cached extent must be dropped (flat mode only —
-				// cache mode ignores the table).
-				if pl.mode == mem.FlatMode {
-					ptBatch.SetRange(p.base, 4*units.PageSize, mem.TierNVM)
-					ptRef.SetRange(p.base, 4*units.PageSize, mem.TierNVM)
-				}
-
-				// Phase 2 continues the stream index where phase 1 ended.
-				drive(hBatch, p, refs/2, seed^1, true, refs, &mBatch)
-				driveOracle(hRef, p, refs/2, seed^1, refs, &mRef)
-				diffStates(t, "phase2", snapshot(hBatch, 4), snapshot(hRef, 4))
-
-				if len(mBatch) != len(mRef) {
-					t.Fatalf("OnLLCMiss count = %d, per-ref %d", len(mBatch), len(mRef))
-				}
-				for i := range mBatch {
-					if mBatch[i] != mRef[i] {
-						t.Fatalf("OnLLCMiss[%d] = {%#x, %d}, per-ref {%#x, %d}",
-							i, mBatch[i].addr, mBatch[i].idx, mRef[i].addr, mRef[i].idx)
-					}
-				}
+				// Segment bounds are page-aligned.
+				spanPages := (p.span + units.PageSize - 1) / units.PageSize * units.PageSize
+				first := call{base: p.base, stride: p.stride, span: p.span, random: p.random,
+					refs: refs, seed: uint64(0xfeed + len(p.name))}
+				// Phase 2 mutates the placement and continues the stream
+				// index where phase 1 ended.
+				second := first
+				second.refs, second.seed, second.mutate = refs/2, first.seed^1, true
+				diffCalls(t, pl.machine(), p.base, p.base+uint64(spanPages+units.PageSize),
+					int64(float64(p.span)*pl.hot), []call{first, second})
+			})
+		}
+		for _, sq := range sequences {
+			t.Run(pl.name+"/"+sq.name, func(t *testing.T) {
+				diffCalls(t, pl.machine(), seqBase, seqBase+16*uint64(units.MB),
+					int64(16*float64(units.MB)*pl.hot), sq.calls)
 			})
 		}
 	}
+}
+
+// FuzzAccessRun is the differential fuzzer of the batched walk: each
+// input decodes to a placement and a sequence of strided or random
+// calls (base, stride, span, refs, placement mutations), and diffCalls
+// checks every call against the per-reference oracle. The MCDRAM front
+// cache is shrunk to 256 KB so cache-mode inputs conflict in it.
+func FuzzAccessRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		pl := placements[int(data[0])%len(placements)]
+		m := pl.machine()
+		m.Tiers = slices.Clone(m.Tiers)
+		for i := range m.Tiers {
+			if m.Tiers[i].ID == mem.TierMCDRAM {
+				m.Tiers[i].Capacity = 256 * units.KB
+			}
+		}
+		const lo = uint64(1) << 32
+		var calls []call
+		// Each call takes 8 bytes: flags, stride (value, shift), span
+		// (2), refs (2), base offset. Flags: bit 0 random, bit 1
+		// mutate, bit 2 clamp refs to a single pass (plus one ref when
+		// refs is odd, the first that wraps); bits 3-7 pick the base
+		// page. Shifted strides make set-conflicting powers of two as
+		// likely as odd ones.
+		for rest := data[1:]; len(rest) >= 8 && len(calls) < 8; rest = rest[8:] {
+			flags := rest[0]
+			c := call{
+				base:   lo + uint64(flags>>3)*uint64(units.PageSize) + uint64(rest[7])*8,
+				stride: int64(rest[1]) << (rest[2] % 16),
+				span:   (int64(rest[3])<<8|int64(rest[4]))*64 + int64(rest[7]%64) + 1,
+				refs:   (int64(rest[5])<<8 | int64(rest[6])) % 8192,
+				random: flags&1 != 0,
+				seed:   uint64(rest[7]),
+				mutate: flags&2 != 0,
+			}
+			if flags&4 != 0 && !c.random {
+				if step := c.stride % c.span; step > 0 {
+					c.refs = min(c.refs, (c.span-1)/step+1+c.refs%2)
+				}
+			}
+			calls = append(calls, c)
+		}
+		diffCalls(t, m, lo, lo+64*uint64(units.MB), int64(64*float64(units.MB)*pl.hot), calls)
+	})
 }
 
 // TestAccessRunDegenerate pins the no-op edges: zero or negative refs
@@ -369,6 +511,9 @@ func BenchmarkAccessRun(b *testing.B) {
 		{name: "seq-dense", base: 1 << 32, stride: 16, span: 1 * units.MB},
 		{name: "seq-line", base: 1 << 32, stride: 64, span: 1 * units.MB},
 		{name: "seq-widestride", base: 1 << 32, stride: 3 * units.PageSize, span: 16 * units.MB},
+		// The production shape of a Sequential touch: one pass over a
+		// span larger than the LLC (refs = span/stride, no wrap).
+		{name: "seq-singlepass", base: 1 << 32, stride: 256, span: 16 * units.MB},
 		{name: "random", base: 1 << 32, span: 4 * units.MB, random: true},
 	}
 	for _, p := range patterns {

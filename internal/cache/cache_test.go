@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,57 @@ func TestSetAssocInvariantHitsPlusMisses(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetAssocMatchesLRUModel checks SetAssoc.Access — the packed LRU
+// word at every width up to 16 ways and the wide-way fallback — against
+// a textbook true-LRU model (one MRU-first slice per set): every
+// hit/miss outcome and, after every access, the set's contents in
+// recency order.
+func TestSetAssocMatchesLRUModel(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8, 12, 16, 32} {
+		c, err := NewSetAssoc("t", int64(ways)*16*64, ways, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := make([][]uint64, 16)
+		r := xrand.New(uint64(ways))
+		for i := 0; i < 20000; i++ {
+			// Mostly a small hot range (hits at every LRU depth),
+			// sometimes a wide one (capacity misses).
+			addr := r.Uint64n(uint64(ways) * 48 * 64)
+			if i%3 == 0 {
+				addr = r.Uint64n(1 << 30)
+			}
+			line := addr >> 6
+			set := line & 15
+			ms := model[set]
+			hit := false
+			for k, tag := range ms {
+				if tag == line+1 {
+					copy(ms[1:k+1], ms[:k])
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				if len(ms) < ways {
+					ms = append(ms, 0)
+				}
+				copy(ms[1:], ms)
+			}
+			ms[0] = line + 1
+			model[set] = ms
+			if got := c.Access(addr); got != hit {
+				t.Fatalf("ways %d access %d (%#x): hit = %v, model %v", ways, i, addr, got, hit)
+			}
+			got := setRecency(c)[int(set)*ways : int(set+1)*ways]
+			want := append(slices.Clone(ms), make([]uint64, ways-len(ms))...)
+			if !slices.Equal(got, want) {
+				t.Fatalf("ways %d access %d: set %d = %x, model %x", ways, i, set, got, want)
+			}
+		}
 	}
 }
 

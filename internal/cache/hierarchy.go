@@ -39,6 +39,12 @@ type Hierarchy struct {
 	runTier  mem.TierID
 	runLines int64
 
+	// l1Hits is streamRun's scratch list of the lines that hit L1 in
+	// the current call, ascending. A call probes each L1 set at most
+	// ways times, so it never outgrows the L1's line count, the
+	// capacity it is built with.
+	l1Hits []uint64
+
 	// OnLLCMiss, if set, observes every LLC miss before it is resolved
 	// against memory. refIdx is the index of the missing reference
 	// within the current batched call (AccessRun/AccessRandomRun).
@@ -71,6 +77,7 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 		llc:     llc,
 		pt:      pt,
 		traffic: mem.NewTraffic(),
+		l1Hits:  make([]uint64, 0, len(l1.tags)),
 	}
 	if machine.Mode == mem.CacheMode {
 		mc, ok := machine.Tier(mem.TierMCDRAM)
@@ -89,10 +96,7 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 
 // accessLine is the line-crossing slow path of the batched access
 // loops: one full L1→LLC→memory walk for the reference with index
-// refIdx inside the current batched call, with a wide TierExtent run
-// installed on the miss path (the batched caller streams whole
-// objects, so a page-granular run would re-query the table every page
-// — or, for strides wider than a page, every single miss).
+// refIdx inside the current batched call.
 func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 	if h.l1.Access(addr) {
 		h.hitCycles += h.machine.LLC.L1Hit
@@ -102,6 +106,16 @@ func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 		h.hitCycles += h.machine.LLC.HitCycles
 		return
 	}
+	h.missLine(addr, refIdx)
+}
+
+// missLine is the memory side of one LLC miss, shared by every batched
+// walk: the OnLLCMiss hook, then either the cache-mode MCDRAM front
+// cache or the flat-mode tier lookup, with a wide TierExtent run
+// installed on the miss path (the batched callers stream whole
+// objects, so a page-granular run would re-query the table every page
+// — or, for strides wider than a page, every single miss).
+func (h *Hierarchy) missLine(addr uint64, refIdx int64) {
 	if h.OnLLCMiss != nil {
 		h.OnLLCMiss(addr, refIdx)
 	}
@@ -139,25 +153,34 @@ func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 // through the hierarchy, wrapping at the span — the batched equivalent
 // of walking base + (i*stride)%span for i in [0, refs) one reference
 // at a time. All bookkeeping (hit cycles, cache hit/miss counters,
-// per-tier traffic, OnLLCMiss callbacks with intra-run indices) is
-// bit-identical to that per-reference loop, which the package tests
-// keep as the oracle; the batching only changes how it is computed:
+// per-tier traffic, OnLLCMiss callbacks with intra-run indices, and
+// each cache set's contents and LRU order) is bit-identical to that
+// per-reference loop, which the package tests keep as the oracle; the
+// batching only changes how it is computed:
 //
 //   - A reference falling in the SAME cache line as its predecessor is
 //     a deterministic L1 hit (the predecessor made that line MRU and
 //     nothing between them can evict it), so sub-line runs are counted
 //     locally and booked as one bulk hits += n / hitCycles += n*L1Hit
 //     pair at the end of the call.
-//   - Line-crossing references take the full walk, with misses batched
-//     per constant-tier extent (PageTable.TierExtent) instead of per
-//     page, so a stream over a segment pays one table query per run of
-//     same-tier misses even when the stride exceeds a page.
+//   - A call that does not wrap its span ((refs-1)*step < span) takes
+//     the single-pass kernel (streamRun), which proves most of its
+//     misses instead of probing for them.
+//   - Line-crossing references that are not proven misses take the
+//     full walk, with misses batched per constant-tier extent
+//     (PageTable.TierExtent) instead of per page, so a stream over a
+//     segment pays one table query per run of same-tier misses even
+//     when the stride exceeds a page.
 func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 	if refs <= 0 || span <= 0 {
 		return
 	}
-	l1Shift := h.l1.lineShift
 	step := stride % span
+	if step > 0 && refs-1 <= (span-1)/step {
+		h.streamRun(base, step, refs)
+		return
+	}
+	l1Shift := h.l1.lineShift
 	off := int64(0)
 	lastLine := ^uint64(0) // sentinel: no previous reference
 	var sameLine int64
@@ -174,9 +197,69 @@ func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 			off -= span
 		}
 	}
-	if sameLine > 0 {
-		h.l1.addHits(sameLine)
-		h.hitCycles += units.Cycles(sameLine) * h.machine.LLC.L1Hit
+	h.bookSameLine(sameLine)
+}
+
+// streamRun is AccessRun for a call that does not wrap its span: refs
+// references at base + i*step, step > 0. Its line-crossing references
+// touch strictly increasing, hence distinct, lines. That makes most of
+// its misses provable (the LRU stack property; Mattson et al., IBM
+// Sys. J. 1970): every access of a W-way LRU set puts its line at the
+// MRU end, so once the call has sent W of its lines to a set, the set
+// holds exactly those W lines, and every later line of the call that
+// maps there — new by distinctness — misses. The kernel counts, per
+// set of each cache, the lines the call sent there (SetAssoc.sent,
+// generation-stamped, so no call clears it). A set that has received
+// W lines is no longer probed: its misses are booked as counts, and
+// the L1-miss line goes on to the LLC, or the LLC-miss line to the
+// memory side (missLine), exactly as the probe would have sent it.
+// Sets that skipped probes are rebuilt at the end of the call to the
+// last W lines the call sent them, MRU first, by walking the address
+// sequence backwards; the LLC rebuild skips the lines that hit L1,
+// which never reached the LLC. The walk stops once every such set is
+// full, so a call costs O(lines + saturated sets), never O(sets).
+func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
+	l1, llc := h.l1, h.llc
+	g1, g2 := l1.beginStream(), llc.beginStream()
+	shift := l1.lineShift // both caches use the machine's line size
+	l1Hits := h.l1Hits[:0]
+	lastLine := ^uint64(0)
+	var sameLine, llcHits int64
+	addr := base
+	for i := int64(0); i < refs; i, addr = i+1, addr+uint64(step) {
+		line := addr >> shift
+		if line == lastLine {
+			sameLine++
+			continue
+		}
+		lastLine = line
+		if l1.claim(line, g1) && l1.Access(addr) {
+			l1Hits = append(l1Hits, line)
+			continue
+		}
+		if llc.claim(line, g2) && llc.Access(addr) {
+			llcHits++
+			continue
+		}
+		h.missLine(addr, i)
+	}
+	h.hitCycles += units.Cycles(len(l1Hits))*h.machine.LLC.L1Hit + units.Cycles(llcHits)*h.machine.LLC.HitCycles
+	h.bookSameLine(sameLine)
+	// Rebuild, newest line first. l1Hits is ascending, so the next L1
+	// hit to skip is always its last unconsumed entry.
+	lastLine = ^uint64(0)
+	for i := refs - 1; i >= 0 && l1.refills+llc.refills > 0; i-- {
+		line := (base + uint64(i*step)) >> shift
+		if line == lastLine {
+			continue
+		}
+		lastLine = line
+		l1.refill(line, g1)
+		if k := len(l1Hits) - 1; k >= 0 && l1Hits[k] == line {
+			l1Hits = l1Hits[:k]
+			continue
+		}
+		llc.refill(line, g2)
 	}
 }
 
@@ -203,9 +286,15 @@ func (h *Hierarchy) AccessRandomRun(base uint64, span, refs int64, rng *xrand.RN
 			sameLine++
 		}
 	}
-	if sameLine > 0 {
-		h.l1.addHits(sameLine)
-		h.hitCycles += units.Cycles(sameLine) * h.machine.LLC.L1Hit
+	h.bookSameLine(sameLine)
+}
+
+// bookSameLine books n same-line references — deterministic L1 hits on
+// the MRU line — in bulk.
+func (h *Hierarchy) bookSameLine(n int64) {
+	if n > 0 {
+		h.l1.addHits(n)
+		h.hitCycles += units.Cycles(n) * h.machine.LLC.L1Hit
 	}
 }
 

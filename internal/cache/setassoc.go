@@ -39,6 +39,15 @@ type SetAssoc struct {
 	orderMask uint64 // low 4*ways bits
 	initOrder uint64 // identity permutation, the post-Reset state
 
+	// sent holds one stamp per set for the single-pass kernel
+	// (Hierarchy.streamRun): gen<<8 | n, where n counts the lines call
+	// gen sent to the set. Generations only grow, so a stale stamp
+	// compares below the current call's base gen<<8 and reads as 0;
+	// no call clears the array.
+	sent    []uint64
+	gen     uint64
+	refills int // sets the current call stopped probing and not yet rebuilt
+
 	hits, misses int64
 }
 
@@ -71,6 +80,7 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 		setMask:   uint64(sets - 1),
 		ways:      ways,
 		tags:      make([]uint64, sets*int64(ways)),
+		sent:      make([]uint64, sets),
 	}
 	if ways <= maxPackedWays {
 		c.orderMask = ^uint64(0) >> (64 - 4*uint(ways))
@@ -150,6 +160,60 @@ func (c *SetAssoc) accessWide(ts []uint64, tag uint64) bool {
 // hit would find its tag at the MRU position and leave the LRU order
 // unchanged, so counting it is the only state change.
 func (c *SetAssoc) addHits(n int64) { c.hits += n }
+
+// beginStream opens a single-pass call and returns its base stamp
+// gen<<8: a set's lines-sent count is max(sent[set], base) - base.
+func (c *SetAssoc) beginStream() uint64 {
+	c.gen++
+	return c.gen << 8
+}
+
+// claim books line as sent to its set by the single-pass call with base
+// stamp g. It reports whether the line must be probed; false means the
+// set already holds ways lines of the call, so the line is a proven
+// miss, and claim counts it. The first proven miss of a set marks the
+// set for refill (count ways+1).
+func (c *SetAssoc) claim(line, g uint64) bool {
+	s := line & c.setMask
+	st := max(c.sent[s], g)
+	w := uint64(c.ways)
+	if st-g < w {
+		c.sent[s] = st + 1
+		return true
+	}
+	if st-g == w {
+		c.sent[s] = st + 1
+		c.refills++
+	}
+	c.misses++
+	return false
+}
+
+// refill is the end-of-call rebuild of the sets the single-pass call
+// with base stamp g stopped probing. The caller hands it the call's
+// lines newest first; refill writes the first ways lines that map to a
+// marked set into its ways by recency (way k holds the k-th most
+// recent line, the order word is the identity: MRU in way 0), counting
+// the set's stamp up from ways+1 to 2*ways+1, and leaves every other
+// set alone. Which way holds a line is not observable — lookups match
+// tags, and replacement follows the order word — so the rebuilt set
+// behaves exactly like the probed one.
+func (c *SetAssoc) refill(line, g uint64) {
+	s := line & c.setMask
+	w := uint64(c.ways)
+	k := c.sent[s] - g - (w + 1)
+	if c.sent[s] < g+w+1 || k >= w {
+		return
+	}
+	c.tags[int(s)*c.ways+int(k)] = line + 1
+	if k == 0 && c.order != nil {
+		c.order[s] = c.initOrder
+	}
+	c.sent[s]++
+	if k+1 == w {
+		c.refills--
+	}
+}
 
 // Contains reports whether addr is resident without touching LRU state
 // or statistics.

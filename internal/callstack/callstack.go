@@ -70,20 +70,29 @@ type Module struct {
 	Name string
 	Size int64
 	Bias uint64   // runtime load bias (ASLR); runtime = link + bias
-	syms []Symbol // sorted by Addr
+	syms []Symbol // sorted by Addr; Name "" until first looked up
+	stem string   // Name without ".so": the synthetic symbol prefix
 }
 
 // SymbolFor returns the symbol covering the link-time address, if any.
+// A run resolves only a handful of its thousands of synthetic symbols,
+// so each gets its "stem::fnNNNN" name here, on first lookup, instead
+// of at load time. The name is stored in the module, so a Module (like
+// the Program that owns it, one per simulated run) is not safe for
+// concurrent use.
 func (m *Module) SymbolFor(link uint64) (Symbol, bool) {
 	i := sort.Search(len(m.syms), func(i int) bool { return m.syms[i].Addr > link })
 	if i == 0 {
 		return Symbol{}, false
 	}
-	s := m.syms[i-1]
+	s := &m.syms[i-1]
 	if link >= s.Addr+uint64(s.Size) {
 		return Symbol{}, false
 	}
-	return s, true
+	if s.Name == "" {
+		s.Name = fmt.Sprintf("%s::fn%04d", m.stem, i-1)
+	}
+	return *s, true
 }
 
 // NumSymbols returns the symbol-table size (drives translation cost).
@@ -117,13 +126,13 @@ func (t *Table) AddModule(name string, nsyms int, rng *xrand.RNG) *Module {
 	addr := uint64(0x1000)
 	for i := range syms {
 		size := int64(64 + layout.Uint64n(2048))
-		syms[i] = Symbol{Name: fmt.Sprintf("%s::fn%04d", strings.TrimSuffix(name, ".so"), i), Addr: addr, Size: size}
+		syms[i] = Symbol{Addr: addr, Size: size}
 		addr += uint64(size)
 	}
 	// Runtime bias: page-aligned, keeps modules disjoint by spacing
 	// them 1 TiB apart plus a random page offset.
 	bias := (uint64(len(t.modules)+1) << 40) + (rng.Uint64n(1<<20))*uint64(units.PageSize)
-	m := &Module{Name: name, Size: int64(addr), Bias: bias, syms: syms}
+	m := &Module{Name: name, Size: int64(addr), Bias: bias, syms: syms, stem: strings.TrimSuffix(name, ".so")}
 	t.modules = append(t.modules, m)
 	sort.Slice(t.modules, func(i, j int) bool { return t.modules[i].Bias < t.modules[j].Bias })
 	return m

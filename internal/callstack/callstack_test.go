@@ -13,11 +13,11 @@ func TestModuleSymbolLookup(t *testing.T) {
 	m := tb.AddModule("a.out", 100, xrand.New(1))
 	sym := m.syms[10]
 	got, ok := m.SymbolFor(sym.Addr)
-	if !ok || got.Name != sym.Name {
+	if !ok || got.Name != "a.out::fn0010" {
 		t.Fatalf("SymbolFor(start) = %v/%v", got, ok)
 	}
 	got, ok = m.SymbolFor(sym.Addr + uint64(sym.Size) - 1)
-	if !ok || got.Name != sym.Name {
+	if !ok || got.Name != "a.out::fn0010" {
 		t.Fatal("SymbolFor(last byte) failed")
 	}
 	if _, ok := m.SymbolFor(0); ok {
