@@ -11,7 +11,6 @@ package hybridmem
 // from the wire equals Advise run locally, bit for bit.
 
 import (
-	"context"
 	"net"
 
 	"repro/internal/advisord"
@@ -66,14 +65,6 @@ func OpenArtifactCache(dir string, fault *FaultInjector) (*ArtifactCache, error)
 	return stage.OpenCache(dir, fault)
 }
 
-// NewAdvisorServer builds a daemon instance. Expensive work is sharded
-// across cfg.Workers slots, each owning recycled simulator state;
-// artifacts are memoized in memory and, when cfg.Cache is set, on
-// disk.
-func NewAdvisorServer(cfg AdvisorServerConfig) *AdvisorServer {
-	return advisord.NewServer(cfg)
-}
-
 // ServeAdvisor builds a daemon and serves it on a TCP address until
 // the server is Closed; it returns the server and the bound listener
 // (use addr ":0" to let the kernel pick a port).
@@ -86,33 +77,9 @@ func ServeAdvisor(addr string, cfg AdvisorServerConfig) (*AdvisorServer, net.Lis
 	return srv, ln, nil
 }
 
-// ServeAdvisorCtx is ServeAdvisor bound to a context: the daemon shuts
-// down when ctx is done.
-func ServeAdvisorCtx(ctx context.Context, addr string, cfg AdvisorServerConfig) (*AdvisorServer, net.Listener, error) {
-	srv, ln, err := ServeAdvisor(addr, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	go func() {
-		<-ctx.Done()
-		srv.Close()
-	}()
-	return srv, ln, nil
-}
-
 // DialAdvisor connects to an advisory daemon at a TCP address.
 func DialAdvisor(addr string) (*AdvisorClient, error) {
 	return advisord.Dial(addr)
-}
-
-// DialAdvisorCtx is DialAdvisor with a dial context.
-func DialAdvisorCtx(ctx context.Context, addr string) (*AdvisorClient, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return advisord.NewClient(conn), nil
 }
 
 // AdvisorLoadgen runs the daemon self-benchmark: a cold phase against

@@ -223,10 +223,6 @@ func HBMCXL() Machine { return mem.HBMCXL() }
 // end-to-end once the cross-socket distance is priced in.
 func DualSocketHBM() Machine { return mem.DualSocketHBM() }
 
-// PinRank returns the machine with its cores pinned to the given NUMA
-// domain; all tier pricing is taken from that domain's point of view.
-func PinRank(m Machine, domain int) Machine { return mem.Pinned(m, domain) }
-
 // WithSharedControllers declares that the named tiers drain through
 // one shared memory-controller group, enabling the cross-tier
 // contention model of mem.MigrationTimeUnder (e.g. DDR+NVM sharing a
@@ -266,7 +262,8 @@ func StreamWorkload() *Workload { return apps.Stream() }
 
 // NTierDemoWorkload returns the three-tier showcase: a rank whose
 // footprint exceeds DDR+MCDRAM and whose hot set exceeds MCDRAM, run
-// on PerRankMachine(KNLOptane(), 64, 4). See examples/ntier.
+// on PerRankMachine(KNLOptane(), 64, 4). NTierPoints and
+// TopologyPoints run it.
 func NTierDemoWorkload() *Workload { return apps.NTierDemo() }
 
 // StreamCoreCounts returns Figure 1's core-count sweep.
@@ -304,6 +301,64 @@ func Figure4Points(w *Workload, scale float64, strategies ...Strategy) []SweepPo
 		}
 	}
 	return pts
+}
+
+// NTierPoints is the three-tier grid for NTierDemoWorkload on its
+// per-rank KNLOptane machine (DDR 1.5 GB, MCDRAM 256 MB, NVM 8 GB) at
+// access-volume scale scale, seed 42: the placement-oblivious DDR
+// baseline, then per MCDRAM budget of 64, 128 and 256 MB the paper's
+// two-tier pipeline followed by the N-tier waterfall over
+// MemoryConfigFor the machine at that budget, and last the online
+// placer at 256 MB. Cell 2i+1 is the two-tier cell and cell 2i+2 the
+// waterfall cell of the i-th budget. A non-nil waterfall strategy
+// packs the waterfall cells, labelled "waterfall/<name> @<budget>"
+// instead of "waterfall @<budget>". Every pipeline cell shares one
+// profiling configuration, so RunSweep profiles the workload once.
+func NTierPoints(scale float64, waterfall Strategy) []SweepPoint {
+	w := NTierDemoWorkload()
+	m := PerRankMachine(KNLOptane(), w.Ranks, w.Threads)
+	label := "waterfall"
+	if waterfall != nil {
+		label += "/" + waterfall.Name()
+	}
+	pts := []SweepPoint{BaselinePoint("ddr (oblivious)", w, BaselineDDR, ExecuteConfig{Machine: m, Seed: 42, RefScale: scale})}
+	for _, budget := range []int64{64 * units.MB, 128 * units.MB, 256 * units.MB} {
+		mc := MemoryConfigFor(m, budget)
+		pts = append(pts,
+			PipelinePoint(fmt.Sprintf("two-tier @%s", units.HumanBytes(budget)), w,
+				PipelineConfig{Machine: m, Seed: 42, Budget: budget, RefScale: scale}),
+			PipelinePoint(fmt.Sprintf("%s @%s", label, units.HumanBytes(budget)), w,
+				PipelineConfig{Machine: m, Seed: 42, Memory: &mc, RefScale: scale, Strategy: waterfall}),
+		)
+	}
+	return append(pts, OnlinePoint("online @256 MB", w,
+		OnlineConfig{Machine: m, Seed: 42, RefScale: scale, Budget: 256 * units.MB}))
+}
+
+// TopologyPoints is the topology grid for NTierDemoWorkload on its
+// per-rank DualSocketHBM machine (near DDR and NVM on socket 0, where
+// the rank is pinned; HBM on socket 1) at access-volume scale scale,
+// seed 42: cell 0 is the placement-oblivious DDR baseline, cell 1 the
+// topology-blind waterfall (the machine's tiers with their distance
+// stripped, so it packs by raw RelativePerf and ships the hot set to
+// remote HBM) and cell 2 the topology-aware waterfall
+// (MemoryConfigFor the machine, which keeps the hot set near). The
+// two pipeline cells differ only in the advise stage and share one
+// profiling configuration.
+func TopologyPoints(scale float64) []SweepPoint {
+	w := NTierDemoWorkload()
+	m := PerRankMachine(DualSocketHBM(), w.Ranks, w.Threads)
+	aware := MemoryConfigFor(m, 0)
+	blind := aware
+	blind.Tiers = append([]TierConfig{}, aware.Tiers...)
+	for i := range blind.Tiers {
+		blind.Tiers[i].Distance = 0
+	}
+	return []SweepPoint{
+		BaselinePoint("ddr (oblivious)", w, BaselineDDR, ExecuteConfig{Machine: m, Seed: 42, RefScale: scale}),
+		PipelinePoint("topology-blind (hot -> remote HBM)", w, PipelineConfig{Machine: m, Seed: 42, Memory: &blind, RefScale: scale}),
+		PipelinePoint("topology-aware (hot stays near)", w, PipelineConfig{Machine: m, Seed: 42, Memory: &aware, RefScale: scale}),
+	}
 }
 
 // DeltaFOMPerMB is Equation 1: fast-memory efficiency of a result.

@@ -8,35 +8,36 @@ import (
 )
 
 // TestNTierWaterfallBeatsTwoTierAndDDR is the acceptance scenario of
-// the N-tier refactor, the same run examples/ntier prints: on a
-// KNL+Optane rank (DDR 1.5 GB + MCDRAM 256 MB + NVM 8 GB) with a
-// workload whose hot set exceeds MCDRAM and whose footprint exceeds
-// DDR+MCDRAM, the waterfall advisor must beat both the
-// placement-oblivious DDR run AND the two-tier advisor — which, blind
-// to the NVM floor, lets its DDR overflow spill warm data down by
-// allocation order.
+// the N-tier refactor, read from the DDR and 256 MB cells of the
+// shared three-tier grid (NTierPoints, the grid experiments -ntier
+// prints): on a KNL+Optane rank (DDR 1.5 GB + MCDRAM 256 MB + NVM
+// 8 GB) with a workload whose hot set exceeds MCDRAM and whose
+// footprint exceeds DDR+MCDRAM, the waterfall advisor must beat both
+// the placement-oblivious DDR run AND the two-tier advisor — which,
+// blind to the NVM floor, lets its DDR overflow spill warm data down
+// by allocation order.
 func TestNTierWaterfallBeatsTwoTierAndDDR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full three-tier runs are not -short")
 	}
-	w := hm.NTierDemoWorkload()
-	m := hm.PerRankMachine(hm.KNLOptane(), w.Ranks, w.Threads)
-	budget := int64(256 * units.MB)
-	cfg := hm.ExecuteConfig{Machine: m, Seed: 42}
-
-	ddr, err := hm.RunBaseline(w, hm.BaselineDDR, cfg)
+	pts := hm.NTierPoints(1, nil)
+	// Cells 5 and 6 are the two-tier and waterfall cells at 256 MB.
+	if pts[5].Label != "two-tier @256 MB" || pts[6].Label != "waterfall @256 MB" {
+		t.Fatalf("grid layout moved: cells 5, 6 = %q, %q", pts[5].Label, pts[6].Label)
+	}
+	if mc := pts[6].Pipeline.Memory; mc.DefaultTier != "DDR" || len(mc.Tiers) != 3 {
+		t.Fatalf("waterfall memory config = %+v", mc)
+	}
+	res, err := hm.RunSweep([]hm.SweepPoint{pts[0], pts[5], pts[6]}, hm.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ddr, two, ntier := res[0].Run, res[1].Pipeline, res[2].Pipeline
+
 	// The oblivious run must actually suffer the trap: hot/warm data
 	// stranded on the NVM floor by allocation order.
 	if ddr.TierHWMs[hm.TierNVM] == 0 {
 		t.Fatalf("DDR run never spilled to NVM — the scenario is not exercising the floor (HWMs=%v)", ddr.TierHWMs)
-	}
-
-	two, err := hm.Pipeline(w, hm.PipelineConfig{Machine: m, Seed: 42, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The two-tier advisor cannot name NVM: its report must be
 	// MCDRAM-only, and the run must still spill to NVM as DDR overflow.
@@ -47,15 +48,6 @@ func TestNTierWaterfallBeatsTwoTierAndDDR(t *testing.T) {
 	}
 	if two.Run.TierHWMs[hm.TierNVM] == 0 {
 		t.Fatal("two-tier run did not overflow to NVM — DDR capacity is not binding")
-	}
-
-	mc := hm.MemoryConfigFor(m, budget)
-	if mc.DefaultTier != "DDR" || len(mc.Tiers) != 3 {
-		t.Fatalf("MemoryConfigFor = %+v", mc)
-	}
-	ntier, err := hm.Pipeline(w, hm.PipelineConfig{Machine: m, Seed: 42, Memory: &mc})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The waterfall must banish cold objects to NVM explicitly.
 	nvmEntries := 0

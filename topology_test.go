@@ -178,3 +178,27 @@ func TestUniformTopologyRunInvariance(t *testing.T) {
 	}
 	sameResult("online", fo, uo)
 }
+
+// TestTopologyAwareBeatsDDRBeatsBlind is the topology acceptance
+// scenario on the shared topology grid (TopologyPoints, the grid
+// experiments -numa prints): on the dual-socket rank the
+// distance-priced waterfall keeps the hot set on near DDR and beats
+// the placement-oblivious run, while the topology-blind waterfall
+// ships it to the raw-faster remote HBM and loses even to the
+// oblivious run.
+func TestTopologyAwareBeatsDDRBeatsBlind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full dual-socket runs are not -short")
+	}
+	res, err := hm.RunSweep(hm.TopologyPoints(1), hm.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddr, blind, aware := res[0].Run.FOM, res[1].Run.FOM, res[2].Run.FOM
+	if !(aware > ddr && ddr > blind) {
+		t.Fatalf("placement ordering wrong: topology-aware %.3f, oblivious DDR %.3f, topology-blind %.3f", aware, ddr, blind)
+	}
+	if res[1].Run.TierHWMs[hm.TierHBM] == 0 {
+		t.Fatal("topology-blind run placed nothing on remote HBM")
+	}
+}
