@@ -55,8 +55,8 @@ func (h *Hierarchy) Access(addr uint64) Result {
 		h.hitCycles += h.machine.LLC.HitCycles
 		return Result{Level: LevelLLC}
 	}
-	if h.OnLLCMiss != nil {
-		h.OnLLCMiss(addr, 0)
+	if h.missDue--; h.missDue == 0 {
+		h.missDue = h.onLLCMiss(addr, 0)
 	}
 	line := h.machine.LineSize
 	if h.mcCache != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/pebs"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -13,17 +14,19 @@ import (
 // Differential property suite for the batched access path: AccessRun /
 // AccessRandomRun must be BIT-identical to the per-reference Access
 // loop they replace — same cache hit/miss counters, same drained
-// cycles, same per-tier traffic, same OnLLCMiss callback sequence
-// (addresses AND reconstructed stream indices), same contents and LRU
-// order in every cache set. The suite drives both paths over fresh
-// hierarchies for every touch pattern of the engine and for call
-// sequences aimed at the single-pass kernel, in flat and cache mode
-// and on a wide-way LLC, across placement edge cases (hot-fraction
-// boundaries, sub-line spans, strides wider than the span, placement
-// mutations between calls) and fails on the first diverging call;
-// FuzzAccessRun drives it with arbitrary call sequences.
+// cycles, same per-tier traffic, same LLC-miss hook calls (addresses
+// AND reconstructed stream indices, at hook periods from every miss to
+// the PEBS default), same contents and LRU order in every cache set.
+// The suite drives both paths over fresh hierarchies for every touch
+// pattern of the engine and for call sequences aimed at the
+// single-pass kernel and its saturated tail, in flat and cache mode,
+// on a wide-way LLC and on a 48 KB/12-way L1 + 2 MB LLC, across
+// placement edge cases (hot-fraction boundaries, sub-line spans,
+// strides wider than the span, placement mutations between calls and
+// inside a tail) and fails on the first diverging call; FuzzAccessRun
+// drives it with arbitrary call sequences.
 
-// miss records one OnLLCMiss callback: the address plus the
+// miss records one LLC-miss hook call: the address plus the
 // reconstructed per-reference stream index (base + intra-call refIdx).
 type miss struct {
 	addr uint64
@@ -92,6 +95,7 @@ type patternSpec struct {
 	base         uint64
 	stride, span int64
 	random       bool
+	sampled      bool // benchmarks: a PEBS sampler at the default period on the miss hook
 }
 
 // call is one batched access call of a differential call sequence.
@@ -101,15 +105,12 @@ type call struct {
 	refs         int64
 	random       bool
 	seed         uint64
-	mutate       bool // rebind four pages at base before the call (flat mode)
+	mutate       bool   // rebind four pages at base before the call (flat mode)
+	pin          uint64 // if set, rebind four pages here to NVM before the call (flat mode)
 }
 
-// drive runs c through the batched walk, recording OnLLCMiss callbacks
-// with stream indices counted from phaseBase, as the engine does.
-func drive(h *Hierarchy, c call, phaseBase int64, misses *[]miss) {
-	h.OnLLCMiss = func(a uint64, refIdx int64) {
-		*misses = append(*misses, miss{addr: a, idx: phaseBase + refIdx})
-	}
+// drive runs c through the batched walk.
+func drive(h *Hierarchy, c call) {
 	if c.random {
 		h.AccessRandomRun(c.base, c.span, c.refs, xrand.New(c.seed))
 		return
@@ -118,23 +119,22 @@ func drive(h *Hierarchy, c call, phaseBase int64, misses *[]miss) {
 }
 
 // driveOracle runs c one reference at a time through the per-reference
-// oracle Access. Access reports refIdx 0 for every miss, so the
-// engine-equivalent index of the i-th reference is counted here.
-func driveOracle(h *Hierarchy, c call, phaseBase int64, misses *[]miss) {
-	i := int64(0)
-	h.OnLLCMiss = func(a uint64, _ int64) {
-		*misses = append(*misses, miss{addr: a, idx: phaseBase + i})
-	}
+// oracle Access. Access reports refIdx 0 for every miss, so it sets
+// *cur to the stream index of each reference before walking it, for
+// the oracle's hook to record.
+func driveOracle(h *Hierarchy, c call, phaseBase int64, cur *int64) {
 	if c.random {
 		rng := xrand.New(c.seed)
-		for ; i < c.refs; i++ {
+		for i := int64(0); i < c.refs; i++ {
+			*cur = phaseBase + i
 			h.Access(c.base + (rng.Uint64n(uint64(c.span)) &^ 7))
 		}
 		return
 	}
 	step := c.stride % c.span
 	off := int64(0)
-	for ; i < c.refs; i++ {
+	for i := int64(0); i < c.refs; i++ {
+		*cur = phaseBase + i
 		h.Access(c.base + uint64(off))
 		off += step
 		if off >= c.span {
@@ -165,10 +165,11 @@ func setRecency(c *SetAssoc) []uint64 {
 // placement is a machine and page-table shape every differential case
 // runs on.
 type placement struct {
-	name    string
-	mode    mem.CacheModeKind
-	hot     float64 // leading fraction of the bound range promoted to MCDRAM
-	wideLLC bool    // a 32-way LLC: SetAssoc's wide-way fallback
+	name      string
+	mode      mem.CacheModeKind
+	hot       float64 // leading fraction of the bound range promoted to MCDRAM
+	wideLLC   bool    // a 32-way LLC: SetAssoc's wide-way fallback
+	bigCaches bool    // HBMCXL's 48 KB/12-way L1 and 2 MB LLC
 }
 
 var placements = []placement{
@@ -177,6 +178,7 @@ var placements = []placement{
 	{name: "flat-all-hot", mode: mem.FlatMode, hot: 1},
 	{name: "cache-mode", mode: mem.CacheMode},
 	{name: "flat-wide-llc", mode: mem.FlatMode, wideLLC: true},
+	{name: "flat-big-caches", mode: mem.FlatMode, hot: 0.5, bigCaches: true},
 }
 
 func (pl placement) machine() mem.Machine {
@@ -185,18 +187,23 @@ func (pl placement) machine() mem.Machine {
 	if pl.wideLLC {
 		m.LLC.Ways = 32
 	}
+	if pl.bigCaches {
+		m.LLC = mem.HBMCXL().LLC
+	}
 	return m
 }
 
 // diffCalls drives calls through the batched walk and the
 // per-reference oracle on two fresh hierarchies of machine m and
 // compares, after every call, the counters, drained cycles, per-tier
-// traffic, the OnLLCMiss sequence with its stream indices, and every
-// set's contents and LRU order (L1, LLC and, in cache mode, the MCDRAM
-// front cache). The page table binds [lo, hi) as one coarse DDR
-// segment, as the engine binds heap segments, and promotes its first
-// hotBytes to MCDRAM.
-func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64, calls []call) {
+// traffic, the LLC-miss hook calls with their stream indices, and
+// every set's contents and LRU order (L1, LLC and, in cache mode, the
+// MCDRAM front cache). The batched walk's hook is due every period-th
+// miss, the oracle's on every miss, so the batched calls must be every
+// period-th of the oracle's. The page table binds [lo, hi) as one
+// coarse DDR segment, as the engine binds heap segments, and promotes
+// its first hotBytes to MCDRAM.
+func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes, period int64, calls []call) {
 	t.Helper()
 	build := func() (*Hierarchy, *mem.PageTable) {
 		pt := mem.NewPageTable(mem.TierDDR)
@@ -214,8 +221,18 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64, calls
 	}
 	hBatch, ptBatch := build()
 	hRef, ptRef := build()
-	var mBatch, mRef []miss
-	var pos int64
+	var mBatch, mRef, mWant []miss
+	var pos, cur int64
+	hBatch.SetLLCMissHook(period, func(a uint64, refIdx int64) int64 {
+		mBatch = append(mBatch, miss{addr: a, idx: pos + refIdx})
+		return period
+	})
+	hRef.SetLLCMissHook(1, func(a uint64, _ int64) int64 {
+		if mRef = append(mRef, miss{addr: a, idx: cur}); int64(len(mRef))%period == 0 {
+			mWant = append(mWant, mRef[len(mRef)-1])
+		}
+		return 1
+	})
 	for k, c := range calls {
 		// A migration bumps Gen, so any cached extent must be dropped
 		// (flat mode only — cache mode ignores the table).
@@ -227,10 +244,14 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64, calls
 			ptBatch.SetRange(c.base, 4*units.PageSize, tier)
 			ptRef.SetRange(c.base, 4*units.PageSize, tier)
 		}
-		drive(hBatch, c, pos, &mBatch)
-		driveOracle(hRef, c, pos, &mRef)
+		if c.pin != 0 && m.Mode == mem.FlatMode {
+			ptBatch.SetRange(c.pin, 4*units.PageSize, mem.TierNVM)
+			ptRef.SetRange(c.pin, 4*units.PageSize, mem.TierNVM)
+		}
+		drive(hBatch, c)
+		driveOracle(hRef, c, pos, &cur)
 		pos += c.refs
-		label := fmt.Sprintf("call %d %+v", k, c)
+		label := fmt.Sprintf("hook period %d, call %d %+v", period, k, c)
 		diffStates(t, label, snapshot(hBatch, 4), snapshot(hRef, 4))
 		if !slices.Equal(setRecency(hBatch.L1()), setRecency(hRef.L1())) {
 			t.Errorf("%s: L1 set contents or LRU order differ from per-ref", label)
@@ -241,8 +262,8 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64, calls
 		if mc := hBatch.MCDRAMCache(); mc != nil && !slices.Equal(mc.tags, hRef.MCDRAMCache().tags) {
 			t.Errorf("%s: MCDRAM$ contents differ from per-ref", label)
 		}
-		if !slices.Equal(mBatch, mRef) {
-			t.Errorf("%s: OnLLCMiss sequence differs from per-ref (%d vs %d callbacks)", label, len(mBatch), len(mRef))
+		if !slices.Equal(mBatch, mWant) {
+			t.Errorf("%s: miss hook calls differ from every %d-th per-ref miss (%d vs %d calls)", label, period, len(mBatch), len(mWant))
 		}
 		if t.Failed() {
 			return
@@ -282,7 +303,7 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 	// LLC hits land in sets the call later saturates, set-conflicting
 	// and sub-line strides, and placement mutations between calls.
 	const seqBase = uint64(1) << 32
-	kb := uint64(units.KB)
+	kb, mb := uint64(units.KB), uint64(units.MB)
 	sequences := []struct {
 		name  string
 		calls []call
@@ -333,7 +354,37 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 			{base: seqBase + 256*kb, stride: 320, span: 256 * units.KB, refs: 800, mutate: true},
 			{base: seqBase, stride: 64, span: 512 * units.KB, refs: 4096, mutate: true},
 		}},
+		// Saturated tails (flat mode, step >= line): passes that run
+		// far past the point where every set they visit proves its
+		// misses, so the rest of the call is booked in bulk. Line
+		// stride over more than twice the largest LLC's lines, cold
+		// and then on warm caches.
+		{"tail-line-stride", []call{
+			{base: seqBase, stride: 64, span: 8 * units.MB, refs: 100000},
+			{base: seqBase + 4*kb, stride: 64, span: 8 * units.MB, refs: 90000},
+		}},
+		// A 64 KB stride maps every reference to one set of each cache.
+		{"tail-set-conflict-64k", []call{
+			{base: seqBase, stride: 64 * units.KB, span: 16 * units.MB, refs: 250},
+			{base: seqBase + 64, stride: 64 * units.KB, span: 16 * units.MB, refs: 200},
+		}},
+		// Strides that are not powers of two: the set sequence repeats
+		// with period span/gcd(step, span), not span/step.
+		{"tail-odd-strides", []call{
+			{base: seqBase + 8, stride: 96, span: 8 * units.MB, refs: 80000},
+			{base: seqBase + 16, stride: 3*4096 + 64, span: 15 * units.MB, refs: 1200},
+		}},
+		// Tails that cross constant-tier extents: the end of the hot
+		// prefix (hot placements), an NVM override pinned mid-tail, and
+		// the end of the coarse segment at 16 MB.
+		{"tail-across-extents", []call{
+			{base: seqBase + 5*mb, stride: 64, span: 4 * units.MB, refs: 60000, pin: seqBase + 7*mb + 512*kb},
+			{base: seqBase + 13*mb, stride: 128, span: 4 * units.MB, refs: 30000, pin: seqBase + 15*mb + 512*kb},
+		}},
 	}
+	// The batched walk's miss hook runs at every miss, at a short odd
+	// period and at the PEBS default, against the oracle's every miss.
+	periods := []int64{1, 7, pebs.DefaultPeriod}
 	for _, pl := range placements {
 		for _, p := range patterns {
 			t.Run(pl.name+"/"+p.name, func(t *testing.T) {
@@ -345,30 +396,94 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 				// index where phase 1 ended.
 				second := first
 				second.refs, second.seed, second.mutate = refs/2, first.seed^1, true
-				diffCalls(t, pl.machine(), p.base, p.base+uint64(spanPages+units.PageSize),
-					int64(float64(p.span)*pl.hot), []call{first, second})
+				for _, period := range periods {
+					diffCalls(t, pl.machine(), p.base, p.base+uint64(spanPages+units.PageSize),
+						int64(float64(p.span)*pl.hot), period, []call{first, second})
+				}
 			})
 		}
 		for _, sq := range sequences {
 			t.Run(pl.name+"/"+sq.name, func(t *testing.T) {
-				diffCalls(t, pl.machine(), seqBase, seqBase+16*uint64(units.MB),
-					int64(16*float64(units.MB)*pl.hot), sq.calls)
+				for _, period := range periods {
+					diffCalls(t, pl.machine(), seqBase, seqBase+16*uint64(units.MB),
+						int64(16*float64(units.MB)*pl.hot), period, sq.calls)
+				}
 			})
 		}
 	}
 }
 
+// TestStreamTailGeometries pins the saturated tail's start rules on
+// cache shapes where each one decides a reference:
+//
+//   - window: with a 1-way 4 KB LLC, every LLC set a stride-96 pass
+//     visits proves its misses within one period, except set 0: both
+//     its visits (lines 0 and 64, pre-warmed) hit L1, so the pass
+//     never claims it there. Line 192, also pre-warmed, sits in that
+//     LLC set and is the first reference after the period: it misses
+//     L1 and hits the LLC. A tail that did not wait for a whole
+//     period of references that reached the LLC would book it as a
+//     proven miss.
+//   - l1-lags: with a 512 B 1-way LLC under the 8-way L1, a 512 B
+//     stride maps every line to set 0 of both; the LLC proves misses
+//     from the second line, the L1 from the ninth. A tail that did not
+//     wait for the L1 would leave the L1 set unrebuilt.
+//   - wide-span (on the default test machine): a stride of 4097 walks
+//     each LLC set 64 times before moving to the next, so the L1's
+//     512 B set span repeats long before the LLC's 4 KB one. The first
+//     line the pass sends to LLC set 8 is pre-warmed there; a tail
+//     timed by the narrower span would book it as a proven miss.
+func TestStreamTailGeometries(t *testing.T) {
+	const base = uint64(1) << 32
+	cases := []struct {
+		name  string
+		size  int64
+		ways  int
+		calls []call
+	}{
+		{"window", 4 * units.KB, 1, []call{
+			{base: base, stride: 4096, span: 8192, refs: 2},
+			{base: base + 192*64, stride: 64, span: 64, refs: 1},
+			{base: base, stride: 96, span: units.MB, refs: 200},
+		}},
+		{"l1-lags", 512, 1, []call{
+			{base: base, stride: 512, span: units.MB, refs: 40},
+		}},
+		{"wide-span", 0, 0, []call{
+			{base: base + 512*4097, stride: 64, span: 64, refs: 1},
+			{base: base, stride: 4097, span: 16 * units.MB, refs: 2000},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			if tc.ways > 0 {
+				m.LLC.Size, m.LLC.Ways = tc.size, tc.ways
+			}
+			for _, period := range []int64{1, 7} {
+				diffCalls(t, m, base, base+16*uint64(units.MB), 0, period, tc.calls)
+			}
+		})
+	}
+}
+
 // FuzzAccessRun is the differential fuzzer of the batched walk: each
-// input decodes to a placement and a sequence of strided or random
-// calls (base, stride, span, refs, placement mutations), and diffCalls
-// checks every call against the per-reference oracle. The MCDRAM front
-// cache is shrunk to 256 KB so cache-mode inputs conflict in it.
+// input decodes to a placement, a miss-hook period and a sequence of
+// strided or random calls (base, stride, span, refs, placement
+// mutations), and diffCalls checks every call against the
+// per-reference oracle. The MCDRAM front cache is shrunk to 256 KB so
+// cache-mode inputs conflict in it.
 func FuzzAccessRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
+		if len(data) < 2 {
 			return
 		}
 		pl := placements[int(data[0])%len(placements)]
+		// Byte 1 is the hook period; 0 stands for the PEBS default.
+		period := int64(data[1])
+		if period == 0 {
+			period = pebs.DefaultPeriod
+		}
 		m := pl.machine()
 		m.Tiers = slices.Clone(m.Tiers)
 		for i := range m.Tiers {
@@ -383,14 +498,16 @@ func FuzzAccessRun(f *testing.F) {
 		// mutate, bit 2 clamp refs to a single pass (plus one ref when
 		// refs is odd, the first that wraps); bits 3-7 pick the base
 		// page. Shifted strides make set-conflicting powers of two as
-		// likely as odd ones.
-		for rest := data[1:]; len(rest) >= 8 && len(calls) < 8; rest = rest[8:] {
+		// likely as odd ones. The shift byte's bits 4-5 scale refs by
+		// up to 8, to 65,528: past the 34,816 lines a line-stride pass
+		// needs before its saturated tail on the 2 MB LLC.
+		for rest := data[2:]; len(rest) >= 8 && len(calls) < 8; rest = rest[8:] {
 			flags := rest[0]
 			c := call{
 				base:   lo + uint64(flags>>3)*uint64(units.PageSize) + uint64(rest[7])*8,
 				stride: int64(rest[1]) << (rest[2] % 16),
 				span:   (int64(rest[3])<<8|int64(rest[4]))*64 + int64(rest[7]%64) + 1,
-				refs:   (int64(rest[5])<<8 | int64(rest[6])) % 8192,
+				refs:   (int64(rest[5])<<8 | int64(rest[6])) % 8192 << (rest[2] >> 4 & 3),
 				random: flags&1 != 0,
 				seed:   uint64(rest[7]),
 				mutate: flags&2 != 0,
@@ -402,7 +519,7 @@ func FuzzAccessRun(f *testing.F) {
 			}
 			calls = append(calls, c)
 		}
-		diffCalls(t, m, lo, lo+64*uint64(units.MB), int64(64*float64(units.MB)*pl.hot), calls)
+		diffCalls(t, m, lo, lo+64*uint64(units.MB), int64(64*float64(units.MB)*pl.hot), period, calls)
 	})
 }
 
@@ -514,6 +631,8 @@ func BenchmarkAccessRun(b *testing.B) {
 		// The production shape of a Sequential touch: one pass over a
 		// span larger than the LLC (refs = span/stride, no wrap).
 		{name: "seq-singlepass", base: 1 << 32, stride: 256, span: 16 * units.MB},
+		// The same pass on a profiling run: a sampler on the miss hook.
+		{name: "seq-singlepass-sampled", base: 1 << 32, stride: 256, span: 16 * units.MB, sampled: true},
 		{name: "random", base: 1 << 32, span: 4 * units.MB, random: true},
 	}
 	for _, p := range patterns {
@@ -526,6 +645,13 @@ func BenchmarkAccessRun(b *testing.B) {
 			h, err := NewHierarchy(&m, pt)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if p.sampled {
+				s := pebs.NewSampler(pebs.DefaultPeriod)
+				h.SetLLCMissHook(s.Due(), func(a uint64, _ int64) int64 {
+					s.Advance(s.Due(), a, "")
+					return s.Due()
+				})
 			}
 			rng := xrand.New(42)
 			const chunk = 1 << 16

@@ -250,7 +250,10 @@ func TestHierarchyLLCMissHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var missAddrs []uint64
-	h.OnLLCMiss = func(a uint64, _ int64) { missAddrs = append(missAddrs, a) }
+	h.SetLLCMissHook(1, func(a uint64, _ int64) int64 {
+		missAddrs = append(missAddrs, a)
+		return 1
+	})
 	h.Access(0x42000)
 	h.Access(0x42000) // L1 hit: no new miss
 	if len(missAddrs) != 1 || missAddrs[0] != 0x42000 {

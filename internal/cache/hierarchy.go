@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/units"
@@ -9,9 +10,9 @@ import (
 )
 
 // Hierarchy wires L1 -> LLC -> (MCDRAM cache) -> memory tiers and
-// accumulates both hit-cost cycles and per-tier traffic. The OnLLCMiss
-// hook is where the PEBS engine taps the stream, exactly as PEBS
-// counts L2 miss events on Xeon Phi.
+// accumulates both hit-cost cycles and per-tier traffic. The LLC-miss
+// hook (SetLLCMissHook) is where the PEBS engine taps the stream,
+// exactly as PEBS counts L2 miss events on Xeon Phi.
 type Hierarchy struct {
 	machine *mem.Machine
 	l1      *SetAssoc
@@ -45,13 +46,13 @@ type Hierarchy struct {
 	// capacity it is built with.
 	l1Hits []uint64
 
-	// OnLLCMiss, if set, observes every LLC miss before it is resolved
-	// against memory. refIdx is the index of the missing reference
-	// within the current batched call (AccessRun/AccessRandomRun).
-	// Adding it to a running reference count reconstructs the
-	// per-reference stream position, which is how the engine keeps PEBS
-	// sample indices bit-identical to a reference-at-a-time walk.
-	OnLLCMiss func(addr uint64, refIdx int64)
+	// onLLCMiss is the LLC-miss hook and missDue the count of LLC
+	// misses left until its next call, counting that miss: every miss
+	// decrements missDue, the one that takes it to zero calls the hook,
+	// and the hook's return value re-arms it. Without a hook missDue
+	// starts at MaxInt64 and never reaches zero.
+	onLLCMiss func(addr uint64, refIdx int64) int64
+	missDue   int64
 }
 
 // NewHierarchy builds the hierarchy for machine. pt supplies the
@@ -78,6 +79,7 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 		pt:      pt,
 		traffic: mem.NewTraffic(),
 		l1Hits:  make([]uint64, 0, len(l1.tags)),
+		missDue: math.MaxInt64,
 	}
 	if machine.Mode == mem.CacheMode {
 		mc, ok := machine.Tier(mem.TierMCDRAM)
@@ -92,6 +94,24 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 		h.mcCache = dm
 	}
 	return h, nil
+}
+
+// SetLLCMissHook installs hook to observe the LLC miss stream
+// decimated: it is called on the due-th LLC miss from now (due >= 1;
+// 1 is the very next miss), before that miss is resolved against
+// memory, and each call returns how many misses later the next call
+// falls (>= 1, counting that miss). A sampler's countdown maps onto it
+// directly, so a run that keeps one miss in N pays one call per N
+// misses. refIdx is the index of the missing reference within the
+// current batched call (AccessRun/AccessRandomRun); adding it to a
+// running reference count reconstructs the per-reference stream
+// position, which is how the engine keeps PEBS sample indices
+// bit-identical to a reference-at-a-time walk. A nil hook removes it.
+func (h *Hierarchy) SetLLCMissHook(due int64, hook func(addr uint64, refIdx int64) int64) {
+	if hook == nil {
+		due = math.MaxInt64
+	}
+	h.onLLCMiss, h.missDue = hook, due
 }
 
 // accessLine is the line-crossing slow path of the batched access
@@ -110,14 +130,11 @@ func (h *Hierarchy) accessLine(addr uint64, refIdx int64) {
 }
 
 // missLine is the memory side of one LLC miss, shared by every batched
-// walk: the OnLLCMiss hook, then either the cache-mode MCDRAM front
-// cache or the flat-mode tier lookup, with a wide TierExtent run
-// installed on the miss path (the batched callers stream whole
-// objects, so a page-granular run would re-query the table every page
-// — or, for strides wider than a page, every single miss).
+// walk: the miss-hook countdown, then either the cache-mode MCDRAM
+// front cache or the flat-mode tier lookup (bookFlat).
 func (h *Hierarchy) missLine(addr uint64, refIdx int64) {
-	if h.OnLLCMiss != nil {
-		h.OnLLCMiss(addr, refIdx)
+	if h.missDue--; h.missDue == 0 {
+		h.missDue = h.onLLCMiss(addr, refIdx)
 	}
 	line := h.machine.LineSize
 	if h.mcCache != nil {
@@ -140,20 +157,38 @@ func (h *Hierarchy) missLine(addr uint64, refIdx int64) {
 		return
 	}
 	if h.runLines > 0 && addr >= h.runStart && addr < h.runEnd && h.runGen == h.pt.Gen() {
-		h.runLines++
+		h.runLines++ // bookFlat's common case, kept here: bookFlat is too big to inline
 		return
 	}
-	h.flushRun()
-	tier, start, end := h.pt.TierExtent(addr)
-	h.runStart, h.runEnd = start, end
-	h.runGen, h.runTier, h.runLines = h.pt.Gen(), tier, 1
+	h.bookFlat(addr, 1, 1)
+}
+
+// bookFlat books up to n flat-mode LLC misses at addr, addr+step, ...
+// into the batched miss run and returns how many it booked: all of
+// them that fall inside the run's constant-tier extent, at least the
+// first. An addr outside the current run (or a run gone stale with a
+// placement change) flushes it and opens a wide PageTable.TierExtent
+// run at addr — the batched callers stream whole objects, so a
+// page-granular run would re-query the table every page, or, for
+// strides wider than a page, every single miss.
+func (h *Hierarchy) bookFlat(addr, step uint64, n int64) int64 {
+	if h.runLines == 0 || addr < h.runStart || addr >= h.runEnd || h.runGen != h.pt.Gen() {
+		h.flushRun()
+		h.runTier, h.runStart, h.runEnd = h.pt.TierExtent(addr)
+		h.runGen = h.pt.Gen()
+	}
+	if room := (h.runEnd - addr - 1) / step; room < uint64(n-1) {
+		n = int64(room) + 1
+	}
+	h.runLines += n
+	return n
 }
 
 // AccessRun walks refs strided references over [base, base+span)
 // through the hierarchy, wrapping at the span — the batched equivalent
 // of walking base + (i*stride)%span for i in [0, refs) one reference
 // at a time. All bookkeeping (hit cycles, cache hit/miss counters,
-// per-tier traffic, OnLLCMiss callbacks with intra-run indices, and
+// per-tier traffic, LLC-miss hook calls with intra-run indices, and
 // each cache set's contents and LRU order) is bit-identical to that
 // per-reference loop, which the package tests keep as the oracle; the
 // batching only changes how it is computed:
@@ -165,7 +200,8 @@ func (h *Hierarchy) missLine(addr uint64, refIdx int64) {
 //     pair at the end of the call.
 //   - A call that does not wrap its span ((refs-1)*step < span) takes
 //     the single-pass kernel (streamRun), which proves most of its
-//     misses instead of probing for them.
+//     misses instead of probing for them and, in flat mode with
+//     step >= line, books its saturated tail in bulk.
 //   - Line-crossing references that are not proven misses take the
 //     full walk, with misses batched per constant-tier extent
 //     (PageTable.TierExtent) instead of per page, so a stream over a
@@ -218,6 +254,17 @@ func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 // sequence backwards; the LLC rebuild skips the lines that hit L1,
 // which never reached the LLC. The walk stops once every such set is
 // full, so a call costs O(lines + saturated sets), never O(sets).
+//
+// In flat mode with step >= line (every reference on its own line) the
+// call ends in a saturated tail: the set a reference maps to repeats
+// with its address modulo the wider of the two set spans, so any p =
+// span/gcd(step, span) consecutive references visit every set the call
+// ever will. Once the last p references all reached the LLC (none hit
+// L1, so each claimed its LLC set too) and neither cache has a touched
+// set short of its first proven miss (SetAssoc.unsat), every later
+// reference is a proven miss in both caches, and missTail books the
+// rest of the call in bulk. Cache mode (each miss probes the MCDRAM
+// front cache) and sub-line steps keep the per-line loop.
 func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 	l1, llc := h.l1, h.llc
 	g1, g2 := l1.beginStream(), llc.beginStream()
@@ -225,6 +272,12 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 	l1Hits := h.l1Hits[:0]
 	lastLine := ^uint64(0)
 	var sameLine, llcHits int64
+	p := refs // no tail
+	if h.mcCache == nil && step >= h.machine.LineSize {
+		span := max(l1.setSpan(), llc.setSpan())
+		p = span / min(span, step&-step)
+	}
+	tailFrom := p
 	addr := base
 	for i := int64(0); i < refs; i, addr = i+1, addr+uint64(step) {
 		line := addr >> shift
@@ -233,8 +286,13 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 			continue
 		}
 		lastLine = line
+		if i >= tailFrom && l1.unsat == 0 && llc.unsat == 0 {
+			h.missTail(base, step, i, refs)
+			break
+		}
 		if l1.claim(line, g1) && l1.Access(addr) {
 			l1Hits = append(l1Hits, line)
+			tailFrom = i + 1 + p
 			continue
 		}
 		if llc.claim(line, g2) && llc.Access(addr) {
@@ -260,6 +318,29 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 			continue
 		}
 		llc.refill(line, g2)
+	}
+}
+
+// missTail books references first..refs-1 of a flat-mode single-pass
+// call — each on its own line, each a proven miss in both caches — in
+// bulk: both miss counters at once, the memory side one TierExtent run
+// at a time (bookFlat), and the miss hook at the due miss only, its
+// address and call index found by arithmetic. The counts, traffic and
+// hook calls are those of refs-first trips through claim, claim and
+// missLine.
+func (h *Hierarchy) missTail(base uint64, step, first, refs int64) {
+	h.l1.misses += refs - first
+	h.llc.misses += refs - first
+	for i := first; i < refs; {
+		addr := base + uint64(i*step)
+		if h.missDue == 1 {
+			h.missDue = h.onLLCMiss(addr, i)
+			i += h.bookFlat(addr, uint64(step), 1)
+			continue
+		}
+		n := h.bookFlat(addr, uint64(step), min(refs-i, h.missDue-1))
+		h.missDue -= n
+		i += n
 	}
 }
 
@@ -393,6 +474,6 @@ func (h *Hierarchy) Reuse(machine *mem.Machine, pt *mem.PageTable) bool {
 	h.traffic.Reset()
 	h.hitCycles = 0
 	h.runStart, h.runEnd, h.runGen, h.runTier, h.runLines = 0, 0, 0, 0, 0
-	h.OnLLCMiss = nil
+	h.SetLLCMissHook(0, nil)
 	return true
 }

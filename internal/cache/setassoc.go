@@ -47,6 +47,7 @@ type SetAssoc struct {
 	sent    []uint64
 	gen     uint64
 	refills int // sets the current call stopped probing and not yet rebuilt
+	unsat   int // sets the current call sent 1..ways lines: touched, not yet proving misses
 
 	hits, misses int64
 }
@@ -165,25 +166,35 @@ func (c *SetAssoc) addHits(n int64) { c.hits += n }
 // gen<<8: a set's lines-sent count is max(sent[set], base) - base.
 func (c *SetAssoc) beginStream() uint64 {
 	c.gen++
+	c.unsat = 0
 	return c.gen << 8
 }
+
+// setSpan is the address span one way of the cache covers: an
+// address's set repeats with the address modulo setSpan.
+func (c *SetAssoc) setSpan() int64 { return int64(c.setMask+1) << c.lineShift }
 
 // claim books line as sent to its set by the single-pass call with base
 // stamp g. It reports whether the line must be probed; false means the
 // set already holds ways lines of the call, so the line is a proven
 // miss, and claim counts it. The first proven miss of a set marks the
-// set for refill (count ways+1).
+// set for refill (count ways+1). unsat counts the sets the call has
+// touched but not yet marked.
 func (c *SetAssoc) claim(line, g uint64) bool {
 	s := line & c.setMask
 	st := max(c.sent[s], g)
 	w := uint64(c.ways)
 	if st-g < w {
+		if st == g {
+			c.unsat++
+		}
 		c.sent[s] = st + 1
 		return true
 	}
 	if st-g == w {
 		c.sent[s] = st + 1
 		c.refills++
+		c.unsat--
 	}
 	c.misses++
 	return false

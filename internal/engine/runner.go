@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/cache"
@@ -201,8 +202,11 @@ type runner struct {
 	objects map[string]*liveObject
 	result  *Result
 
-	// Per-access context for the LLC miss hook.
+	// Per-access context for the LLC miss hook, and the count of
+	// misses the hook's last return value asked the hierarchy to let
+	// pass (see onLLCMiss).
 	curRoutine string
+	missDue    int64
 
 	// Per-phase sample buffering for retroactive timestamping.
 	phaseSamples []pendingSample
@@ -366,13 +370,15 @@ func Run(w *Workload, cfg Config) (*Result, error) {
 		r.tr.Meta["cores"] = fmt.Sprint(cores)
 	}
 
-	// The per-miss hook exists only to feed samplers. Per-object miss
-	// attribution is batched per touch in runPhase (one map update per
-	// run of same-object references instead of one per miss), so runs
-	// without a monitor or epoch policy — most sweep cells — walk the
-	// access path with no callback at all.
+	// The miss hook exists only to feed samplers, and is called only
+	// on the misses they sample. Per-object miss attribution is batched
+	// per touch in runPhase (one map update per run of same-object
+	// references instead of one per miss), so runs without a monitor or
+	// epoch policy — most sweep cells — walk the access path with no
+	// callback at all.
 	if r.sampler != nil || r.epochSampler != nil {
-		hier.OnLLCMiss = r.onLLCMiss
+		r.missDue = r.nextSample()
+		hier.SetLLCMissHook(r.missDue, r.onLLCMiss)
 	}
 
 	if cfg.Obs != nil {
@@ -464,25 +470,42 @@ func (r *runner) placeStaticsAndStack(fastCap int64) (int64, int64, error) {
 	return fastCap, defUsed, nil
 }
 
-// onLLCMiss taps the miss stream for the PEBS samplers. Object-level
-// miss attribution does NOT happen here: runPhase computes it from the
-// LLC miss counter delta around each touch, so the per-miss cost is a
-// countdown decrement, not a map update. refIdx is the missing
+// onLLCMiss taps the miss stream for the PEBS samplers. The hierarchy
+// calls it only on the miss the nearer sampler is due to take: it
+// advances both samplers by the r.missDue misses since the last call
+// (this one last) and returns the next due count. Object-level miss
+// attribution does NOT happen here: runPhase computes it from the LLC
+// miss counter delta around each touch. refIdx is the missing
 // reference's index within the hierarchy's current batched call;
 // phaseRefIdx holds the count of references issued by COMPLETED calls
 // of this phase, so their sum is the reference's phase-stream index —
 // the same value the per-reference path recorded.
-func (r *runner) onLLCMiss(addr uint64, refIdx int64) {
+func (r *runner) onLLCMiss(addr uint64, refIdx int64) int64 {
 	if r.sampler != nil {
-		if s, ok := r.sampler.Observe(addr, r.curRoutine); ok {
+		if s, ok := r.sampler.Advance(r.missDue, addr, r.curRoutine); ok {
 			r.phaseSamples = append(r.phaseSamples, pendingSample{accessIdx: r.phaseRefIdx + refIdx, sample: s})
 		}
 	}
 	if r.epochSampler != nil {
-		if s, ok := r.epochSampler.Observe(addr, r.curRoutine); ok {
+		if s, ok := r.epochSampler.Advance(r.missDue, addr, r.curRoutine); ok {
 			r.epochSamples = append(r.epochSamples, s)
 		}
 	}
+	r.missDue = r.nextSample()
+	return r.missDue
+}
+
+// nextSample returns how many misses from now the nearer sampler takes
+// its next sample.
+func (r *runner) nextSample() int64 {
+	due := int64(math.MaxInt64)
+	if r.sampler != nil {
+		due = r.sampler.Due()
+	}
+	if r.epochSampler != nil {
+		due = min(due, r.epochSampler.Due())
+	}
+	return due
 }
 
 // canceled reports the run's cancellation state; the engine polls it

@@ -3,6 +3,7 @@ package online_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -144,6 +145,42 @@ func TestGateBlocksEverythingAtInfiniteHysteresis(t *testing.T) {
 	}
 	if pol.Stats().GateRejected == 0 {
 		t.Fatal("gate never rejected — plans were not even considered")
+	}
+}
+
+// TestGateDefaultMargin pins the gate's default hysteresis by a move
+// near it: on phaseshift with 0.7M-reference epochs, epoch 3's plan
+// predicts a gain over the horizon of about 1.74 times its move cost.
+// The default margin (1.5) lets it through; a margin just above its
+// ratio refuses it, so raising the default past 1.74 fails here.
+func TestGateDefaultMargin(t *testing.T) {
+	const epoch, above = 3, 1.75
+	gate := func(hysteresis float64) obs.GateEvent {
+		t.Helper()
+		var trace bytes.Buffer
+		runOnline(t, apps.PhaseShift(), online.Options{
+			Budget: 16 * units.MB, EveryRefs: 700_000, Hysteresis: hysteresis, Obs: obs.New(&trace),
+		}, 7)
+		for _, line := range strings.Split(trace.String(), "\n") {
+			var ev obs.GateEvent
+			if strings.Contains(line, `"ev":"gate"`) && json.Unmarshal([]byte(line), &ev) == nil && ev.Epoch == epoch {
+				return ev
+			}
+		}
+		t.Fatalf("hysteresis %g: no gate decision at epoch %d", hysteresis, epoch)
+		return obs.GateEvent{}
+	}
+	def := gate(0)
+	ratio := def.NetGain * def.Horizon / float64(def.MoveCost)
+	if def.Hysteresis != 1.5 || def.Decision != obs.DecisionAccept {
+		t.Fatalf("default gate: hysteresis %g, decision %s on a plan with gain/cost %.4f; want 1.5, %s",
+			def.Hysteresis, def.Decision, ratio, obs.DecisionAccept)
+	}
+	if ratio <= 1.5 || ratio >= above {
+		t.Fatalf("epoch %d plan's gain/cost is %.4f, no longer between the default margin and %g", epoch, ratio, above)
+	}
+	if ev := gate(above); ev.Decision != obs.DecisionReject {
+		t.Fatalf("hysteresis %g: epoch %d plan with gain/cost %.4f was %s, want %s", above, epoch, ratio, ev.Decision, obs.DecisionReject)
 	}
 }
 

@@ -9,7 +9,11 @@
 // exactly as they do on hardware.
 package pebs
 
-import "repro/internal/units"
+import (
+	"fmt"
+
+	"repro/internal/units"
+)
 
 // DefaultPeriod is the paper's sampling period (1 sample per 37,589
 // LLC misses). It is prime-ish to avoid phase-locking with loops.
@@ -23,16 +27,15 @@ type Sample struct {
 	Instrs  int64        // instructions retired since the previous sample
 }
 
-// Sampler decimates the LLC miss stream.
+// Sampler decimates the LLC miss stream. It is driven in steps: the
+// caller skips the misses that cannot be sampled and hands the sampler
+// each stretch of misses at once (Advance), never reaching past the
+// one it is due to take (Due), so the miss path pays one call per
+// sample rather than one per miss.
 type Sampler struct {
 	period    uint64
-	countdown uint64
-	misses    int64
+	countdown int64 // misses until the next sample, counting that one
 	emitted   int64
-
-	// OnSample receives each emitted sample. The engine fills Cycle and
-	// Instrs before invoking the callback.
-	OnSample func(Sample)
 
 	// PerSampleCost is the modeled cost of servicing one PEBS
 	// interrupt and writing the record; it feeds the monitoring
@@ -46,27 +49,32 @@ func NewSampler(period uint64) *Sampler {
 	if period == 0 {
 		period = DefaultPeriod
 	}
-	return &Sampler{period: period, countdown: period, PerSampleCost: 2800} // ~2 us
+	return &Sampler{period: period, countdown: int64(period), PerSampleCost: 2800} // ~2 us
 }
 
 // Period returns the decimation period.
 func (s *Sampler) Period() uint64 { return s.period }
 
-// Observe consumes one LLC miss at addr in routine. It returns a
-// non-nil sample template when this miss is the one-in-N selected.
-func (s *Sampler) Observe(addr uint64, routine string) (Sample, bool) {
-	s.misses++
-	s.countdown--
+// Due returns how many misses from now the next sample falls on: 1
+// means the very next miss is sampled.
+func (s *Sampler) Due() int64 { return s.countdown }
+
+// Advance consumes n LLC misses, the last of which is at addr in
+// routine, exactly as n one-miss steps would. n must lie in [1, Due()],
+// so only the last miss can be the sampled one; Advance returns its
+// sample template when it is.
+func (s *Sampler) Advance(n int64, addr uint64, routine string) (Sample, bool) {
+	if n < 1 || n > s.countdown {
+		panic(fmt.Sprintf("pebs: Advance(%d) outside [1, %d]", n, s.countdown))
+	}
+	s.countdown -= n
 	if s.countdown > 0 {
 		return Sample{}, false
 	}
-	s.countdown = s.period
+	s.countdown = int64(s.period)
 	s.emitted++
 	return Sample{Addr: addr, Routine: routine}, true
 }
-
-// Misses returns total misses observed.
-func (s *Sampler) Misses() int64 { return s.misses }
 
 // Emitted returns total samples emitted.
 func (s *Sampler) Emitted() int64 { return s.emitted }
@@ -78,6 +86,6 @@ func (s *Sampler) OverheadCycles() units.Cycles {
 
 // Reset clears counters and restarts the countdown.
 func (s *Sampler) Reset() {
-	s.countdown = s.period
-	s.misses, s.emitted = 0, 0
+	s.countdown = int64(s.period)
+	s.emitted = 0
 }
