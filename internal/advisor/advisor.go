@@ -157,9 +157,10 @@ func packGreedy(sorted []Object, budget int64, eligible func(Object) bool) []Obj
 
 // ExactDP solves the 0/1 knapsack exactly by dynamic programming at
 // page granularity. Cost is O(len(objs) * budgetPages) time and
-// O(budgetPages) space — the pseudo-polynomial blow-up that makes it
-// impractical for hundreds of objects against multi-gigabyte tiers,
-// demonstrated by BenchmarkAblationKnapsackExactVsGreedy.
+// O(len(objs) * budgetPages) bits of space — the pseudo-polynomial
+// blow-up that makes it impractical for hundreds of objects against
+// multi-gigabyte tiers, demonstrated by
+// BenchmarkAblationKnapsackExactVsGreedy.
 type ExactDP struct{}
 
 // Name implements Strategy.
@@ -171,30 +172,43 @@ func (ExactDP) Select(objs []Object, budget int64) []Object {
 	if w <= 0 || len(objs) == 0 {
 		return nil
 	}
-	// best[c] = max misses achievable with capacity c; choice tracks
-	// taken objects per (object, capacity) via bitsets per object row.
+	// best[c] = max misses achievable with capacity c; taken is a
+	// packed bitset with one row of stride words per object, bit c of
+	// row i set when object i is taken at capacity c.
 	best := make([]int64, w+1)
-	taken := make([][]bool, len(objs))
-	for i := range taken {
-		taken[i] = make([]bool, w+1)
-	}
+	stride := (w + 64) / 64
+	taken := make([]uint64, int64(len(objs))*stride)
 	for i, o := range objs {
-		p := o.pages()
-		if p <= 0 || p > w || o.Misses <= 0 {
+		p, m := o.pages(), o.Misses
+		if p <= 0 || p > w || m <= 0 {
 			continue
 		}
-		for c := w; c >= p; c-- {
-			if v := best[c-p] + o.Misses; v > best[c] {
-				best[c] = v
-				taken[i][c] = true
+		row := taken[int64(i)*stride : int64(i+1)*stride]
+		// One bitset word per pass, capacities hi down to lo: the bits
+		// gather in a register and the word is stored once, and the
+		// equal-length dst/src views drop the bounds checks, which
+		// keeps this loop as fast as a []bool row.
+		hi := w
+		for k := w / 64; k >= p/64; k-- {
+			lo := max(p, k*64)
+			dst := best[lo : hi+1]
+			src := best[lo-p : hi-p+1][:len(dst)]
+			var bits uint64
+			for j := len(dst) - 1; j >= 0; j-- {
+				if v := src[j] + m; v > dst[j] {
+					dst[j] = v
+					bits |= 1 << uint(j)
+				}
 			}
+			row[k] = bits << uint(lo%64)
+			hi = lo - 1
 		}
 	}
 	// Reconstruct.
 	var out []Object
 	c := w
 	for i := len(objs) - 1; i >= 0; i-- {
-		if taken[i][c] {
+		if taken[int64(i)*stride+c/64]&(1<<(c%64)) != 0 {
 			out = append(out, objs[i])
 			c -= objs[i].pages()
 		}

@@ -246,6 +246,9 @@ func TestReadReportErrors(t *testing.T) {
 		"bad misses":  "HMEM_ADVISOR\tx\nobject\tMC\ttrue\tzz\t2\tid\tsite\n",
 		"bad size":    "HMEM_ADVISOR\tx\nobject\tMC\ttrue\t1\tzz\tid\tsite\n",
 		"bad strateg": "HMEM_ADVISOR\tx\nstrategy\n",
+		"empty part":  "HMEM_ADVISOR\tx\nobject\tMC\tfalse\t1\t4096\tid\tsite\t5\t0\n",
+		"neg part":    "HMEM_ADVISOR\tx\nobject\tMC\tfalse\t1\t4096\tid\tsite\t0\t-3\n",
+		"neg offset":  "HMEM_ADVISOR\tx\nobject\tMC\tfalse\t1\t4096\tid\tsite\t-1\t8\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadReport(strings.NewReader(in)); err == nil {

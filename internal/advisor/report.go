@@ -623,7 +623,7 @@ func (r *Report) Write(w io.Writer) error {
 // ReadReport parses a report written by Write.
 func ReadReport(rd io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("advisor: empty report")
 	}
@@ -701,10 +701,13 @@ func ReadReport(rd io.Reader) (*Report, error) {
 				ID: f[5], Site: callstack.Key(f[6]),
 			}
 			if len(f) == 9 {
-				if e.PartOffset, err = strconv.ParseInt(f[7], 10, 64); err != nil {
+				// A partition is a non-empty range inside the
+				// allocation. Write emits the 9-field form only for
+				// PartSize > 0, so a size <= 0 would not round-trip.
+				if e.PartOffset, err = strconv.ParseInt(f[7], 10, 64); err != nil || e.PartOffset < 0 {
 					return nil, fmt.Errorf("advisor: line %d: bad partition offset", line)
 				}
-				if e.PartSize, err = strconv.ParseInt(f[8], 10, 64); err != nil {
+				if e.PartSize, err = strconv.ParseInt(f[8], 10, 64); err != nil || e.PartSize <= 0 {
 					return nil, fmt.Errorf("advisor: line %d: bad partition size", line)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/stage"
 )
@@ -159,6 +160,32 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
+// frameChunk is the most readBody allocates before any of a frame's
+// body has arrived.
+const frameChunk = 64 << 10
+
+// readBody reads exactly n bytes, growing its buffer as they arrive:
+// it starts at min(n, frameChunk) and at most doubles per chunk, so a
+// length prefix alone cannot make it allocate more than frameChunk.
+// Errors are io.ReadFull's: io.EOF if no byte arrived,
+// io.ErrUnexpectedEOF if some did.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, frameChunk))
+	for len(b) < n {
+		k := min(n-len(b), max(len(b), frameChunk))
+		b = slices.Grow(b, k)
+		m, err := io.ReadFull(r, b[len(b):len(b)+k])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
 // ReadFrame reads one length-prefixed frame and decodes it into v.
 // io.EOF before the length prefix means the peer closed cleanly
 // between frames; anywhere else it is an unexpected disconnect.
@@ -174,8 +201,8 @@ func ReadFrame(r io.Reader, v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("advisord: frame length %d exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := readBody(r, int(n))
+	if err != nil {
 		return fmt.Errorf("advisord: read frame body: %w", err)
 	}
 	if err := json.Unmarshal(b, v); err != nil {

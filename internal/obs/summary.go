@@ -69,7 +69,7 @@ func Summarize(r io.Reader) (*Summary, error) {
 	var ratioN int64
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	line := 0
 	for sc.Scan() {
 		line++

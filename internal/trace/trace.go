@@ -241,7 +241,7 @@ func (t *Trace) Write(w io.Writer) error {
 // Read decodes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("trace: empty input")
 	}

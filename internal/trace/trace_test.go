@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +89,57 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read succeeded, want error", name)
 		}
+	}
+}
+
+// bytesPerCall is the mean heap allocation of one call of f over n calls.
+func bytesPerCall(n int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestReadAllocatesByInput pins that decoding a trace costs in
+// proportion to its bytes, not to the 16 MiB line limit.
+func TestReadAllocatesByInput(t *testing.T) {
+	tr := sampleTrace()
+	for i := 0; i < 100; i++ {
+		tr.Append(Record{Time: units.Cycles(100 + i), Type: EvSample, Addr: 0x1040 + uint64(64*i), Routine: "spmv", Counter: int64(i)})
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	in := buf.Bytes()
+	got := bytesPerCall(50, func() {
+		if _, err := Read(bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= 64<<10 {
+		t.Fatalf("Read of a %d-byte trace allocates %d bytes per call, want < 64 KiB", len(in), got)
+	}
+}
+
+// TestReadLineLimits pins the largest line: one longer than the
+// scanner's starting buffer is accepted, one over 16 MiB is refused.
+func TestReadLineLimits(t *testing.T) {
+	routine := strings.Repeat("r", 2<<20)
+	tr, err := Read(strings.NewReader("#PRV2\tx\n1\tSAMPLE\t64\t0\t0\t1\t\t" + routine + "\n"))
+	if err != nil {
+		t.Fatalf("2 MiB line: %v", err)
+	}
+	if len(tr.Records) != 1 || tr.Records[0].Routine != routine {
+		t.Fatalf("2 MiB line: routine not decoded")
+	}
+	_, err = Read(strings.NewReader("#PRV2\tx\n#META\tk\t" + strings.Repeat("v", 1<<24) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 16 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }
 
