@@ -625,6 +625,9 @@ func ReadReport(rd io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<24)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("advisor: line 1: %w", err)
+		}
 		return nil, fmt.Errorf("advisor: empty report")
 	}
 	head := strings.SplitN(sc.Text(), "\t", 2)
@@ -718,5 +721,8 @@ func ReadReport(rd io.Reader) (*Report, error) {
 			return nil, fmt.Errorf("advisor: line %d: unknown directive %q", line, f[0])
 		}
 	}
-	return r, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("advisor: line %d: %w", line+1, err)
+	}
+	return r, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // bytesPerCall is the mean heap allocation of one call of f over n calls.
@@ -53,9 +55,28 @@ func TestReadReportLineLimits(t *testing.T) {
 	if len(rep.Entries) != 1 || string(rep.Entries[0].Site) != site {
 		t.Fatalf("2 MiB line: site not decoded")
 	}
-	_, err = ReadReport(strings.NewReader("HMEM_ADVISOR\tx\nstrategy\t" + strings.Repeat("s", 1<<24) + "\n"))
+	rep, err = ReadReport(strings.NewReader("HMEM_ADVISOR\tx\nstrategy\t" + strings.Repeat("s", 1<<24) + "\n"))
 	if !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("line over 16 MiB: err = %v, want bufio.ErrTooLong", err)
+	}
+	if rep != nil {
+		t.Fatalf("line over 16 MiB: got a partial report %+v alongside the error", rep)
+	}
+}
+
+// TestReadReportScannerErrors pins the scanner's errors: a first line over
+// the 16 MiB limit is reported as too long, not as an empty report, and
+// a read error after some valid lines yields no report at all.
+func TestReadReportScannerErrors(t *testing.T) {
+	rep, err := ReadReport(strings.NewReader("HMEM_ADVISOR\t" + strings.Repeat("x", 1<<24) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) || rep != nil {
+		t.Fatalf("first line over 16 MiB: report %v, err = %v, want nil and bufio.ErrTooLong", rep, err)
+	}
+	broken := errors.New("disk gone")
+	in := io.MultiReader(strings.NewReader("HMEM_ADVISOR\tx\nstrategy\tgreedy\nbudget\t4096\n"), iotest.ErrReader(broken))
+	rep, err = ReadReport(in)
+	if !errors.Is(err, broken) || rep != nil {
+		t.Fatalf("read error after two lines: report %v, err = %v, want nil and %v", rep, err, broken)
 	}
 }
 

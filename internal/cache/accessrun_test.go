@@ -95,7 +95,8 @@ type patternSpec struct {
 	base         uint64
 	stride, span int64
 	random       bool
-	sampled      bool // benchmarks: a PEBS sampler at the default period on the miss hook
+	sampled      bool         // benchmarks: a PEBS sampler at the default period on the miss hook
+	alt          *patternSpec // benchmarks: a second object's single pass after each pass
 }
 
 // call is one batched access call of a differential call sequence.
@@ -200,27 +201,11 @@ func (pl placement) machine() mem.Machine {
 // every set's contents and LRU order (L1, LLC and, in cache mode, the
 // MCDRAM front cache). The batched walk's hook is due every period-th
 // miss, the oracle's on every miss, so the batched calls must be every
-// period-th of the oracle's. The page table binds [lo, hi) as one
-// coarse DDR segment, as the engine binds heap segments, and promotes
-// its first hotBytes to MCDRAM.
+// period-th of the oracle's. The page tables are buildHierarchy's.
 func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes, period int64, calls []call) {
 	t.Helper()
-	build := func() (*Hierarchy, *mem.PageTable) {
-		pt := mem.NewPageTable(mem.TierDDR)
-		if err := pt.SetCoarseRange(lo, int64(hi-lo), mem.TierDDR); err != nil {
-			t.Fatal(err)
-		}
-		if hotBytes > 0 {
-			pt.SetRange(lo, hotBytes, mem.TierMCDRAM)
-		}
-		h, err := NewHierarchy(&m, pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, pt
-	}
-	hBatch, ptBatch := build()
-	hRef, ptRef := build()
+	hBatch, ptBatch := buildHierarchy(t, m, lo, hi, hotBytes)
+	hRef, ptRef := buildHierarchy(t, m, lo, hi, hotBytes)
 	var mBatch, mRef, mWant []miss
 	var pos, cur int64
 	hBatch.SetLLCMissHook(period, func(a uint64, refIdx int64) int64 {
@@ -269,6 +254,25 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes, period int6
 			return
 		}
 	}
+}
+
+// buildHierarchy builds a hierarchy of machine m over a page table that
+// binds [lo, hi) as one coarse DDR segment, as the engine binds heap
+// segments, and promotes its first hotBytes to MCDRAM.
+func buildHierarchy(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes int64) (*Hierarchy, *mem.PageTable) {
+	t.Helper()
+	pt := mem.NewPageTable(mem.TierDDR)
+	if err := pt.SetCoarseRange(lo, int64(hi-lo), mem.TierDDR); err != nil {
+		t.Fatal(err)
+	}
+	if hotBytes > 0 {
+		pt.SetRange(lo, hotBytes, mem.TierMCDRAM)
+	}
+	h, err := NewHierarchy(&m, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, pt
 }
 
 func TestAccessRunMatchesPerRef(t *testing.T) {
@@ -382,6 +386,8 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 			{base: seqBase + 13*mb, stride: 128, span: 4 * units.MB, refs: 30000, pin: seqBase + 15*mb + 512*kb},
 		}},
 	}
+	// Floor proofs: sparse passes that send each set 2 to 16 lines.
+	sequences = append(sequences, floorSequences...)
 	// The batched walk's miss hook runs at every miss, at a short odd
 	// period and at the PEBS default, against the oracle's every miss.
 	periods := []int64{1, 7, pebs.DefaultPeriod}
@@ -464,6 +470,139 @@ func TestStreamTailGeometries(t *testing.T) {
 				diffCalls(t, m, base, base+16*uint64(units.MB), 0, period, tc.calls)
 			}
 		})
+	}
+}
+
+// floorSequences are call sequences aimed at the floor proof of the
+// single-pass kernel (SetAssoc.probe), laid out for the 64-set, 16-way
+// LLC of testMachine (a 4 KB set span); every pass but the 4 KB
+// warm-up sends each LLC set 2 to 16 lines:
+//
+//   - floor-high-lines-resident: a foreign pass leaves old lines in
+//     every set, a pass over the upper half of a range adds newer
+//     ones, then the whole range follows. Each set's first line misses
+//     and its floor is the upper pass's lowest line there, which the
+//     lines below it do not evict (the foreign lines are older), so the
+//     line at the floor hits. The identical pass repeats after another
+//     foreign pass.
+//   - floor-off-stride: a pass leaves every other line of a range
+//     resident; passes over the lines between them, then over every
+//     third line, take floors from lines they never touch.
+//   - floor-partly-resident: a 4 KB warm-up makes the first lines of
+//     half the sets of a 64 KB pass hit; the other half miss and take
+//     their floor from the warm-up's lines one set span further.
+var floorSequences = []struct {
+	name  string
+	calls []call
+}{
+	{"floor-high-lines-resident", []call{
+		{base: 1<<32 + 1<<20, stride: 320, span: 160 * units.KB, refs: 512},
+		{base: 1<<32 + 320*192, stride: 192, span: 60 * units.KB, refs: 320},
+		{base: 1 << 32, stride: 192, span: 120 * units.KB, refs: 640},
+		{base: 1<<32 + 1<<20, stride: 320, span: 160 * units.KB, refs: 512},
+		{base: 1 << 32, stride: 192, span: 120 * units.KB, refs: 640},
+	}},
+	{"floor-off-stride", []call{
+		{base: 1 << 32, stride: 128, span: 96 * units.KB, refs: 768},
+		{base: 1<<32 + 64, stride: 128, span: 96 * units.KB, refs: 768},
+		{base: 1 << 32, stride: 192, span: 96 * units.KB, refs: 512},
+	}},
+	{"floor-partly-resident", []call{
+		{base: 1<<32 + 2*uint64(units.KB), stride: 64, span: 4 * units.KB, refs: 64},
+		{base: 1 << 32, stride: 64, span: 64 * units.KB, refs: 1024},
+	}},
+}
+
+// TestStreamFloorGeometries pins the floor proof on the sequences of
+// floorSequences, on the default test machine, in cache mode, on the
+// 32-way LLC (no packed order word, so no floor) and on HBMCXL's
+// 12-way L1 and 2 MB LLC: every call matches the per-reference oracle
+// (diffCalls), and after every call each packed-LRU set the call
+// reached holds the floor the proof must take (checkFloors).
+func TestStreamFloorGeometries(t *testing.T) {
+	const base = uint64(1) << 32
+	for _, pl := range []placement{placements[0], placements[3], placements[4], placements[5]} {
+		for _, sq := range floorSequences {
+			t.Run(pl.name+"/"+sq.name, func(t *testing.T) {
+				m := pl.machine()
+				for _, period := range []int64{1, 7} {
+					diffCalls(t, m, base, base+16*uint64(units.MB), 0, period, sq.calls)
+				}
+				checkFloors(t, m, base, base+16*uint64(units.MB), sq.calls)
+			})
+		}
+	}
+}
+
+// checkFloors drives calls through the batched walk on a fresh
+// hierarchy of machine m and, one reference at a time, through the
+// per-reference oracle on another, and after every single-pass call
+// checks the floor each packed-LRU set the call reached recorded
+// (SetAssoc.probe) against the set's contents before the call: 0 where
+// the first line the call sent the set was resident, else the smallest
+// tag then resident above that line, up to the call's last tag, or one
+// past it. The oracle tells which lines hit L1 and never reached the
+// LLC.
+func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
+	t.Helper()
+	hb, _ := buildHierarchy(t, m, lo, hi, 0)
+	hr, _ := buildHierarchy(t, m, lo, hi, 0)
+	for k, c := range calls {
+		pre1, pre2 := slices.Clone(hb.l1.tags), slices.Clone(hb.llc.tags)
+		drive(hb, c)
+		step := c.stride % c.span
+		if c.random || step == 0 || c.refs-1 > (c.span-1)/step {
+			var cur int64
+			driveOracle(hr, c, 0, &cur)
+			continue
+		}
+		// The first tag the call sent each set, per cache.
+		first1, first2 := map[uint64]uint64{}, map[uint64]uint64{}
+		shift := hb.l1.lineShift
+		lastLine := ^uint64(0)
+		for i := int64(0); i < c.refs; i++ {
+			addr := c.base + uint64(i*step)
+			res := hr.Access(addr)
+			line := addr >> shift
+			if line == lastLine {
+				continue
+			}
+			lastLine = line
+			if _, ok := first1[line&hb.l1.setMask]; !ok {
+				first1[line&hb.l1.setMask] = line + 1
+			}
+			if _, ok := first2[line&hb.llc.setMask]; !ok && res.Level != LevelL1 {
+				first2[line&hb.llc.setMask] = line + 1
+			}
+		}
+		last := (c.base+uint64((c.refs-1)*step))>>shift + 1
+		for _, x := range []struct {
+			c     *SetAssoc
+			pre   []uint64
+			first map[uint64]uint64
+		}{{hb.l1, pre1, first1}, {hb.llc, pre2, first2}} {
+			if x.c.floor == nil {
+				continue
+			}
+			for s, f := range x.first {
+				want := last + 1
+				for _, tag := range x.pre[int(s)*x.c.ways : int(s+1)*x.c.ways] {
+					if tag > f && tag <= last {
+						want = min(want, tag)
+					}
+				}
+				if slices.Contains(x.pre[int(s)*x.c.ways:int(s+1)*x.c.ways], f) {
+					want = 0
+				}
+				if got := x.c.floor[s]; got != want {
+					t.Errorf("call %d %+v: %s set %d (first tag %d, last %d) floor = %d, want %d",
+						k, c, x.c.name, s, f, last, got, want)
+				}
+			}
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }
 
@@ -633,6 +772,13 @@ func BenchmarkAccessRun(b *testing.B) {
 		{name: "seq-singlepass", base: 1 << 32, stride: 256, span: 16 * units.MB},
 		// The same pass on a profiling run: a sampler on the miss hook.
 		{name: "seq-singlepass-sampled", base: 1 << 32, stride: 256, span: 16 * units.MB, sampled: true},
+		// The production shape of the Figure-4 grid's sparse Sequential
+		// touches: a single pass that sends each LLC set 8 lines,
+		// repeated, alternating with a second object's pass that sends
+		// each set 16. Neither proves a miss by saturating a set before
+		// its last line; each finds the sets holding the other's lines.
+		{name: "seq-sparse-repeat", base: 1 << 32, stride: 192, span: 1536 * units.KB,
+			alt: &patternSpec{base: 1<<32 + 4*uint64(units.MB), stride: 64, span: 1 * units.MB}},
 		{name: "random", base: 1 << 32, span: 4 * units.MB, random: true},
 	}
 	for _, p := range patterns {
@@ -654,18 +800,25 @@ func BenchmarkAccessRun(b *testing.B) {
 				})
 			}
 			rng := xrand.New(42)
-			const chunk = 1 << 16
-			b.SetBytes(8 * chunk) // rough: one 8-byte ref each
+			refs := int64(1 << 16)
+			if p.alt != nil {
+				refs = p.span/p.stride + p.alt.span/p.alt.stride
+			}
+			b.SetBytes(8 * refs) // rough: one 8-byte ref each
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if p.random {
-					h.AccessRandomRun(p.base, p.span, chunk, rng)
-				} else {
-					h.AccessRun(p.base, p.stride, p.span, chunk)
+				switch {
+				case p.random:
+					h.AccessRandomRun(p.base, p.span, refs, rng)
+				case p.alt != nil:
+					h.AccessRun(p.base, p.stride, p.span, p.span/p.stride)
+					h.AccessRun(p.alt.base, p.alt.stride, p.alt.span, p.alt.span/p.alt.stride)
+				default:
+					h.AccessRun(p.base, p.stride, p.span, refs)
 				}
 				h.DrainPhase(4)
 			}
-			b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
+			b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 		})
 	}
 }

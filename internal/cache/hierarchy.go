@@ -249,11 +249,16 @@ func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 // W lines is no longer probed: its misses are booked as counts, and
 // the L1-miss line goes on to the LLC, or the LLC-miss line to the
 // memory side (missLine), exactly as the probe would have sent it.
-// Sets that skipped probes are rebuilt at the end of the call to the
-// last W lines the call sent them, MRU first, by walking the address
-// sequence backwards; the LLC rebuild skips the lines that hit L1,
-// which never reached the LLC. The walk stops once every such set is
-// full, so a call costs O(lines + saturated sets), never O(sets).
+// Below W the same order proves most misses too (SetAssoc.probe): the
+// first line a set gets is probed with one scan that also records the
+// set's floor, the smallest resident tag above that line up to the
+// call's last; a later line below the floor is new to the set and is
+// installed without a scan. Sets that skipped probes are rebuilt at
+// the end of the call to the last W lines the call sent them, MRU
+// first, by walking the address sequence backwards; the LLC rebuild
+// skips the lines that hit L1, which never reached the LLC. The walk
+// stops once every such set is full, so a call costs O(lines +
+// saturated sets), never O(sets).
 //
 // In flat mode with step >= line (every reference on its own line) the
 // call ends in a saturated tail: the set a reference maps to repeats
@@ -272,6 +277,8 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 	l1Hits := h.l1Hits[:0]
 	lastLine := ^uint64(0)
 	var sameLine, llcHits int64
+	// The call's last tag bounds every set's floor (SetAssoc.probe).
+	last := (base+uint64((refs-1)*step))>>shift + 1
 	p := refs // no tail
 	if h.mcCache == nil && step >= h.machine.LineSize {
 		span := max(l1.setSpan(), llc.setSpan())
@@ -290,12 +297,12 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 			h.missTail(base, step, i, refs)
 			break
 		}
-		if l1.claim(line, g1) && l1.Access(addr) {
+		if l1.claim(line, g1) && l1.probe(addr, g1, last) {
 			l1Hits = append(l1Hits, line)
 			tailFrom = i + 1 + p
 			continue
 		}
-		if llc.claim(line, g2) && llc.Access(addr) {
+		if llc.claim(line, g2) && llc.probe(addr, g2, last) {
 			llcHits++
 			continue
 		}

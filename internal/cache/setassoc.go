@@ -44,7 +44,13 @@ type SetAssoc struct {
 	// gen sent to the set. Generations only grow, so a stale stamp
 	// compares below the current call's base gen<<8 and reads as 0;
 	// no call clears the array.
-	sent    []uint64
+	sent []uint64
+	// floor holds, per set, the floor the current single-pass call took
+	// when it sent the set its first line (probe): the smallest tag then
+	// resident above that line, or one past the call's last tag. It is
+	// written on every call's first line in a set, so a stale value is
+	// never read. nil when ways > 16.
+	floor   []uint64
 	gen     uint64
 	refills int // sets the current call stopped probing and not yet rebuilt
 	unsat   int // sets the current call sent 1..ways lines: touched, not yet proving misses
@@ -89,6 +95,7 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 			c.initOrder |= uint64(w) << (4 * uint(w))
 		}
 		c.order = make([]uint64, sets)
+		c.floor = make([]uint64, sets)
 		for i := range c.order {
 			c.order[i] = c.initOrder
 		}
@@ -175,11 +182,13 @@ func (c *SetAssoc) beginStream() uint64 {
 func (c *SetAssoc) setSpan() int64 { return int64(c.setMask+1) << c.lineShift }
 
 // claim books line as sent to its set by the single-pass call with base
-// stamp g. It reports whether the line must be probed; false means the
-// set already holds ways lines of the call, so the line is a proven
-// miss, and claim counts it. The first proven miss of a set marks the
-// set for refill (count ways+1). unsat counts the sets the call has
-// touched but not yet marked.
+// stamp g. It reports whether the line must be probed (probe); false
+// means the set already holds ways lines of the call, so the line is a
+// proven miss, and claim counts it. The first proven miss of a set
+// marks the set for refill (count ways+1). unsat counts the sets the
+// call has touched but not yet marked. claim sits on the kernel's
+// per-line path twice and must stay inlinable (CI checks it does), so
+// the floor proof lives in probe.
 func (c *SetAssoc) claim(line, g uint64) bool {
 	s := line & c.setMask
 	st := max(c.sent[s], g)
@@ -196,6 +205,63 @@ func (c *SetAssoc) claim(line, g uint64) bool {
 		c.refills++
 		c.unsat--
 	}
+	c.misses++
+	return false
+}
+
+// probe looks up, for the single-pass call with base stamp g and last
+// tag last, a line that claim let through, and reports whether it hit.
+// The call's lines ascend and are distinct, so while the call runs a
+// set's lines above the call's first line there are exactly those it
+// held when that line arrived, less the ones evicted since. The first
+// line a set gets (stamp g+1) therefore scans the set once, both to
+// find the line and to record the set's floor: the smallest resident
+// tag above the line, capped at last+1. A later line below the floor
+// cannot be resident — the call installed only lines below it, and the
+// set held none between the first line and the floor — so it is
+// installed at the MRU end without a tag scan, exactly as Access would
+// after scanning in vain. Lines at or above the floor, and every line
+// of a wide-way cache, take Access. A first line that hits ends the
+// scan early, as Access would, and leaves floor 0: the set holds lines
+// of the call's range, so every later line there is probed.
+func (c *SetAssoc) probe(addr, g, last uint64) bool {
+	if c.order == nil {
+		return c.Access(addr)
+	}
+	line := addr >> c.lineShift
+	s := line & c.setMask
+	tag := line + 1
+	if c.sent[s] == g+1 {
+		// Offsets above tag, unsigned: t-tag-1 wraps past every offset
+		// in the call for empty ways and lines below the line, so a
+		// branch-free minimum finds the floor.
+		base := int(s) * c.ways
+		above := last - tag
+		for w, t := range c.tags[base : base+c.ways] {
+			if t == tag {
+				// Access's splice: way w moves to the MRU end.
+				c.floor[s] = 0
+				ord := c.order[s]
+				pos := 0
+				for o := ord; o&0xf != uint64(w); o >>= 4 {
+					pos++
+				}
+				low := ord & (uint64(1)<<(4*uint(pos)) - 1)
+				high := ord &^ (uint64(1)<<(4*uint(pos+1)) - 1)
+				c.order[s] = high | low<<4 | uint64(w)
+				c.hits++
+				return true
+			}
+			above = min(above, t-tag-1)
+		}
+		c.floor[s] = tag + 1 + above
+	} else if tag >= c.floor[s] {
+		return c.Access(addr)
+	}
+	ord := c.order[s]
+	victim := ord >> (4 * uint(c.ways-1))
+	c.tags[int(s)*c.ways+int(victim)] = tag
+	c.order[s] = (ord<<4 | victim) & c.orderMask
 	c.misses++
 	return false
 }

@@ -243,6 +243,9 @@ func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<24)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("trace: line 1: %w", err)
+		}
 		return nil, fmt.Errorf("trace: empty input")
 	}
 	head := strings.SplitN(sc.Text(), "\t", 2)
@@ -299,7 +302,7 @@ func Read(r io.Reader) (*Trace, error) {
 		})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return t, nil
 }

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/callstack"
@@ -140,6 +142,22 @@ func TestReadLineLimits(t *testing.T) {
 	_, err = Read(strings.NewReader("#PRV2\tx\n#META\tk\t" + strings.Repeat("v", 1<<24) + "\n"))
 	if !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("line over 16 MiB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestReadScannerErrors pins the scanner's errors: a first line over the 16 MiB
+// limit is reported as too long, not as empty input, and a read error
+// after valid lines yields no trace.
+func TestReadScannerErrors(t *testing.T) {
+	tr, err := Read(strings.NewReader("#PRV2\t" + strings.Repeat("x", 1<<24) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) || tr != nil {
+		t.Fatalf("first line over 16 MiB: trace %v, err = %v, want nil and bufio.ErrTooLong", tr, err)
+	}
+	broken := errors.New("disk gone")
+	in := io.MultiReader(strings.NewReader("#PRV2\tx\n1\tFREE\t16\t0\t0\t0\t\t\n"), iotest.ErrReader(broken))
+	tr, err = Read(in)
+	if !errors.Is(err, broken) || tr != nil {
+		t.Fatalf("read error after two lines: trace %v, err = %v, want nil and %v", tr, err, broken)
 	}
 }
 
