@@ -281,7 +281,10 @@ func BenchmarkAblationKnapsackExactVsGreedy(b *testing.B) {
 		b.Run(s.Name(), func(b *testing.B) {
 			var moved int64
 			for i := 0; i < b.N; i++ {
-				moved = advisor.TotalMisses(s.Select(objs, budget))
+				moved = 0
+				for _, o := range s.Select(objs, budget) {
+					moved += o.Misses
+				}
 			}
 			b.ReportMetric(float64(moved), "misses-moved")
 		})

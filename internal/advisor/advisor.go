@@ -220,15 +220,6 @@ func (ExactDP) Select(objs []Object, budget int64) []Object {
 	return out
 }
 
-// TotalMisses sums the misses of a selection.
-func TotalMisses(objs []Object) int64 {
-	var s int64
-	for _, o := range objs {
-		s += o.Misses
-	}
-	return s
-}
-
 // TotalPages sums the page footprints of a selection.
 func TotalPages(objs []Object) int64 {
 	var s int64

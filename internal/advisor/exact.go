@@ -427,7 +427,7 @@ func RejectHierarchyStrategyCascade(variant string, strat Strategy, tiers []Tier
 // sum over all objects of misses × effective performance of the tier
 // each landed on (no entry = the default tier). It is the quantity
 // ExactNTier maximizes, so strategy/exact objective ratios measure a
-// strategy's optimality gap — ObjectiveRatio below.
+// strategy's optimality gap.
 func ReportObjective(objs []Object, rep *Report, mc MemoryConfig) float64 {
 	perf := make(map[string]float64, len(mc.Tiers))
 	for _, t := range mc.Tiers {
@@ -447,16 +447,4 @@ func ReportObjective(objs []Object, rep *Report, mc MemoryConfig) float64 {
 		v += float64(o.Misses) * p
 	}
 	return v
-}
-
-// ObjectiveRatio is got's objective as a fraction of exact's — the
-// optimality gap a greedy report leaves against the exact oracle
-// (1.0 = optimal). Returns 1 when the exact objective is zero (no
-// sampled misses: every placement is equally good).
-func ObjectiveRatio(objs []Object, got, exact *Report, mc MemoryConfig) float64 {
-	e := ReportObjective(objs, exact, mc)
-	if e == 0 {
-		return 1
-	}
-	return ReportObjective(objs, got, mc) / e
 }

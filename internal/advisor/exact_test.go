@@ -146,7 +146,7 @@ func TestExactNTierPricesBanishmentAsACost(t *testing.T) {
 		if banished == 0 {
 			t.Fatalf("%s did not banish under DDR pressure: %+v", greedy.Name(), g.Entries)
 		}
-		ratio := ObjectiveRatio(objs, g, rep, mc)
+		ratio := objectiveRatio(objs, g, rep, mc)
 		if ratio > 1+1e-9 {
 			t.Fatalf("greedy %s beat the exact solver: ratio %.6f", greedy.Name(), ratio)
 		}
@@ -205,7 +205,7 @@ func TestExactNTierSurvivesCapacityPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := ObjectiveRatio(objs, g, rep, mc); ratio > 1+1e-9 {
+	if ratio := objectiveRatio(objs, g, rep, mc); ratio > 1+1e-9 {
 		t.Fatalf("greedy beat exact under capacity pressure: ratio %.6f", ratio)
 	}
 }
@@ -249,7 +249,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ratio := ObjectiveRatio(objs, g, exact, mc); ratio > 1+1e-9 {
+		if ratio := objectiveRatio(objs, g, exact, mc); ratio > 1+1e-9 {
 			t.Fatalf("%s beat the exact oracle: ratio %.6f", greedy.Name(), ratio)
 		}
 	}
@@ -482,11 +482,23 @@ func TestReportObjective(t *testing.T) {
 	if got != want {
 		t.Fatalf("objective = %v, want %v", got, want)
 	}
-	if r := ObjectiveRatio(objs, rep, rep, mc); r != 1 {
+	if r := objectiveRatio(objs, rep, rep, mc); r != 1 {
 		t.Fatalf("self ratio = %v", r)
 	}
 	empty := &Report{}
-	if r := ObjectiveRatio(nil, empty, empty, mc); r != 1 {
+	if r := objectiveRatio(nil, empty, empty, mc); r != 1 {
 		t.Fatalf("zero-objective ratio = %v, want 1", r)
 	}
+}
+
+// objectiveRatio is got's objective as a fraction of exact's — the
+// optimality gap a greedy report leaves against the exact oracle
+// (1.0 = optimal). Returns 1 when the exact objective is zero (no
+// sampled misses: every placement is equally good).
+func objectiveRatio(objs []Object, got, exact *Report, mc MemoryConfig) float64 {
+	e := ReportObjective(objs, exact, mc)
+	if e == 0 {
+		return 1
+	}
+	return ReportObjective(objs, got, mc) / e
 }

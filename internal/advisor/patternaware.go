@@ -1,7 +1,6 @@
 package advisor
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/paramedir"
@@ -66,16 +65,4 @@ func (s PatternAwareStrategy) Select(objs []Object, budget int64) []Object {
 		return sorted[i].ID < sorted[j].ID
 	})
 	return packGreedy(sorted, budget, func(o Object) bool { return o.Misses > 0 })
-}
-
-// DescribeSelection renders a human-readable pattern summary of a
-// selection for reports and debugging.
-func (s PatternAwareStrategy) DescribeSelection(sel []Object) string {
-	counts := map[paramedir.AccessPattern]int{}
-	for _, o := range sel {
-		counts[s.Patterns[o.ID]]++
-	}
-	return fmt.Sprintf("regular=%d irregular=%d unknown=%d",
-		counts[paramedir.PatternRegular], counts[paramedir.PatternIrregular],
-		counts[paramedir.PatternUnknown])
 }

@@ -162,7 +162,7 @@ func TestPropertyWaterfallWithinBoundOfExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, greedy.Name(), err)
 			}
-			ratio := ObjectiveRatio(objs, rep, exact, mc)
+			ratio := objectiveRatio(objs, rep, exact, mc)
 			if ratio > 1+1e-9 {
 				t.Fatalf("trial %d: %s beat the exact oracle (ratio %.6f) — the oracle is not exact",
 					trial, greedy.Name(), ratio)
@@ -211,7 +211,7 @@ func TestPropertyExactDominatesWithBindingFloor(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, greedy.Name(), err)
 			}
-			if ratio := ObjectiveRatio(objs, rep, exact, mc); ratio > 1+1e-9 {
+			if ratio := objectiveRatio(objs, rep, exact, mc); ratio > 1+1e-9 {
 				t.Fatalf("trial %d: %s beat the exact oracle on a binding floor (ratio %.6f)",
 					trial, greedy.Name(), ratio)
 			}

@@ -521,23 +521,10 @@ func (r *Report) computeSizeBounds() {
 	}
 }
 
-// SelectedSites returns the set of dynamic call-stack keys to place
-// WHOLE on some non-default tier (what auto-hbwmalloc matches
-// against). Partition entries are excluded — they are served through
-// Partitions instead.
-func (r *Report) SelectedSites() map[callstack.Key]bool {
-	m := make(map[callstack.Key]bool)
-	for _, e := range r.Entries {
-		if !e.Static && e.Site != "" && e.PartSize == 0 {
-			m[e.Site] = true
-		}
-	}
-	return m
-}
-
 // SiteTargets maps each whole-object dynamic site to the NAME of the
-// tier the waterfall assigned it — the N-tier generalization of
-// SelectedSites. auto-hbwmalloc resolves the names against the
+// tier the waterfall assigned it (what auto-hbwmalloc matches
+// against). Partition entries are excluded — they are served through
+// Partitions instead. auto-hbwmalloc resolves the names against the
 // machine's heaps and binds each site to its target, falling down the
 // hierarchy on capacity exhaustion.
 func (r *Report) SiteTargets() map[callstack.Key]string {
@@ -548,17 +535,6 @@ func (r *Report) SiteTargets() map[callstack.Key]string {
 		}
 	}
 	return m
-}
-
-// TierBudgetFor returns the recorded budget for the named packed tier
-// (0 when the report does not carry per-tier budgets).
-func (r *Report) TierBudgetFor(name string) int64 {
-	for _, t := range r.Tiers {
-		if t.Name == name {
-			return t.Capacity
-		}
-	}
-	return 0
 }
 
 // StaticAdvice returns the selected objects the interposer cannot move

@@ -153,16 +153,3 @@ func AdviseTimeAware(app string, objs []TimedObject, mc MemoryConfig, strat Stra
 	}
 	return newReport(app, strat.Name()+"+timeaware", tiers, def, byTier), nil
 }
-
-// PeakConcurrentBytes reports the peak concurrent page-aligned
-// footprint of a set of timed objects (diagnostics and tests).
-func PeakConcurrentBytes(objs []TimedObject) int64 {
-	c := &concurrencyChecker{}
-	for i := range objs {
-		c.add(&objs[i])
-	}
-	var zero TimedObject
-	zero.Intervals = []paramedir.LiveInterval{}
-	// peakWith with an empty candidate just sweeps the committed set.
-	return c.peakWith(&zero)
-}

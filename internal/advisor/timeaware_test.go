@@ -109,7 +109,7 @@ func TestPeakConcurrentBytes(t *testing.T) {
 		timed("b", 20, 1, iv(50, 150, 20)),
 		timed("c", 20, 1, iv(200, 300, 20)),
 	}
-	peak := PeakConcurrentBytes(objs)
+	peak := peakConcurrentBytes(objs)
 	if peak != 40*units.MB {
 		t.Fatalf("peak = %d, want 40 MB (a+b overlap, c disjoint)", peak/units.MB)
 	}
@@ -123,4 +123,17 @@ func TestFromProfileTimed(t *testing.T) {
 	if len(objs) != 1 || len(objs[0].Intervals) != 1 {
 		t.Fatalf("FromProfileTimed = %+v", objs)
 	}
+}
+
+// peakConcurrentBytes reports the peak concurrent page-aligned
+// footprint of a set of timed objects (diagnostics and tests).
+func peakConcurrentBytes(objs []TimedObject) int64 {
+	c := &concurrencyChecker{}
+	for i := range objs {
+		c.add(&objs[i])
+	}
+	var zero TimedObject
+	zero.Intervals = []paramedir.LiveInterval{}
+	// peakWith with an empty candidate just sweeps the committed set.
+	return c.peakWith(&zero)
 }

@@ -123,7 +123,8 @@ func TestFromMachineCarriesDistance(t *testing.T) {
 	}
 
 	// Pinned to socket 1 the same machine leads with HBM.
-	p := mem.Pinned(m, 1)
+	p := m
+	p.HomeDomain = 1
 	mc1 := FromMachine(&p, 16*units.MB)
 	if mc1.Tiers[0].Name != "HBM" {
 		t.Fatalf("socket-1 view must lead with HBM: %+v", mc1.Tiers)

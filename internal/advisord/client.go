@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/advisor"
-	"repro/internal/paramedir"
 	"repro/internal/stage"
 )
 
@@ -62,12 +61,6 @@ func (c *Client) do(req *Request) (*Response, error) {
 	return &resp, nil
 }
 
-// Ping checks daemon liveness.
-func (c *Client) Ping() error {
-	_, err := c.do(&Request{Op: OpPing})
-	return err
-}
-
 // Stats fetches the daemon's counters.
 func (c *Client) Stats() (*ServerStats, error) {
 	resp, err := c.do(&Request{Op: OpStats})
@@ -75,47 +68,6 @@ func (c *Client) Stats() (*ServerStats, error) {
 		return nil, err
 	}
 	return resp.Stats, nil
-}
-
-// ProfileResult is what a profile round trip yields.
-type ProfileResult struct {
-	// Fingerprint is the content-addressed profile key.
-	Fingerprint string
-	// Cache attributes the artifact: miss, hit-disk or hit-mem.
-	Cache string
-	// CSV is the profile in Paramedir CSV form.
-	CSV []byte
-	// Profile is the parsed form.
-	Profile *paramedir.Profile
-}
-
-// Profile asks the daemon to profile a named workload (or serve the
-// cached artifact) and establishes it as this conversation's profile.
-// Zero-valued params take the library defaults.
-func (c *Client) Profile(workload, machine string, params stage.ProfileParams) (*ProfileResult, error) {
-	resp, err := c.do(&Request{
-		Op:           OpProfile,
-		Workload:     workload,
-		Machine:      machine,
-		Cores:        params.Cores,
-		Seed:         params.Seed,
-		SamplePeriod: params.SamplePeriod,
-		MinAllocSize: params.MinAllocSize,
-		RefScale:     params.RefScale,
-	})
-	if err != nil {
-		return nil, err
-	}
-	prof, err := paramedir.ReadCSV(bytes.NewReader(resp.ProfileCSV))
-	if err != nil {
-		return nil, err
-	}
-	return &ProfileResult{
-		Fingerprint: resp.Fingerprint,
-		Cache:       resp.Cache,
-		CSV:         resp.ProfileCSV,
-		Profile:     prof,
-	}, nil
 }
 
 // UploadProfile establishes a client-side profile (Paramedir CSV
@@ -132,6 +84,8 @@ func (c *Client) UploadProfile(csv []byte) (string, error) {
 // SendSamples streams one PEBS-style sample batch into the
 // conversation's aggregate; unattributed counts samples that fell
 // outside every known object. It returns the aggregate sample total.
+// No production caller: it is the client side of the sample-streaming
+// path README documents for library users; the daemon tests drive it.
 func (c *Client) SendSamples(app string, batch []Sample, unattributed int64) (int64, error) {
 	resp, err := c.do(&Request{
 		Op:           OpSamples,

@@ -204,15 +204,6 @@ type session struct {
 	unattr    int64
 }
 
-// Serve accepts connections on ln until Close. Each connection gets a
-// goroutine; requests within a connection are handled sequentially
-// (the protocol is strict request/response), while expensive work is
-// sharded across the worker slots.
-func (s *Server) Serve(ln net.Listener) error {
-	s.listen(ln)
-	return s.accept(ln)
-}
-
 // ServeAddr listens on a TCP address and serves; it returns the bound
 // listener so callers using ":0" can learn the port via Addr.
 func (s *Server) ServeAddr(addr string) (net.Listener, error) {

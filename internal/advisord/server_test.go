@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/paramedir"
 	"repro/internal/stage"
 	"repro/internal/units"
 )
@@ -130,11 +131,15 @@ func TestProfileUploadAndSampleConversations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	pr, err := cl.Profile("minife", "", testParams)
+	resp, err := cl.do(&Request{Op: OpProfile, Workload: "minife", Seed: testParams.Seed, RefScale: testParams.RefScale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Profile.Objects) == 0 {
+	prof, err := paramedir.ReadCSV(bytes.NewReader(resp.ProfileCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Objects) == 0 {
 		t.Fatal("empty profile")
 	}
 	repProfiled, err := cl.Advise(64*units.MB, "misses")
@@ -148,7 +153,7 @@ func TestProfileUploadAndSampleConversations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if _, err := cl2.UploadProfile(pr.CSV); err != nil {
+	if _, err := cl2.UploadProfile(resp.ProfileCSV); err != nil {
 		t.Fatal(err)
 	}
 	repUploaded, err := cl2.Advise(64*units.MB, "misses")
@@ -166,7 +171,7 @@ func TestProfileUploadAndSampleConversations(t *testing.T) {
 	// unordered, with per-batch partial misses): the aggregate must
 	// advise the same placement. The advisor reads ID, size, misses
 	// and the static flag — exactly what samples carry.
-	objs := pr.Profile.Objects
+	objs := prof.Objects
 	var b1, b2 []Sample
 	for i, o := range objs {
 		half := o.Misses / 2
@@ -183,14 +188,14 @@ func TestProfileUploadAndSampleConversations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl3.Close()
-	if _, err := cl3.SendSamples(pr.Profile.App, b1, 0); err != nil {
+	if _, err := cl3.SendSamples(prof.App, b1, 0); err != nil {
 		t.Fatal(err)
 	}
-	total, err := cl3.SendSamples(pr.Profile.App, b2, pr.Profile.Unattributed)
+	total, err := cl3.SendSamples(prof.App, b2, prof.Unattributed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTotal := pr.Profile.TotalSamples
+	wantTotal := prof.TotalSamples
 	if total != wantTotal {
 		t.Fatalf("sample aggregate %d, want %d", total, wantTotal)
 	}
@@ -262,7 +267,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Ping(); err != nil {
+	if err := ping(cl); err != nil {
 		t.Fatalf("daemon unreachable after abrupt disconnect: %v", err)
 	}
 	if srv.Stats().Requests == 0 {
@@ -295,7 +300,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatal("zero budget accepted")
 	}
 	// The connection survives every error.
-	if err := cl.Ping(); err != nil {
+	if err := ping(cl); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,4 +421,10 @@ func TestDaemonRetriesAfterFailedProfile(t *testing.T) {
 	if st := srv.Stats(); st.Profiles != 2 || calls.Load() != 2 {
 		t.Fatalf("profiles computed = %d (stage calls %d), want 2", st.Profiles, calls.Load())
 	}
+}
+
+// ping runs one OpPing liveness round trip.
+func ping(cl *Client) error {
+	_, err := cl.do(&Request{Op: OpPing})
+	return err
 }

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -40,12 +41,6 @@ func TestSpaceSegmentsDisjointAndTiered(t *testing.T) {
 	if pt.TierOf(a.Base) != mem.TierMCDRAM || pt.TierOf(b.Base) != mem.TierDDR {
 		t.Fatal("segment tiers not recorded in page table")
 	}
-	if seg, ok := sp.SegmentOf(a.Base + 100); !ok || seg.Name != "a" {
-		t.Fatal("SegmentOf failed for interior address")
-	}
-	if _, ok := sp.SegmentOf(a.End() + 5); ok {
-		t.Fatal("SegmentOf matched gap address")
-	}
 }
 
 func TestSpaceRejectsBadSize(t *testing.T) {
@@ -55,27 +50,13 @@ func TestSpaceRejectsBadSize(t *testing.T) {
 	}
 }
 
-func TestSpaceRetier(t *testing.T) {
-	pt := mem.NewPageTable(mem.TierDDR)
-	sp := NewSpace(pt)
-	seg, _ := sp.AddSegment("statics", units.MB, mem.TierDDR)
-	sp.Retier(seg, mem.TierMCDRAM)
-	if pt.TierOf(seg.Base+1000) != mem.TierMCDRAM {
-		t.Fatal("Retier did not update page table")
-	}
-	got, _ := sp.SegmentOf(seg.Base)
-	if got.Tier != mem.TierMCDRAM {
-		t.Fatal("Retier did not update segment record")
-	}
-}
-
 func TestArenaMallocFreeRoundTrip(t *testing.T) {
 	a := newTestArena(t, units.MB)
 	p, err := a.Malloc(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Owns(p) {
+	if !owns(a, p) {
 		t.Fatal("arena does not own its own allocation")
 	}
 	if s, _ := a.SizeOf(p); s < 1000 {
@@ -84,8 +65,8 @@ func TestArenaMallocFreeRoundTrip(t *testing.T) {
 	if err := a.Free(p); err != nil {
 		t.Fatal(err)
 	}
-	if a.Used() != 0 {
-		t.Fatalf("used = %d after free, want 0", a.Used())
+	if a.used != 0 {
+		t.Fatalf("used = %d after free, want 0", a.used)
 	}
 	if a.HWM() < 1000 {
 		t.Fatalf("HWM = %d, want >= 1000", a.HWM())
@@ -114,7 +95,7 @@ func TestArenaZeroSizeMalloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Owns(p) {
+	if !owns(a, p) {
 		t.Fatal("zero-size allocation not tracked")
 	}
 }
@@ -191,15 +172,15 @@ func TestArenaReallocGrowAndShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Owns(q) {
+	if !owns(a, q) {
 		t.Fatal("grown realloc not owned")
 	}
-	if q != p && a.Owns(p) {
+	if q != p && owns(a, p) {
 		t.Fatal("old allocation leaked after move")
 	}
 	// Realloc(0, n) behaves as malloc.
 	q2, err := a.Realloc(0, 100)
-	if err != nil || !a.Owns(q2) {
+	if err != nil || !owns(a, q2) {
 		t.Fatalf("realloc(0, n) failed: %v", err)
 	}
 }
@@ -208,7 +189,7 @@ func TestArenaHWMTracksPeak(t *testing.T) {
 	a := newTestArena(t, units.MB)
 	p1, _ := a.Malloc(100 * units.KB)
 	p2, _ := a.Malloc(200 * units.KB)
-	peak := a.Used()
+	peak := a.used
 	a.Free(p1)
 	a.Free(p2)
 	a.Malloc(10 * units.KB)
@@ -253,7 +234,7 @@ func TestArenaRandomTortureProperty(t *testing.T) {
 				}
 			}
 		}
-		return a.CheckInvariants() == nil && a.LiveAllocations() == len(live)
+		return a.CheckInvariants() == nil && len(a.live) == len(live)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -363,8 +344,8 @@ func TestArenaExhaust(t *testing.T) {
 	if consumed <= 0 {
 		t.Fatal("Exhaust consumed nothing")
 	}
-	if a.Used() != units.MB {
-		t.Fatalf("used = %d after exhaust, want full segment", a.Used())
+	if a.used != units.MB {
+		t.Fatalf("used = %d after exhaust, want full segment", a.used)
 	}
 	if _, err := a.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatal("allocation succeeded on exhausted arena")
@@ -395,4 +376,45 @@ func TestHBWAllocPenaltyBands(t *testing.T) {
 	if HBWAllocPenalty(2*units.MB) != big {
 		t.Fatal("2 MB boundary should be out of the band")
 	}
+}
+
+// owns reports whether addr is a live allocation of a.
+func owns(a *Arena, addr uint64) bool {
+	_, ok := a.live[addr]
+	return ok
+}
+
+// CheckInvariants verifies internal consistency: the free list is
+// sorted, coalesced, in-bounds, non-overlapping with live allocations,
+// and free+used covers exactly the segment. Used by property tests.
+func (a *Arena) CheckInvariants() error {
+	var freeSum int64
+	prevEnd := a.seg.Base
+	for i, b := range a.free {
+		if b.size <= 0 {
+			return fmt.Errorf("free block %d has size %d", i, b.size)
+		}
+		if b.addr < prevEnd {
+			return fmt.Errorf("free list unsorted or overlapping at block %d", i)
+		}
+		if i > 0 && a.free[i-1].addr+uint64(a.free[i-1].size) == b.addr {
+			return fmt.Errorf("free blocks %d and %d not coalesced", i-1, i)
+		}
+		if b.addr < a.seg.Base || b.addr+uint64(b.size) > a.seg.End() {
+			return fmt.Errorf("free block %d out of segment bounds", i)
+		}
+		prevEnd = b.addr + uint64(b.size)
+		freeSum += b.size
+	}
+	var liveSum int64
+	for _, s := range a.live {
+		liveSum += s
+	}
+	if liveSum != a.used {
+		return fmt.Errorf("used=%d but live allocations sum to %d", a.used, liveSum)
+	}
+	if freeSum+liveSum != a.seg.Size {
+		return fmt.Errorf("free(%d)+live(%d) != segment size %d", freeSum, liveSum, a.seg.Size)
+	}
+	return nil
 }

@@ -161,12 +161,6 @@ func (a *Arena) Realloc(addr uint64, size int64) (uint64, error) {
 	return na, nil
 }
 
-// Owns reports whether addr is a live allocation of this arena.
-func (a *Arena) Owns(addr uint64) bool {
-	_, ok := a.live[addr]
-	return ok
-}
-
 // SizeOf returns the rounded size of the live allocation at addr.
 func (a *Arena) SizeOf(addr uint64) (int64, bool) {
 	s, ok := a.live[addr]
@@ -178,18 +172,9 @@ func (a *Arena) SizeOf(addr uint64) (int64, bool) {
 // route frees to the correct allocator.
 func (a *Arena) InSegment(addr uint64) bool { return a.seg.Contains(addr) }
 
-// Used returns live bytes (aligned sizes).
-func (a *Arena) Used() int64 { return a.used }
-
 // HWM returns the high-water mark of Used over the arena's lifetime —
 // the VmHWM-style statistic Table I and the Fig. 4 middle column report.
 func (a *Arena) HWM() int64 { return a.hwm }
-
-// Capacity returns the segment size.
-func (a *Arena) Capacity() int64 { return a.seg.Size }
-
-// LiveAllocations returns the number of outstanding allocations.
-func (a *Arena) LiveAllocations() int { return len(a.live) }
 
 // Mallocs returns the cumulative successful allocation count.
 func (a *Arena) Mallocs() int64 { return a.nMalloc }
@@ -203,9 +188,6 @@ func (a *Arena) Failures() int64 { return a.nFailures }
 // Reuses returns how many successful allocations were served from
 // previously freed space (below the arena's all-time frontier).
 func (a *Arena) Reuses() int64 { return a.nReuse }
-
-// Segment returns the arena's segment.
-func (a *Arena) Segment() Segment { return a.seg }
 
 // Exhaust converts the entire free list into one synthetic live
 // allocation per free block and returns the bytes consumed. It models
@@ -225,39 +207,4 @@ func (a *Arena) Exhaust() int64 {
 		a.hwm = a.used
 	}
 	return consumed
-}
-
-// CheckInvariants verifies internal consistency: the free list is
-// sorted, coalesced, in-bounds, non-overlapping with live allocations,
-// and free+used covers exactly the segment. Used by property tests.
-func (a *Arena) CheckInvariants() error {
-	var freeSum int64
-	prevEnd := a.seg.Base
-	for i, b := range a.free {
-		if b.size <= 0 {
-			return fmt.Errorf("free block %d has size %d", i, b.size)
-		}
-		if b.addr < prevEnd {
-			return fmt.Errorf("free list unsorted or overlapping at block %d", i)
-		}
-		if i > 0 && a.free[i-1].addr+uint64(a.free[i-1].size) == b.addr {
-			return fmt.Errorf("free blocks %d and %d not coalesced", i-1, i)
-		}
-		if b.addr < a.seg.Base || b.addr+uint64(b.size) > a.seg.End() {
-			return fmt.Errorf("free block %d out of segment bounds", i)
-		}
-		prevEnd = b.addr + uint64(b.size)
-		freeSum += b.size
-	}
-	var liveSum int64
-	for _, s := range a.live {
-		liveSum += s
-	}
-	if liveSum != a.used {
-		return fmt.Errorf("used=%d but live allocations sum to %d", a.used, liveSum)
-	}
-	if freeSum+liveSum != a.seg.Size {
-		return fmt.Errorf("free(%d)+live(%d) != segment size %d", freeSum, liveSum, a.seg.Size)
-	}
-	return nil
 }

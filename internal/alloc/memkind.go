@@ -79,7 +79,10 @@ type Memkind struct {
 
 // NewMemkind builds the classic two-tier heap pair over space: a
 // DDR-backed default heap of ddrHeap bytes and an MCDRAM-backed HBW
-// heap of hbwHeap bytes.
+// heap of hbwHeap bytes. No production caller: runs build their heaps
+// from the machine's tiers through NewMemkindHierarchyPooled; this
+// fixed pair is the shared fixture of the alloc, baseline, interpose
+// and root tests.
 func NewMemkind(space *Space, ddrHeap, hbwHeap int64) (*Memkind, error) {
 	return NewMemkindHierarchy(space, []HeapSpec{
 		{Tier: mem.TierSpec{ID: mem.TierDDR, Name: "DDR", RelativePerf: 1.0}, Size: ddrHeap},
@@ -255,35 +258,12 @@ func (mk *Memkind) KindOf(addr uint64) (Kind, bool) {
 // first).
 func (mk *Memkind) Kinds() []Kind { return mk.order }
 
-// KindsByPerf returns every configured kind ordered by descending tier
-// performance — the order fallback chains and waterfall placement
-// walk.
-func (mk *Memkind) KindsByPerf() []Kind { return mk.byPerf }
-
 // TierOf returns the memory tier behind kind.
 func (mk *Memkind) TierOf(kind Kind) (mem.TierID, bool) {
 	if int(kind) >= len(mk.specs) {
 		return 0, false
 	}
 	return mk.specs[kind].Tier.ID, true
-}
-
-// TierName returns the configured name of kind's backing tier.
-func (mk *Memkind) TierName(kind Kind) string {
-	if int(kind) >= len(mk.specs) {
-		return kind.String()
-	}
-	return mk.specs[kind].Tier.Name
-}
-
-// KindForTier returns the kind whose heap lives on tier id.
-func (mk *Memkind) KindForTier(id mem.TierID) (Kind, bool) {
-	for _, k := range mk.order {
-		if mk.specs[k].Tier.ID == id {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // KindForName returns the kind whose backing tier carries name — how

@@ -14,7 +14,6 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 )
@@ -39,9 +38,8 @@ func (s Segment) Contains(addr uint64) bool {
 // Space hands out non-overlapping segments of a simulated 64-bit
 // address space and records their tier in the page table.
 type Space struct {
-	next     uint64
-	segments []Segment
-	pt       *mem.PageTable
+	next uint64
+	pt   *mem.PageTable
 }
 
 // segmentGap keeps unrelated segments far apart so out-of-bounds
@@ -62,36 +60,10 @@ func (sp *Space) AddSegment(name string, size int64, tier mem.TierID) (Segment, 
 	}
 	seg := Segment{Name: name, Base: sp.next, Size: size, Tier: tier}
 	sp.next += uint64(size) + segmentGap
-	sp.segments = append(sp.segments, seg)
 	if err := sp.pt.SetCoarseRange(seg.Base, seg.Size, tier); err != nil {
 		return Segment{}, err
 	}
 	return seg, nil
-}
-
-// Retier moves an entire segment to a different tier (how the numactl
-// baseline moves static and stack data wholesale into MCDRAM).
-func (sp *Space) Retier(seg Segment, tier mem.TierID) {
-	for i := range sp.segments {
-		if sp.segments[i].Base == seg.Base {
-			sp.segments[i].Tier = tier
-			// Identical re-binding of an existing coarse range replaces
-			// its tier, so the error cannot fire here.
-			_ = sp.pt.SetCoarseRange(seg.Base, seg.Size, tier)
-			return
-		}
-	}
-}
-
-// SegmentOf returns the segment containing addr, if any.
-func (sp *Space) SegmentOf(addr uint64) (Segment, bool) {
-	i := sort.Search(len(sp.segments), func(i int) bool {
-		return sp.segments[i].End() > addr
-	})
-	if i < len(sp.segments) && sp.segments[i].Contains(addr) {
-		return sp.segments[i], true
-	}
-	return Segment{}, false
 }
 
 // PageTable exposes the placement table the space maintains.

@@ -42,8 +42,8 @@ func TestFallbackChainIsDistanceOrdered(t *testing.T) {
 		t.Fatalf("chain = %v", chain)
 	}
 	for i, k := range chain {
-		if mk.TierName(k) != want[i] {
-			t.Fatalf("chain[%d] = %s, want %s", i, mk.TierName(k), want[i])
+		if mk.specs[k].Tier.Name != want[i] {
+			t.Fatalf("chain[%d] = %s, want %s", i, mk.specs[k].Tier.Name, want[i])
 		}
 	}
 
@@ -82,7 +82,7 @@ func TestHeapSpecPerfDefaultsToRelativePerf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mk.TierName(mk.FastestKind()); got != "HBM" {
+	if got := mk.specs[mk.FastestKind()].Tier.Name; got != "HBM" {
 		t.Fatalf("raw-perf fastest = %s", got)
 	}
 }

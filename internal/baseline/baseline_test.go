@@ -76,8 +76,8 @@ func TestNumactlPrefersHBWThenExhausts(t *testing.T) {
 	if k, _ := mk.KindOf(a2); k != alloc.KindDefault {
 		t.Fatal("overflow allocation not on DDR")
 	}
-	if used := mk.Arena(alloc.KindHBW).Used(); used != 10*units.MB {
-		t.Fatalf("HBW used = %d, want fully exhausted", used)
+	if hwm := mk.Arena(alloc.KindHBW).HWM(); hwm != 10*units.MB {
+		t.Fatalf("HBW high-water mark = %d, want fully exhausted", hwm)
 	}
 	// A small allocation that would have fit pre-exhaust now goes DDR.
 	a3, err := p.Malloc(nil, units.MB)
@@ -210,7 +210,7 @@ func TestNumactlReallocFallsBackWhenFull(t *testing.T) {
 	if k, _ := mk.KindOf(na); k != alloc.KindDefault {
 		t.Fatal("oversized realloc did not move to DDR")
 	}
-	if mk.Arena(alloc.KindHBW).LiveAllocations() != 0 {
+	if _, live := mk.Arena(alloc.KindHBW).SizeOf(a); live {
 		t.Fatal("old HBW allocation leaked")
 	}
 }

@@ -46,10 +46,10 @@ type hierState struct {
 func snapshot(h *Hierarchy, cores int) hierState {
 	pend := h.PendingTraffic()
 	s := hierState{
-		l1Hits:    h.L1().Hits(),
-		l1Misses:  h.L1().Misses(),
-		llcHits:   h.LLC().Hits(),
-		llcMisses: h.LLC().Misses(),
+		l1Hits:    h.l1.hits,
+		l1Misses:  h.l1.Misses(),
+		llcHits:   h.llc.hits,
+		llcMisses: h.llc.Misses(),
 		bytes:     pend.BytesByTier(),
 	}
 	for t := mem.TierID(0); t < 4; t++ {
@@ -238,10 +238,10 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes, period int6
 		pos += c.refs
 		label := fmt.Sprintf("hook period %d, call %d %+v", period, k, c)
 		diffStates(t, label, snapshot(hBatch, 4), snapshot(hRef, 4))
-		if !slices.Equal(setRecency(hBatch.L1()), setRecency(hRef.L1())) {
+		if !slices.Equal(setRecency(hBatch.l1), setRecency(hRef.l1)) {
 			t.Errorf("%s: L1 set contents or LRU order differ from per-ref", label)
 		}
-		if !slices.Equal(setRecency(hBatch.LLC()), setRecency(hRef.LLC())) {
+		if !slices.Equal(setRecency(hBatch.llc), setRecency(hRef.llc)) {
 			t.Errorf("%s: LLC set contents or LRU order differ from per-ref", label)
 		}
 		if mc := hBatch.MCDRAMCache(); mc != nil && !slices.Equal(mc.tags, hRef.MCDRAMCache().tags) {
@@ -577,10 +577,11 @@ func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
 		}
 		last := (c.base+uint64((c.refs-1)*step))>>shift + 1
 		for _, x := range []struct {
+			name  string
 			c     *SetAssoc
 			pre   []uint64
 			first map[uint64]uint64
-		}{{hb.l1, pre1, first1}, {hb.llc, pre2, first2}} {
+		}{{"L1", hb.l1, pre1, first1}, {"LLC", hb.llc, pre2, first2}} {
 			if x.c.floor == nil {
 				continue
 			}
@@ -596,7 +597,7 @@ func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
 				}
 				if got := x.c.floor[s]; got != want {
 					t.Errorf("call %d %+v: %s set %d (first tag %d, last %d) floor = %d, want %d",
-						k, c, x.c.name, s, f, last, got, want)
+						k, c, x.name, s, f, last, got, want)
 				}
 			}
 		}
@@ -677,7 +678,7 @@ func TestAccessRunDegenerate(t *testing.T) {
 	h.AccessRun(0, 64, -5, 100)
 	h.AccessRandomRun(0, 4096, -1, rng)
 	h.AccessRandomRun(0, 0, 100, rng)
-	if h.L1().Accesses() != 0 || h.LLCAccesses() != 0 || h.DrainPhase(1) != 0 {
+	if h.l1.Accesses() != 0 || h.LLCAccesses() != 0 || h.DrainPhase(1) != 0 {
 		t.Fatal("degenerate runs touched the hierarchy")
 	}
 }

@@ -60,15 +60,6 @@ func (c *DirectMapped) Hits() int64 { return c.hits }
 // Misses returns the miss count.
 func (c *DirectMapped) Misses() int64 { return c.misses }
 
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *DirectMapped) HitRate() float64 {
-	n := c.hits + c.misses
-	if n == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(n)
-}
-
 // Reset invalidates the cache and clears statistics.
 func (c *DirectMapped) Reset() {
 	for i := range c.tags {

@@ -428,12 +428,6 @@ func (h *Hierarchy) LLCMisses() int64 { return h.llc.Misses() }
 // LLCAccesses returns cumulative LLC lookups.
 func (h *Hierarchy) LLCAccesses() int64 { return h.llc.Accesses() }
 
-// L1 returns the L1 cache (for tests and ablation benches).
-func (h *Hierarchy) L1() *SetAssoc { return h.l1 }
-
-// LLC returns the last-level cache.
-func (h *Hierarchy) LLC() *SetAssoc { return h.llc }
-
 // MCDRAMCache returns the cache-mode front cache, or nil in flat mode.
 func (h *Hierarchy) MCDRAMCache() *DirectMapped { return h.mcCache }
 

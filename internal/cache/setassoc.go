@@ -24,7 +24,6 @@ import "fmt"
 // form limits the fast path to 16 ways; wider caches (none of the
 // shipped machines) fall back to the classic MRU-ordered tag array.
 type SetAssoc struct {
-	name      string
 	lineShift uint
 	setMask   uint64
 	ways      int
@@ -82,7 +81,6 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 		shift++
 	}
 	c := &SetAssoc{
-		name:      name,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		ways:      ways,
@@ -292,24 +290,6 @@ func (c *SetAssoc) refill(line, g uint64) {
 	}
 }
 
-// Contains reports whether addr is resident without touching LRU state
-// or statistics.
-func (c *SetAssoc) Contains(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := line & c.setMask
-	base := int(set) * c.ways
-	tag := line + 1
-	for _, t := range c.tags[base : base+c.ways] {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Hits returns the number of hits observed.
-func (c *SetAssoc) Hits() int64 { return c.hits }
-
 // Misses returns the number of misses observed.
 func (c *SetAssoc) Misses() int64 { return c.misses }
 
@@ -326,6 +306,3 @@ func (c *SetAssoc) Reset() {
 	}
 	c.hits, c.misses = 0, 0
 }
-
-// Name returns the label given at construction.
-func (c *SetAssoc) Name() string { return c.name }

@@ -50,14 +50,6 @@ func (s Stack) Fingerprint() uint64 {
 // location even though their Stacks differ.
 type Key string
 
-// Depth returns the number of frames encoded in the key.
-func (k Key) Depth() int {
-	if k == "" {
-		return 0
-	}
-	return strings.Count(string(k), ";") + 1
-}
-
 // Symbol is one entry of a module's symbol table.
 type Symbol struct {
 	Name string
@@ -94,9 +86,6 @@ func (m *Module) SymbolFor(link uint64) (Symbol, bool) {
 	}
 	return *s, true
 }
-
-// NumSymbols returns the symbol-table size (drives translation cost).
-func (m *Module) NumSymbols() int { return len(m.syms) }
 
 // Table is the per-process module map: it knows every loaded module,
 // its ASLR bias for this run, and how to translate runtime addresses.

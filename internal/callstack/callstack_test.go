@@ -65,8 +65,8 @@ func TestTranslateASLRIndependence(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("translated keys differ:\n%s\n%s", k1, k2)
 	}
-	if k1.Depth() != 3 {
-		t.Fatalf("key depth = %d, want 3", k1.Depth())
+	if frames := strings.Split(string(k1), ";"); len(frames) != 3 {
+		t.Fatalf("key has %d frames, want 3: %s", len(frames), k1)
 	}
 }
 
@@ -140,18 +140,6 @@ func TestCostModelCrossover(t *testing.T) {
 	}
 }
 
-func TestKeyDepth(t *testing.T) {
-	if Key("").Depth() != 0 {
-		t.Fatal("empty key depth != 0")
-	}
-	if Key("a!b+0x0").Depth() != 1 {
-		t.Fatal("single frame depth != 1")
-	}
-	if Key("a!b+0x0;a!c+0x1").Depth() != 2 {
-		t.Fatal("two frame depth != 2")
-	}
-}
-
 func TestProgramSiteInnermostFirst(t *testing.T) {
 	p := NewProgram("app", xrand.New(5))
 	s := p.Site("main", "leaf")
@@ -203,5 +191,26 @@ func BenchmarkTranslate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Table.Translate(s)
+	}
+}
+
+// Key translates a site path directly, without a concrete run.
+func (p *Program) Key(path ...string) Key {
+	return p.Table.Translate(p.Site(path...))
+}
+
+// TestKeyDepth: a translated key holds one ';'-separated frame per
+// stack frame, and an empty stack translates to the empty key.
+func TestKeyDepth(t *testing.T) {
+	p := NewProgram("app", xrand.New(3))
+	if k := p.Table.Translate(nil); k != "" {
+		t.Fatalf("empty stack translated to %q", k)
+	}
+	path := []string{"main", "solve", "alloc"}
+	for n := 1; n <= len(path); n++ {
+		k := p.Table.Translate(p.Site(path[:n]...))
+		if frames := strings.Count(string(k), ";") + 1; frames != n {
+			t.Fatalf("depth-%d stack translated to %d frames: %s", n, frames, k)
+		}
 	}
 }

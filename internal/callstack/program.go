@@ -83,9 +83,3 @@ func (p *Program) Site(path ...string) Stack {
 	}
 	return s
 }
-
-// Key translates a site path directly (convenience for tests and for
-// building advisor reports without a concrete run).
-func (p *Program) Key(path ...string) Key {
-	return p.Table.Translate(p.Site(path...))
-}

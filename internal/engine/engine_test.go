@@ -127,9 +127,6 @@ func TestFootprints(t *testing.T) {
 	if got := w.StackFootprint(); got != units.MB {
 		t.Errorf("stack footprint = %d", got)
 	}
-	if w.TotalRefsPerIteration() != 71000 {
-		t.Errorf("refs/iter = %d", w.TotalRefsPerIteration())
-	}
 }
 
 func TestRunDDRBasics(t *testing.T) {

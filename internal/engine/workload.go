@@ -308,23 +308,6 @@ func (w *Workload) StackFootprint() int64 {
 	return s
 }
 
-// TotalRefsPerIteration sums Touch.Refs over the iteration phases,
-// averaged over the rotation cycle: a phase active on one of Count
-// rotating slots contributes Refs/Count per iteration.
-func (w *Workload) TotalRefsPerIteration() int64 {
-	var s int64
-	for _, ph := range w.IterPhases {
-		share := int64(1)
-		if ph.Rotation.Count > 1 {
-			share = int64(ph.Rotation.Count)
-		}
-		for _, tc := range ph.Touches {
-			s += tc.Refs / share
-		}
-	}
-	return s
-}
-
 // FOM computes the figure of merit for a run of the workload that took
 // the given number of seconds.
 func (w *Workload) FOM(seconds float64) float64 {

@@ -177,22 +177,6 @@ func New(seed uint64, spec Spec) *Injector {
 	return &Injector{seed: seed, spec: spec, fired: &tally{m: make(map[Point]int64)}}
 }
 
-// Seed reports the seed the plan derives from.
-func (f *Injector) Seed() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.seed
-}
-
-// Spec reports the active fault specification.
-func (f *Injector) Spec() Spec {
-	if f == nil {
-		return Spec{}
-	}
-	return f.spec
-}
-
 // Scope derives the injector for one named unit of work (a sweep
 // cell, a solver invocation) with only the listed points active.
 // Ordinal counters restart inside the scope, so every-Nth triggers

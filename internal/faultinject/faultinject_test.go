@@ -68,7 +68,7 @@ func TestScopeFiltersPoints(t *testing.T) {
 	if s == nil {
 		t.Fatal("scope with an active point came back nil")
 	}
-	if got := s.Spec(); got.AllocFailEvery != 3 || got.CellPanics != 0 || got.SolverNodeBudget != 0 {
+	if got := s.spec; got.AllocFailEvery != 3 || got.CellPanics != 0 || got.SolverNodeBudget != 0 {
 		t.Errorf("scope spec = %+v, want only the alloc-fail fields", got)
 	}
 	if f.Scope("cell-1", EpochDelay) != nil {
@@ -121,7 +121,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if f.Victims(SweepCellPanic, 10) != nil || f.Errorf(SweepSetup, "x") != nil ||
 		f.PanicValue(SweepCellPanic, "x") != nil || f.AllocFailure("x") != nil ||
 		f.EpochDelayCycles() != 0 || f.SolverNodeBudget() != 0 ||
-		f.Counts() != nil || f.Seed() != 0 {
+		f.Counts() != nil {
 		t.Fatal("nil injector performed work")
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -71,14 +71,6 @@ type Stats struct {
 	SizeFiltered   int64 // skipped by the lb/ub pre-filter
 }
 
-// AvgAllocSize returns the mean requested allocation size.
-func (s *Stats) AvgAllocSize() int64 {
-	if s.Allocations == 0 {
-		return 0
-	}
-	return s.BytesRequested / s.Allocations
-}
-
 // Library is one loaded instance of auto-hbwmalloc.
 type Library struct {
 	mk   *alloc.Memkind
@@ -451,17 +443,7 @@ func (l *Library) reallocSpilling(addr uint64, size int64) (uint64, error) {
 // OverheadCycles implements engine.Policy.
 func (l *Library) OverheadCycles() units.Cycles { return l.overhead }
 
-// Stats returns a snapshot of the library's statistics.
+// Stats returns a snapshot of the library's statistics. No production
+// caller: no run result carries these counters yet; the interpose tests
+// and the root interposition benchmarks read them.
 func (l *Library) Stats() Stats { return l.stats }
-
-// Used returns the live fastest-tier bytes owned by the library.
-func (l *Library) Used() int64 { return l.used[l.fastKind] }
-
-// UsedOn returns the live bytes the library has placed on kind's heap.
-func (l *Library) UsedOn(kind alloc.Kind) int64 { return l.used[kind] }
-
-// Budget returns the enforced fastest-tier budget.
-func (l *Library) Budget() int64 { return l.budgets[l.fastKind] }
-
-// BudgetFor returns the enforced budget for kind (0 = arena-limited).
-func (l *Library) BudgetFor(kind alloc.Kind) int64 { return l.budgets[kind] }

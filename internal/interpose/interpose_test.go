@@ -60,14 +60,14 @@ func TestMatchedSiteGoesToHBW(t *testing.T) {
 	if st.HBWAllocations != 1 || st.Unwinds != 1 || st.Translates != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if lib.Used() <= 0 || lib.Stats().HWM <= 0 {
+	if lib.used[lib.fastKind] <= 0 || lib.Stats().HWM <= 0 {
 		t.Fatal("usage accounting missing")
 	}
 	if err := lib.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if lib.Used() != 0 {
-		t.Fatalf("used = %d after free", lib.Used())
+	if lib.used[lib.fastKind] != 0 {
+		t.Fatalf("used = %d after free", lib.used[lib.fastKind])
 	}
 }
 
@@ -196,8 +196,8 @@ func TestBudgetEnforced(t *testing.T) {
 func TestBudgetOverride(t *testing.T) {
 	f := newFixture(t, 64*units.MB)
 	lib, _ := New(f.mk, f.prog, f.rep, Options{BudgetOverride: units.MB})
-	if lib.Budget() != units.MB {
-		t.Fatalf("budget = %d, want override", lib.Budget())
+	if lib.budgets[lib.fastKind] != units.MB {
+		t.Fatalf("budget = %d, want override", lib.budgets[lib.fastKind])
 	}
 	addr, err := lib.Malloc(f.hot, 8*units.MB)
 	if err != nil {
@@ -222,8 +222,8 @@ func TestReallocKeepsOwnership(t *testing.T) {
 	if k, _ := f.mk.KindOf(na); k != alloc.KindHBW {
 		t.Fatal("grown matched object left fast memory despite budget room")
 	}
-	if lib.Used() < 10*units.MB {
-		t.Fatalf("used = %d after grow", lib.Used())
+	if lib.used[lib.fastKind] < 10*units.MB {
+		t.Fatalf("used = %d after grow", lib.used[lib.fastKind])
 	}
 	// Growing beyond the budget demotes to DDR and releases usage.
 	na2, err := lib.Realloc(f.hot, na, 70*units.MB)
@@ -233,8 +233,8 @@ func TestReallocKeepsOwnership(t *testing.T) {
 	if k, _ := f.mk.KindOf(na2); k != alloc.KindDefault {
 		t.Fatal("over-budget grow should demote to DDR")
 	}
-	if lib.Used() != 0 {
-		t.Fatalf("used = %d after demotion", lib.Used())
+	if lib.used[lib.fastKind] != 0 {
+		t.Fatalf("used = %d after demotion", lib.used[lib.fastKind])
 	}
 	// Realloc of a DDR pointer stays DDR.
 	na3, err := lib.Realloc(f.cold, na2, 90*units.MB)

@@ -73,8 +73,8 @@ func TestPartitionBindsHotRange(t *testing.T) {
 		t.Fatal("cold suffix bound to MCDRAM")
 	}
 	// Budget accounting covers only the bound range.
-	if f.lib.Used() != 16*units.MB {
-		t.Fatalf("used = %d, want the 16 MB partition", f.lib.Used())
+	if f.lib.used[f.lib.fastKind] != 16*units.MB {
+		t.Fatalf("used = %d, want the 16 MB partition", f.lib.used[f.lib.fastKind])
 	}
 	st := f.lib.Stats()
 	if st.Partitioned != 1 || st.HBWAllocations != 1 {
@@ -87,8 +87,8 @@ func TestPartitionBindsHotRange(t *testing.T) {
 	if f.pt.TierOf(hotStart) != mem.TierDDR {
 		t.Fatal("free did not unbind the hot range")
 	}
-	if f.lib.Used() != 0 {
-		t.Fatalf("used = %d after free", f.lib.Used())
+	if f.lib.used[f.lib.fastKind] != 0 {
+		t.Fatalf("used = %d after free", f.lib.used[f.lib.fastKind])
 	}
 }
 
@@ -136,8 +136,8 @@ func TestPartitionClampedToAllocation(t *testing.T) {
 	if f2.pt.TierOf(addr2+uint64(9*units.MB)) != mem.TierMCDRAM {
 		t.Fatal("clamped hot range not bound")
 	}
-	if f2.lib.Used() != 4*units.MB {
-		t.Fatalf("used = %d, want clamped 4 MB", f2.lib.Used())
+	if f2.lib.used[f2.lib.fastKind] != 4*units.MB {
+		t.Fatalf("used = %d, want clamped 4 MB", f2.lib.used[f2.lib.fastKind])
 	}
 }
 
@@ -151,8 +151,8 @@ func TestPartitionReallocDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.lib.Used() != 0 {
-		t.Fatalf("used = %d after realloc demotion", f.lib.Used())
+	if f.lib.used[f.lib.fastKind] != 0 {
+		t.Fatalf("used = %d after realloc demotion", f.lib.used[f.lib.fastKind])
 	}
 	if k, _ := f.mk.KindOf(na); k != alloc.KindDefault {
 		t.Fatal("realloc moved kinds")

@@ -114,7 +114,7 @@ func TestThreeTierMachinesValidate(t *testing.T) {
 	if m.DefaultTier().ID != TierDDR {
 		t.Fatalf("KNLOptane default = %v, want DDR", m.DefaultTier().ID)
 	}
-	slower := m.SlowerTiers()
+	slower := m.slowerTiers()
 	if len(slower) != 1 || slower[0].ID != TierNVM {
 		t.Fatalf("SlowerTiers = %+v, want just NVM", slower)
 	}
@@ -205,9 +205,9 @@ func TestPageTableBasics(t *testing.T) {
 	if pt.TierOf(0x10000+uint64(3*units.PageSize)) != TierDDR {
 		t.Error("page past end should stay on DDR")
 	}
-	pt.ClearRange(0x10000, 3*units.PageSize)
+	pt.SetRange(0x10000, 3*units.PageSize, pt.def)
 	if pt.TierOf(0x10000) != TierDDR {
-		t.Error("ClearRange did not restore default tier")
+		t.Error("clearing the range did not restore the default tier")
 	}
 }
 
@@ -235,7 +235,7 @@ func TestPageTableExtentsCoalesce(t *testing.T) {
 	pt := NewPageTable(TierDDR)
 	pt.SetRange(0, 2*units.PageSize, TierMCDRAM)
 	pt.SetRange(uint64(4*units.PageSize), units.PageSize, TierMCDRAM)
-	ex := pt.Extents()
+	ex := pt.extents()
 	if len(ex) != 2 {
 		t.Fatalf("extents = %v, want 2 runs", ex)
 	}
@@ -247,7 +247,7 @@ func TestPageTableExtentsCoalesce(t *testing.T) {
 func TestPageTablePlacementProperty(t *testing.T) {
 	pt := NewPageTable(TierDDR)
 	f := func(addrRaw uint32, sizeRaw uint16) bool {
-		pt.Reset()
+		pt.ResetTo(pt.def)
 		addr := uint64(addrRaw)
 		size := int64(sizeRaw) + 1
 		pt.SetRange(addr, size, TierMCDRAM)
@@ -317,14 +317,11 @@ func TestTrafficResetAndTotals(t *testing.T) {
 	tr := NewTraffic()
 	tr.Add(TierDDR, 64)
 	tr.Add(TierMCDRAM, 64)
-	if tr.TotalBytes() != 128 {
-		t.Errorf("total = %d, want 128", tr.TotalBytes())
-	}
 	if tr.Visits(TierDDR) != 1 || tr.Bytes(TierMCDRAM) != 64 {
 		t.Error("per-tier accounting wrong")
 	}
 	tr.Reset()
-	if tr.TotalBytes() != 0 {
+	if *tr != (Traffic{}) {
 		t.Error("Reset did not clear")
 	}
 }

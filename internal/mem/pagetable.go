@@ -130,9 +130,6 @@ func (pt *PageTable) coarseTier(addr uint64) (TierID, bool) {
 	return 0, false
 }
 
-// DefaultTier returns the tier of all unplaced pages.
-func (pt *PageTable) DefaultTier() TierID { return pt.def }
-
 func pageOf(addr uint64) uint64 { return addr / uint64(units.PageSize) }
 
 // setPage installs an explicit override for page p, growing the radix
@@ -232,12 +229,10 @@ func (pt *PageTable) coarseIndexFor(addr uint64) int {
 	return lo
 }
 
-// ClearRange resets [addr, addr+size) to the default tier.
-func (pt *PageTable) ClearRange(addr uint64, size int64) {
-	pt.SetRange(addr, size, pt.def)
-}
-
-// TierOf returns the tier holding addr.
+// TierOf returns the tier holding addr. No production caller: the
+// access walk resolves tiers a run at a time through TierExtent; TierOf
+// is the page-at-a-time reference the mem, alloc, cache and interpose
+// tests check placements and TierExtent against.
 func (pt *PageTable) TierOf(addr uint64) TierID {
 	p := addr / uint64(units.PageSize)
 	if li := p >> leafBits; li < uint64(len(pt.leaves)) {
@@ -378,14 +373,6 @@ func (pt *PageTable) PlacedBytes() map[TierID]int64 {
 	return out
 }
 
-// Reset drops all explicit placements, coarse and fine, and the
-// last-hit counter. The radix leaves are zeroed in place rather than
-// released: a pooled table reused across sweep cells (engine.Pool)
-// keeps its leaf arrays warm instead of re-growing them every run.
-func (pt *PageTable) Reset() {
-	pt.ResetTo(pt.def)
-}
-
 // ResetTo is Reset with a new default tier — how a pooled PageTable is
 // rebound to the next run's machine.
 func (pt *PageTable) ResetTo(def TierID) {
@@ -416,47 +403,6 @@ func (pt *PageTable) Gen() uint64 { return pt.gen }
 
 // PlacedPages returns the number of live per-page overrides.
 func (pt *PageTable) PlacedPages() int64 { return pt.entries }
-
-// Extent describes a contiguous run of pages on one tier.
-type Extent struct {
-	Start uint64 // first byte
-	Size  int64  // bytes
-	Tier  TierID
-}
-
-// Extents returns the explicitly placed regions as sorted, coalesced
-// extents — primarily a debugging and reporting aid. The radix is
-// scanned in page order, so runs fall out naturally: a new extent
-// starts wherever the tier changes or a gap appears.
-func (pt *PageTable) Extents() []Extent {
-	if pt.entries == 0 {
-		return nil
-	}
-	var out []Extent
-	var run *Extent
-	for li, leaf := range pt.leaves {
-		if leaf == nil {
-			run = nil
-			continue
-		}
-		base := uint64(li) << leafBits
-		for i, v := range leaf {
-			if v == 0 {
-				run = nil
-				continue
-			}
-			p := base + uint64(i)
-			t := TierID(v - 1)
-			if run != nil && run.Tier == t && run.Start+uint64(run.Size) == p*uint64(units.PageSize) {
-				run.Size += units.PageSize
-				continue
-			}
-			out = append(out, Extent{Start: p * uint64(units.PageSize), Size: units.PageSize, Tier: t})
-			run = &out[len(out)-1]
-		}
-	}
-	return out
-}
 
 // String summarizes the table.
 func (pt *PageTable) String() string {

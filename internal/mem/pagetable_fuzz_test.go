@@ -11,9 +11,10 @@ import (
 // simulator's hottest structure: two-level per-page radix + sorted
 // coarse ranges + last-hit cache) against a plain map reference model
 // implementing the documented semantics directly. The fuzzer input is
-// a byte-coded op program: SetRange / ClearRange / SetCoarseRange with
-// bounded addresses, checked after every op by probing TierOf around
-// the op's boundaries and by comparing override counts and PlacedBytes.
+// a byte-coded op program: SetRange (to a tier or back to the default
+// tier) / SetCoarseRange with bounded addresses, checked after every op
+// by probing TierOf around the op's boundaries and by comparing
+// override counts and PlacedBytes.
 //
 // The seed corpus lives under testdata/fuzz/FuzzPageTableVsMap; CI
 // runs a -fuzztime smoke on top of the seeds.
@@ -221,7 +222,7 @@ func runPageTableFuzzProgram(t *testing.T, data []byte) {
 			pt.SetRange(addr, size, tier)
 			model.setRange(addr, size, tier)
 		case 1:
-			pt.ClearRange(addr, size)
+			pt.SetRange(addr, size, pt.def)
 			model.setRange(addr, size, def)
 		case 2:
 			err := pt.SetCoarseRange(addr, size, tier)

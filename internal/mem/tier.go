@@ -307,11 +307,12 @@ func (m *Machine) TierName(id TierID) string {
 }
 
 // Hierarchy returns the machine's tiers ordered fastest to slowest by
-// RelativePerf (ties broken by ID for determinism). This is THE tier
-// order of the system: the advisor's waterfall fills it front to back,
-// the interposer's fallback chains walk it towards the tail, and the
-// online placer migrates along it. Handling unsorted Machine.Tiers
-// here means user configurations may list tiers in any order.
+// RelativePerf (ties broken by ID for determinism), so user
+// configurations may list Machine.Tiers in any order. No production
+// caller: placement orders tiers by NearHierarchy, which equals this
+// raw order on a uniform machine; DESIGN documents Hierarchy as the
+// machine's tier order for library users, and the mem tests check
+// NearHierarchy against it.
 func (m *Machine) Hierarchy() []TierSpec {
 	out := append([]TierSpec(nil), m.Tiers...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -334,20 +335,6 @@ func (m *Machine) DefaultTier() TierSpec {
 		return t
 	}
 	return m.SlowestTier()
-}
-
-// SlowerTiers returns the tiers strictly slower than the default, in
-// hierarchy (descending-perf) order — the overflow chain capacity
-// exhaustion cascades down.
-func (m *Machine) SlowerTiers() []TierSpec {
-	def := m.DefaultTier()
-	var out []TierSpec
-	for _, t := range m.Hierarchy() {
-		if t.RelativePerf < def.RelativePerf {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // FastestTier returns the tier with the highest RelativePerf.

@@ -132,9 +132,9 @@ func TestTierExtentGenInvalidation(t *testing.T) {
 		t.Fatal("SetCoarseRange did not bump Gen")
 	}
 	g = pt.Gen()
-	pt.ClearRange(0, 4*pg)
+	pt.SetRange(0, 4*pg, pt.def)
 	if pt.Gen() == g {
-		t.Fatal("ClearRange did not bump Gen")
+		t.Fatal("clearing a range did not bump Gen")
 	}
 	g = pt.Gen()
 	pt.ResetTo(TierDDR)

@@ -96,11 +96,12 @@ func (m *Machine) NearFastestTier() TierSpec {
 // EffectivelySlowerTiers returns the tiers whose EffectivePerf from
 // the home domain is strictly below the default tier's, in near-
 // hierarchy order — the overflow chain capacity exhaustion actually
-// cascades down on this machine. Unlike SlowerTiers (raw perf), it
+// cascades down on this machine. Unlike a raw-perf comparison, it
 // counts a remote raw-faster tier (DualSocketHBM's HBM, effective
 // 0.73 vs near DDR's 1.0) as part of the floor: traffic served there
-// hurts, and the floor-volume epoch trigger must see it. Identical to
-// SlowerTiers on uniform machines.
+// hurts, and the floor-volume epoch trigger must see it. On uniform
+// machines it is every tier with a lower RelativePerf than the
+// default.
 func (m *Machine) EffectivelySlowerTiers() []TierSpec {
 	defPerf := m.EffectivePerf(m.DefaultTier())
 	var out []TierSpec
@@ -110,16 +111,6 @@ func (m *Machine) EffectivelySlowerTiers() []TierSpec {
 		}
 	}
 	return out
-}
-
-// SharesController reports whether tiers a and b drain through the
-// same memory controller group (both configured with the same positive
-// Controller value). Controller 0 is a dedicated channel and never
-// shares.
-func (m *Machine) SharesController(a, b TierID) bool {
-	sa, oka := m.Tier(a)
-	sb, okb := m.Tier(b)
-	return oka && okb && sa.Controller > 0 && sa.Controller == sb.Controller
 }
 
 // OverlapFraction returns the cross-tier drain overlap MemoryTime
@@ -161,14 +152,6 @@ func (m *Machine) validateTopology() error {
 		}
 	}
 	return nil
-}
-
-// Pinned returns the machine with its cores pinned to domain — the
-// per-rank view of one socket of a multi-domain node. The engine
-// prices every tier from the pinned domain.
-func Pinned(m Machine, domain int) Machine {
-	m.HomeDomain = domain
-	return m
 }
 
 // WithUniformTopology returns the machine re-declared as a

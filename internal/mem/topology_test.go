@@ -38,7 +38,8 @@ func TestEffectivePerfDeratesRemoteTiers(t *testing.T) {
 			m.EffectivePerf(hbm), m.EffectivePerf(ddr))
 	}
 	// Pinned to socket 1 the ordering flips: HBM is local there.
-	p := Pinned(m, 1)
+	p := m
+	p.HomeDomain = 1
 	if p.EffectivePerf(hbm) <= p.EffectivePerf(ddr) {
 		t.Fatalf("local HBM must beat remote DDR from socket 1")
 	}
@@ -185,15 +186,20 @@ func TestMigrationTimeDistanceAndContention(t *testing.T) {
 }
 
 func TestWithSharedControllers(t *testing.T) {
+	shares := func(m Machine, a, b TierID) bool {
+		ta, _ := m.Tier(a)
+		tb, _ := m.Tier(b)
+		return ta.Controller > 0 && ta.Controller == tb.Controller
+	}
 	m := WithSharedControllers(KNLOptane(), 1, TierDDR, TierNVM)
-	if !m.SharesController(TierDDR, TierNVM) {
+	if !shares(m, TierDDR, TierNVM) {
 		t.Fatal("DDR and NVM must share after WithSharedControllers")
 	}
-	if m.SharesController(TierDDR, TierMCDRAM) {
+	if shares(m, TierDDR, TierMCDRAM) {
 		t.Fatal("MCDRAM must keep its dedicated controller")
 	}
 	orig := KNLOptane()
-	if orig.SharesController(TierDDR, TierNVM) {
+	if shares(orig, TierDDR, TierNVM) {
 		t.Fatal("shipped KNLOptane must not declare sharing")
 	}
 }
@@ -238,7 +244,7 @@ func TestEffectivelySlowerTiersCountRemoteFloor(t *testing.T) {
 	}
 	// Raw SlowerTiers misses HBM — the discrepancy the helper exists for.
 	raw := map[TierID]bool{}
-	for _, tr := range m.SlowerTiers() {
+	for _, tr := range m.slowerTiers() {
 		raw[tr.ID] = true
 	}
 	if raw[TierHBM] {
@@ -247,7 +253,7 @@ func TestEffectivelySlowerTiersCountRemoteFloor(t *testing.T) {
 
 	// Uniform machines: identical to SlowerTiers.
 	for _, mk := range []Machine{DefaultKNL(), KNLOptane(), HBMCXL()} {
-		eff, slow := mk.EffectivelySlowerTiers(), mk.SlowerTiers()
+		eff, slow := mk.EffectivelySlowerTiers(), mk.slowerTiers()
 		if len(eff) != len(slow) {
 			t.Fatalf("uniform machine diverged: %v vs %v", eff, slow)
 		}
@@ -257,4 +263,19 @@ func TestEffectivelySlowerTiersCountRemoteFloor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// slowerTiers returns the tiers strictly slower than the default, in
+// hierarchy (descending-perf) order — the overflow chain capacity
+// exhaustion cascades down, by raw RelativePerf — the reference
+// EffectivelySlowerTiers is checked against.
+func (m *Machine) slowerTiers() []TierSpec {
+	def := m.DefaultTier()
+	var out []TierSpec
+	for _, t := range m.Hierarchy() {
+		if t.RelativePerf < def.RelativePerf {
+			out = append(out, t)
+		}
+	}
+	return out
 }

@@ -42,20 +42,14 @@ func (tr *Traffic) AddBulk(tier TierID, n, bytesEach int64) {
 	tr.visits[tier] += n
 }
 
-// Bytes returns bytes moved against tier.
+// Bytes returns bytes moved against tier. No production caller: the
+// cost model reads the counters directly; the mem and cache tests
+// check per-tier traffic through it.
 func (tr *Traffic) Bytes(tier TierID) int64 { return tr.bytes[tier] }
 
-// Visits returns the number of line transfers against tier.
+// Visits returns the number of line transfers against tier. No
+// production caller: as for Bytes.
 func (tr *Traffic) Visits(tier TierID) int64 { return tr.visits[tier] }
-
-// TotalBytes sums all tiers.
-func (tr *Traffic) TotalBytes() int64 {
-	var s int64
-	for _, b := range tr.bytes {
-		s += b
-	}
-	return s
-}
 
 // Reset clears the accumulator in place.
 func (tr *Traffic) Reset() {

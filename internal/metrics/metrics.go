@@ -30,20 +30,3 @@ func ImprovementPct(fom, base float64) float64 {
 	}
 	return (fom - base) / base * 100
 }
-
-// SweetSpot returns the index of the budget whose ΔFOM/MByte is
-// highest, given parallel slices of FOMs and budgets against a DDR
-// reference. It returns -1 for empty input.
-func SweetSpot(foms []float64, budgets []int64, fomDDR float64) int {
-	best, bestIdx := 0.0, -1
-	for i := range foms {
-		if i >= len(budgets) {
-			break
-		}
-		d := DeltaFOMPerMB(foms[i], fomDDR, budgets[i])
-		if bestIdx == -1 || d > best {
-			best, bestIdx = d, i
-		}
-	}
-	return bestIdx
-}

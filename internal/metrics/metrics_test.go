@@ -29,23 +29,3 @@ func TestImprovementPct(t *testing.T) {
 		t.Fatal("zero base should yield 0")
 	}
 }
-
-func TestSweetSpot(t *testing.T) {
-	budgets := []int64{32 * units.MB, 64 * units.MB, 128 * units.MB, 256 * units.MB}
-	// FOM plateaus after 128 MB: sweet spot where gain/MB peaks.
-	foms := []float64{90, 100, 120, 121}
-	ddr := 80.0
-	// Deltas: 10/32, 20/64, 40/128, 41/256 -> 0.3125 equal first three?
-	// 0.3125, 0.3125, 0.3125, 0.16 — first wins (ties keep earliest).
-	if got := SweetSpot(foms, budgets, ddr); got != 0 {
-		t.Fatalf("sweet spot = %d, want 0", got)
-	}
-	// A shape where 128 MB is clearly best.
-	foms = []float64{81, 85, 130, 131}
-	if got := SweetSpot(foms, budgets, ddr); got != 2 {
-		t.Fatalf("sweet spot = %d, want 2", got)
-	}
-	if SweetSpot(nil, budgets, ddr) != -1 {
-		t.Fatal("empty input should return -1")
-	}
-}

@@ -226,9 +226,6 @@ func NewBuffer() *Recorder {
 	return &Recorder{buffered: true}
 }
 
-// Enabled reports whether events will be recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Err returns the first write error, if any.
 func (r *Recorder) Err() error {
 	if r == nil {

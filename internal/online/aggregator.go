@@ -29,9 +29,6 @@ func NewAggregator(decay float64) *Aggregator {
 	}
 }
 
-// Decay returns the configured per-epoch retention factor.
-func (a *Aggregator) Decay() float64 { return a.decay }
-
 // Add records n fresh samples against site in the current epoch.
 func (a *Aggregator) Add(site string, n int64) {
 	if n > 0 {

@@ -360,16 +360,6 @@ func (p *Policy) attribute(addr uint64) (string, bool) {
 	return "", false
 }
 
-// desiredTier returns where a region's pages should live: the solver's
-// assignment for its site, or the backing segment's tier when the site
-// carries no assignment (unplaced data rests where it was allocated).
-func (p *Policy) desiredTier(rg *region) mem.TierID {
-	if t, ok := p.assigned[rg.site]; ok {
-		return t
-	}
-	return rg.seg
-}
-
 // budgetFits reports whether adding pa bytes to tier respects its
 // budget; the default tier is unbudgeted (its knapsack capacity bounds
 // what gets assigned there).
@@ -512,52 +502,6 @@ func (p *Policy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64
 
 // OverheadCycles implements engine.Policy.
 func (p *Policy) OverheadCycles() units.Cycles { return p.overhead }
-
-// Stats returns a snapshot of the placer's statistics.
-func (p *Policy) Stats() Stats { return p.stats }
-
-// Promoted returns the sites currently assigned to the fastest tier
-// (test/report aid).
-func (p *Policy) Promoted() []string {
-	fast := p.tiers[0].ID
-	out := make([]string, 0, len(p.assigned))
-	for s, t := range p.assigned {
-		if t == fast {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AssignedTier returns the solver's current tier for site (the default
-// tier when unassigned).
-func (p *Policy) AssignedTier(site string) mem.TierID {
-	if t, ok := p.assigned[site]; ok {
-		return t
-	}
-	return p.defID
-}
-
-// Assignments returns a copy of the solver's current site→tier map.
-// Sites the waterfall explicitly placed are present — INCLUDING
-// default-tier placements, which anchor spilled regions' rescue
-// migrations — while sites no knapsack ever chose are absent (their
-// regions rest on whatever segment allocated them).
-func (p *Policy) Assignments() map[string]mem.TierID {
-	out := make(map[string]mem.TierID, len(p.assigned))
-	for s, t := range p.assigned {
-		out[s] = t
-	}
-	return out
-}
-
-// FastUsed returns the page-aligned bytes currently bound to the
-// fastest tier.
-func (p *Policy) FastUsed() int64 { return p.usedBy[p.tiers[0].ID] }
-
-// UsedOn returns the page-aligned bytes currently living on tier.
-func (p *Policy) UsedOn(tier mem.TierID) int64 { return p.usedBy[tier] }
 
 // MetricsSnapshot implements engine.MetricsProvider: the placer's
 // always-on solver counters, merged into Result.Metrics at the end of

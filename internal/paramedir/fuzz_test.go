@@ -2,9 +2,11 @@ package paramedir_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/advisor"
+	"repro/internal/callstack"
 	"repro/internal/mem"
 	"repro/internal/paramedir"
 	"repro/internal/predict"
@@ -61,4 +63,66 @@ func FuzzTraceReplay(f *testing.F) {
 			t.Fatalf("attributed samples: objects sum to %d, profile says %d", collected, want)
 		}
 	})
+}
+
+// FuzzReadCSV is the differential round-trip fuzzer of the Paramedir
+// CSV codec, the profile format advisord accepts from clients. ReadCSV
+// must never panic and must pair every rejection with an error and no
+// profile. Two profiles are then round-tripped: the one ReadCSV
+// accepted, and one built from the input's NUL-separated pieces (app
+// name, then ID/site pairs), so arbitrary strings reach WriteCSV too.
+// For each, WriteCSV may refuse; whatever it writes must read back as
+// the same profile and write again byte for byte. The seed corpus
+// (testdata/fuzz/FuzzReadCSV) holds the Table I apps' profiles as
+// WriteCSV emits them, a CRLF copy, and hand-written edge cases.
+func FuzzReadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := paramedir.ReadCSV(bytes.NewReader(data))
+		if (p == nil) != (err != nil) {
+			t.Fatalf("ReadCSV: profile %v with error %v", p != nil, err)
+		}
+		if p != nil {
+			csvRoundTrip(t, p)
+		}
+		csvRoundTrip(t, profileFromPieces(data))
+	})
+}
+
+// profileFromPieces builds a profile whose strings are the
+// NUL-separated pieces of data: the app name, then ID/site pairs.
+func profileFromPieces(data []byte) *paramedir.Profile {
+	pieces := bytes.Split(data, []byte{0})
+	p := &paramedir.Profile{App: string(pieces[0]), SamplePeriod: uint64(len(data)), TotalSamples: int64(len(pieces))}
+	for i := 1; i < len(pieces); i += 2 {
+		o := paramedir.ObjectStat{ID: string(pieces[i]), Misses: int64(i), MaxSize: int64(len(pieces[i]))}
+		if i+1 < len(pieces) {
+			o.Site = callstack.Key(pieces[i+1])
+		}
+		p.Objects = append(p.Objects, o)
+	}
+	return p
+}
+
+// csvRoundTrip checks Read(Write(p)) == p and that writing the result
+// again reproduces Write(p) byte for byte, unless WriteCSV refuses p.
+func csvRoundTrip(t *testing.T, p *paramedir.Profile) {
+	t.Helper()
+	var first bytes.Buffer
+	if err := p.WriteCSV(&first); err != nil {
+		return
+	}
+	again, err := paramedir.ReadCSV(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-read of\n%q\nfailed: %v", first.Bytes(), err)
+	}
+	if !reflect.DeepEqual(again, p) {
+		t.Fatalf("round trip of\n%q\nchanged the profile:\n got %+v\nwant %+v", first.Bytes(), again, p)
+	}
+	var second bytes.Buffer
+	if err := again.WriteCSV(&second); err != nil {
+		t.Fatalf("re-write failed: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("re-write differs:\n got %q\nwant %q", second.Bytes(), first.Bytes())
+	}
 }

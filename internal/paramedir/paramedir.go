@@ -67,25 +67,6 @@ type Profile struct {
 	Unattributed int64
 }
 
-// TotalMisses sums the attributed sample counts.
-func (p *Profile) TotalMisses() int64 {
-	var s int64
-	for _, o := range p.Objects {
-		s += o.Misses
-	}
-	return s
-}
-
-// Object returns the stat with the given ID.
-func (p *Profile) Object(id string) (ObjectStat, bool) {
-	for _, o := range p.Objects {
-		if o.ID == id {
-			return o, true
-		}
-	}
-	return ObjectStat{}, false
-}
-
 // Analyze replays tr and reduces it to a Profile. It rejects what the
 // replay itself tolerates: an ALLOC, REALLOC or STATIC of size ≤ 0
 // (a negative size would wrap the region's end over the address
@@ -210,8 +191,19 @@ func decodeIntervals(s string) ([]LiveInterval, error) {
 }
 
 // WriteCSV emits the profile in the comma-separated form hmem_advisor
-// reads, preceded by #-comment metadata lines.
+// reads, preceded by #-comment metadata lines. It refuses what ReadCSV
+// could not read back: an App with a line break (the metadata lines
+// carry no escapes) and an ID or Site holding "\r\n", which
+// encoding/csv reads back as "\n".
 func (p *Profile) WriteCSV(w io.Writer) error {
+	if strings.ContainsAny(p.App, "\r\n") {
+		return fmt.Errorf("paramedir: app name %q has a line break", p.App)
+	}
+	for _, o := range p.Objects {
+		if strings.Contains(o.ID, "\r\n") || strings.Contains(string(o.Site), "\r\n") {
+			return fmt.Errorf("paramedir: object %q: \\r\\n in a field does not survive CSV", o.ID)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "#app=%s\n", p.App)
 	fmt.Fprintf(bw, "#period=%d\n", p.SamplePeriod)
@@ -242,7 +234,9 @@ func (p *Profile) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a profile written by WriteCSV.
+// ReadCSV parses a profile written by WriteCSV. Like encoding/csv for
+// the rows, it accepts CRLF line ends in the metadata preamble; a
+// known metadata key whose value does not parse is an error.
 func ReadCSV(r io.Reader) (*Profile, error) {
 	br := bufio.NewReader(r)
 	p := &Profile{}
@@ -257,18 +251,24 @@ func ReadCSV(r io.Reader) (*Profile, error) {
 		}
 		line, err := br.ReadString('\n')
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("paramedir: truncated CSV: %w", err)
 		}
-		var iv int64
-		switch {
-		case len(line) > 5 && line[:5] == "#app=":
-			p.App = line[5 : len(line)-1]
-		case parseMetaInt(line, "#period=", &iv):
-			p.SamplePeriod = uint64(iv)
-		case parseMetaInt(line, "#samples=", &iv):
-			p.TotalSamples = iv
-		case parseMetaInt(line, "#unattributed=", &iv):
-			p.Unattributed = iv
+		key, val, ok := strings.Cut(strings.TrimSuffix(line[1:len(line)-1], "\r"), "=")
+		if !ok {
+			continue
+		}
+		switch key {
+		case "app":
+			p.App = val
+		case "period":
+			p.SamplePeriod, err = strconv.ParseUint(val, 10, 64)
+		case "samples":
+			p.TotalSamples, err = strconv.ParseInt(val, 10, 64)
+		case "unattributed":
+			p.Unattributed, err = strconv.ParseInt(val, 10, 64)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("paramedir: bad #%s value %q", key, val)
 		}
 	}
 	cr := csv.NewReader(br)
@@ -307,16 +307,4 @@ func ReadCSV(r io.Reader) (*Profile, error) {
 		})
 	}
 	return p, nil
-}
-
-func parseMetaInt(line, prefix string, out *int64) bool {
-	if len(line) <= len(prefix) || line[:len(prefix)] != prefix {
-		return false
-	}
-	v, err := strconv.ParseInt(line[len(prefix):len(line)-1], 10, 64)
-	if err != nil {
-		return false
-	}
-	*out = v
-	return true
 }

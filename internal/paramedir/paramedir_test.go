@@ -2,6 +2,7 @@ package paramedir
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,12 +50,19 @@ func TestAnalyzeAttribution(t *testing.T) {
 	if p.Objects[0].Misses != 3 || !strings.Contains(p.Objects[0].ID, "allocA") {
 		t.Fatalf("top object = %+v", p.Objects[0])
 	}
-	st, ok := p.Object("static:grid")
-	if !ok || !st.Static || st.Misses != 1 {
-		t.Fatalf("static stat = %+v ok=%v", st, ok)
+	var st ObjectStat
+	var total int64
+	for _, o := range p.Objects {
+		if o.ID == "static:grid" {
+			st = o
+		}
+		total += o.Misses
 	}
-	if p.TotalMisses() != 5 {
-		t.Fatalf("total misses = %d, want 5", p.TotalMisses())
+	if !st.Static || st.Misses != 1 {
+		t.Fatalf("static stat = %+v", st)
+	}
+	if total != 5 {
+		t.Fatalf("total misses = %d, want 5", total)
 	}
 }
 
@@ -168,10 +176,58 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad misses": "#app=x\nid,static,misses,max_size,alloc_count,site\na,true,zz,2,3,s\n",
 		"bad size":   "#app=x\nid,static,misses,max_size,alloc_count,site\na,true,1,zz,3,s\n",
 		"bad count":  "#app=x\nid,static,misses,max_size,alloc_count,site\na,true,1,2,zz,s\n",
+		// A known metadata key whose value does not parse is an error,
+		// not a silent zero.
+		"bad period":       "#app=x\n#period=abc\nid,static,misses,max_size,alloc_count,site,intervals\n",
+		"negative period":  "#app=x\n#period=-1\nid,static,misses,max_size,alloc_count,site,intervals\n",
+		"bad samples":      "#app=x\n#samples=1e3\nid,static,misses,max_size,alloc_count,site,intervals\n",
+		"bad unattributed": "#app=x\n#unattributed= 1\nid,static,misses,max_size,alloc_count,site,intervals\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadCSVCRLFPreamble: a profile saved with CRLF line ends reads as
+// the LF original, metadata included, as encoding/csv already reads
+// the rows.
+func TestReadCSVCRLFPreamble(t *testing.T) {
+	p, err := Analyze(mkTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSV(strings.NewReader(strings.ReplaceAll(buf.String(), "\n", "\r\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.App != p.App || got.SamplePeriod != p.SamplePeriod ||
+		got.TotalSamples != p.TotalSamples || got.Unattributed != p.Unattributed {
+		t.Fatalf("CRLF metadata: app %q period %d samples %d unattributed %d, want %q %d %d %d",
+			got.App, got.SamplePeriod, got.TotalSamples, got.Unattributed,
+			p.App, p.SamplePeriod, p.TotalSamples, p.Unattributed)
+	}
+	if !reflect.DeepEqual(got.Objects, p.Objects) {
+		t.Fatalf("CRLF objects differ:\n got %+v\nwant %+v", got.Objects, p.Objects)
+	}
+}
+
+// TestWriteCSVRefusesUnreadable: WriteCSV returns an error instead of
+// writing a profile ReadCSV would reject or read back differently.
+func TestWriteCSVRefusesUnreadable(t *testing.T) {
+	for name, p := range map[string]*Profile{
+		"app with LF":    {App: "a\nb"},
+		"app with CR":    {App: "a\r"},
+		"ID with CRLF":   {App: "x", Objects: []ObjectStat{{ID: "x\r\ny"}}},
+		"site with CRLF": {App: "x", Objects: []ObjectStat{{ID: "x", Site: "a\r\nb"}}},
+	} {
+		if err := p.WriteCSV(io.Discard); err == nil {
+			t.Errorf("%s: written", name)
 		}
 	}
 }

@@ -83,9 +83,3 @@ func (s *Sampler) Emitted() int64 { return s.emitted }
 func (s *Sampler) OverheadCycles() units.Cycles {
 	return units.Cycles(s.emitted) * s.PerSampleCost
 }
-
-// Reset clears counters and restarts the countdown.
-func (s *Sampler) Reset() {
-	s.countdown = int64(s.period)
-	s.emitted = 0
-}

@@ -14,7 +14,7 @@
 //     swept — so an entire budget×strategy plane shares one profiling
 //     artifact.
 //
-// Grid encodes exactly those two facts: cells fan out across a bounded
+// GridCtx encodes exactly those two facts: cells fan out across a bounded
 // worker pool, per-key setup artifacts are computed once and shared
 // through a Memo, and results return indexed by cell so ordering
 // is scheduling-independent. Everything domain-specific (what a
@@ -43,7 +43,7 @@ type Key string
 // caller's compute returns, then share its value or its error
 // verbatim; a panicking compute is recovered as a CellPanic with Cell
 // -1 (which caller claimed the key is scheduling-dependent) and fails
-// every caller of the key. Grid memoizes its per-key setup artifacts
+// every caller of the key. GridCtx memoizes its per-key setup artifacts
 // through one, the root package's sweep shares identical executions
 // through another, and the advisory daemon memoizes its artifacts
 // through two more. The zero Memo is ready to use.
@@ -138,7 +138,7 @@ func (p *CellPanic) Unwrap() error { return ErrCellPanic }
 // Join aggregates per-cell errors into one error with errors.Join,
 // preserving cell-index order so the lowest failed cell stays the
 // primary (first-rendered, first-matched) error — the deterministic
-// contract Grid's callers rely on. Nil when no cell failed.
+// contract GridCtx's callers rely on. Nil when no cell failed.
 func Join(errs []error) error {
 	var nonNil []error
 	for _, err := range errs {
@@ -149,9 +149,9 @@ func Join(errs []error) error {
 	return errors.Join(nonNil...)
 }
 
-// Grid runs cells 0..n-1 across a bounded pool of workers goroutines
-// (workers <= 0 means GOMAXPROCS) and returns their results indexed by
-// cell.
+// GridCtx runs cells 0..n-1 across a bounded pool of workers
+// goroutines (workers <= 0 means GOMAXPROCS) and returns their results
+// indexed by cell.
 //
 // For each cell, keyOf names the setup artifact it needs; the first
 // cell to claim a key computes setup once and every other cell with
@@ -170,23 +170,15 @@ func Join(errs []error) error {
 // serial reference directly.
 //
 // A setup or point error — or a recovered panic, captured as a
-// CellPanic — fails its cell; Grid still runs the remaining cells and
-// returns the per-cell errors aggregated with Join, so the error of
-// the LOWEST failed cell index stays primary (again
-// scheduling-independent) alongside the partial results.
-func Grid[A, R any](n, workers int, keyOf func(int) Key, setup func(int) (A, error), point func(i, worker int, a A) (R, error)) ([]R, error) {
-	results, errs := GridCtx(context.Background(), n, workers, keyOf, setup, point)
-	return results, Join(errs)
-}
-
-// GridCtx is Grid under a context, returning the raw per-cell error
-// slice instead of an aggregate — the facade needs both: per-cell
-// errors to hand callers the 47 good cells of a 48-cell sweep, and
-// the context to stop a long grid promptly. Once ctx is done, cells
-// not yet started fail with runerr.ErrCanceled instead of running
-// (cells already in flight finish normally), so a canceled sweep
-// returns within roughly one cell's latency with every completed
-// result intact.
+// CellPanic — fails its cell; GridCtx still runs the remaining cells
+// and returns the raw per-cell error slice alongside the partial
+// results, so the facade can hand callers the 47 good cells of a
+// 48-cell sweep. Join aggregates the slice with the error of the
+// LOWEST failed cell index primary (again scheduling-independent).
+// Once ctx is done, cells not yet started fail with
+// runerr.ErrCanceled instead of running (cells already in flight
+// finish normally), so a canceled sweep returns within roughly one
+// cell's latency with every completed result intact.
 func GridCtx[A, R any](ctx context.Context, n, workers int, keyOf func(int) Key, setup func(int) (A, error), point func(i, worker int, a A) (R, error)) ([]R, []error) {
 	results := make([]R, n)
 	errs := make([]error, n)

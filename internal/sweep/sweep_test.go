@@ -18,7 +18,7 @@ func TestGridMemoizesSetupPerKey(t *testing.T) {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			var setups atomic.Int64
 			n := 24
-			results, err := Grid(n, workers,
+			results, err := grid(n, workers,
 				func(i int) Key { return Key(fmt.Sprintf("k%d", i%3)) },
 				func(i int) (int, error) {
 					setups.Add(1)
@@ -46,7 +46,7 @@ func TestGridMemoizesSetupPerKey(t *testing.T) {
 // worker count.
 func TestGridParallelMatchesSerial(t *testing.T) {
 	mk := func(workers int) []int {
-		res, err := Grid(50, workers,
+		res, err := grid(50, workers,
 			func(i int) Key { return Key(fmt.Sprintf("g%d", i%7)) },
 			func(i int) (int, error) { return i % 7, nil },
 			func(i, _ int, a int) (int, error) { return a*1000 + i*i, nil },
@@ -71,7 +71,7 @@ func TestGridParallelMatchesSerial(t *testing.T) {
 // baseline/online cells.
 func TestGridEmptyKeySkipsSetup(t *testing.T) {
 	var setups atomic.Int64
-	results, err := Grid(5, 2,
+	results, err := grid(5, 2,
 		func(i int) Key { return "" },
 		func(i int) (string, error) {
 			setups.Add(1)
@@ -100,7 +100,7 @@ func TestGridEmptyKeySkipsSetup(t *testing.T) {
 func TestGridReportsLowestFailedCell(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 4} {
-		results, err := Grid(10, workers,
+		results, err := grid(10, workers,
 			func(i int) Key { return Key(fmt.Sprint(i)) },
 			func(i int) (int, error) { return i, nil },
 			func(i, _ int, a int) (int, error) {
@@ -128,7 +128,7 @@ func TestGridReportsLowestFailedCell(t *testing.T) {
 func TestGridWorkerIDs(t *testing.T) {
 	collect := func(workers int) []int {
 		ids := make([]int, 20)
-		_, err := Grid(20, workers,
+		_, err := grid(20, workers,
 			func(i int) Key { return "" },
 			func(i int) (int, error) { return 0, nil },
 			func(i, worker int, a int) (int, error) {
@@ -159,7 +159,7 @@ func TestGridWorkerIDs(t *testing.T) {
 func TestGridJoinsAllCellErrors(t *testing.T) {
 	fails := map[int]error{2: errors.New("two fell over"), 5: errors.New("five fell over"), 8: errors.New("eight fell over")}
 	for _, workers := range []int{1, 4} {
-		_, err := Grid(10, workers,
+		_, err := grid(10, workers,
 			func(i int) Key { return Key(fmt.Sprint(i)) },
 			func(i int) (int, error) { return i, nil },
 			func(i, _ int, a int) (int, error) { return a, fails[i] },
@@ -295,7 +295,7 @@ func TestChaosGridCancel(t *testing.T) {
 func TestGridSetupErrorFailsAllSharers(t *testing.T) {
 	boom := errors.New("setup boom")
 	var points atomic.Int64
-	_, err := Grid(6, 3,
+	_, err := grid(6, 3,
 		func(i int) Key {
 			if i%2 == 0 {
 				return "bad"
@@ -319,4 +319,11 @@ func TestGridSetupErrorFailsAllSharers(t *testing.T) {
 	if got := points.Load(); got != 3 {
 		t.Errorf("point ran %d times, want 3 (only the good-key cells)", got)
 	}
+}
+
+// grid is GridCtx under a background context with its per-cell errors
+// joined.
+func grid[A, R any](n, workers int, keyOf func(int) Key, setup func(int) (A, error), point func(i, worker int, a A) (R, error)) ([]R, error) {
+	results, errs := GridCtx(context.Background(), n, workers, keyOf, setup, point)
+	return results, Join(errs)
 }

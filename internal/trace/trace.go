@@ -82,7 +82,9 @@ func New(app string) *Trace {
 // Append adds a record.
 func (t *Trace) Append(r Record) { t.Records = append(t.Records, r) }
 
-// CountType returns the number of records of the given type.
+// CountType returns the number of records of the given type. No
+// production caller: the consumers replay the records once through
+// Walk; the trace and engine tests count records through it.
 func (t *Trace) CountType(ty EventType) int {
 	n := 0
 	for _, r := range t.Records {
@@ -179,11 +181,14 @@ func (t *Trace) SortByTime() {
 	sort.SliceStable(t.Records, func(i, j int) bool { return t.Records[i].Time < t.Records[j].Time })
 }
 
-// esc makes free-form strings safe for the tab-separated format.
+// esc makes free-form strings safe for the tab-separated, line-based
+// format. A carriage return is escaped too: Read's line scanner drops
+// one that ends a line.
 func esc(s string) string {
 	s = strings.ReplaceAll(s, "\\", "\\\\")
 	s = strings.ReplaceAll(s, "\t", "\\t")
 	s = strings.ReplaceAll(s, "\n", "\\n")
+	s = strings.ReplaceAll(s, "\r", "\\r")
 	return s
 }
 
@@ -196,6 +201,8 @@ func unesc(s string) string {
 				b.WriteByte('\t')
 			case 'n':
 				b.WriteByte('\n')
+			case 'r':
+				b.WriteByte('\r')
 			case '\\':
 				b.WriteByte('\\')
 			default:

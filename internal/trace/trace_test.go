@@ -266,3 +266,33 @@ func TestWalkAttribution(t *testing.T) {
 		t.Errorf("visitor error: err %v after %d visits, want stop after 1", err, n)
 	}
 }
+
+// TestRoundTripCarriageReturns: a carriage return in any string field,
+// a trailing one included, survives Write and Read; a backslash before
+// an "r" still reads as the two characters, as traces written before
+// the CR escape hold them.
+func TestRoundTripCarriageReturns(t *testing.T) {
+	orig := New("main\r")
+	orig.Meta["key\r"] = "value\r"
+	orig.Meta["path"] = `C:\run`
+	orig.Append(Record{Time: 1, Type: EvAlloc, Addr: 0x1000, Size: 64, Site: "a!b+0x1\r", Routine: "r\rr\r"})
+	var buf bytes.Buffer
+	if err := orig.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.App != orig.App || !reflect.DeepEqual(got.Meta, orig.Meta) || !reflect.DeepEqual(got.Records, orig.Records) {
+		t.Fatalf("round trip lost carriage returns:\n got %q %q %+v\nwant %q %q %+v",
+			got.App, got.Meta, got.Records, orig.App, orig.Meta, orig.Records)
+	}
+	old, err := Read(strings.NewReader("#PRV2\tapp\n#META\tpath\tC:\\\\run\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Meta["path"] != `C:\run` {
+		t.Fatalf("escaped backslash before r read as %q", old.Meta["path"])
+	}
+}

@@ -49,26 +49,12 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	return r.Uint64() % n
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
+// Intn returns a uniform int in [0, n). It panics if n <= 0. No
+// production caller: the simulator draws with Uint64n; the randomized
+// tests of the advisor, alloc, xrand and root packages draw with it.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with n <= 0")
 	}
 	return int(r.Uint64n(uint64(n)))
-}
-
-// Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -68,46 +68,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(-1)
 }
 
-func TestFloat64Range(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 10000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of [0,1): %v", v)
-		}
-	}
-}
-
-func TestFloat64Uniformish(t *testing.T) {
-	r := New(11)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Float64()
-	}
-	mean := sum / n
-	if mean < 0.49 || mean > 0.51 {
-		t.Fatalf("mean of %d uniform draws = %v, want ~0.5", n, mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) returned %d elements", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

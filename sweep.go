@@ -291,12 +291,12 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		}
 	}
 
-	// One simulator-state pool per worker: sweep.Grid hands point() the
+	// One simulator-state pool per worker: sweep.GridCtx hands point() the
 	// worker index that runs the cell, and no worker executes two cells
 	// concurrently, so each pool is single-threaded by construction.
 	// Pooled runs are bit-identical to unpooled ones (engine.Pool), so
 	// this cannot perturb the sweep's bit-identical-to-serial contract.
-	// The clamp mirrors sweep.Grid's so pools[worker] is always valid.
+	// The clamp mirrors sweep.GridCtx's so pools[worker] is always valid.
 	nWorkers := opts.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
