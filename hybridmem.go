@@ -93,8 +93,6 @@ type (
 	TierSpec = mem.TierSpec
 	// InterposeOptions tunes the auto-hbwmalloc library.
 	InterposeOptions = interpose.Options
-	// InterposeStats are auto-hbwmalloc's execution statistics.
-	InterposeStats = interpose.Stats
 	// Folded is the Figure 5 folded-iteration profile.
 	Folded = folding.Folded
 	// FlightRecorder is the structured-trace recorder of internal/obs.

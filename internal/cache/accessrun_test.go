@@ -96,6 +96,7 @@ type patternSpec struct {
 	stride, span int64
 	random       bool
 	sampled      bool         // benchmarks: a PEBS sampler at the default period on the miss hook
+	cacheMode    bool         // benchmarks: the MCDRAM front cache on (cache mode)
 	alt          *patternSpec // benchmarks: a second object's single pass after each pass
 }
 
@@ -333,8 +334,8 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 			{base: seqBase + 64*kb, stride: 128, span: 256 * units.KB, refs: 2048},
 		}},
 		// The third line of the conflicting pass hits L1, so the LLC
-		// set it maps to saturates with one L1 hit among its last 17
-		// lines: the LLC rebuild must skip it.
+		// set it maps to fills with one L1 hit among its last 17 lines:
+		// that line never reaches the LLC set.
 		{"single-pass-l1-hit-in-saturated-llc-set", []call{
 			{base: seqBase + 8192, stride: 64, span: 64, refs: 1},
 			{base: seqBase, stride: 4096, span: 4 * units.MB, refs: 18},
@@ -386,6 +387,21 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 			{base: seqBase + 13*mb, stride: 128, span: 4 * units.MB, refs: 30000, pin: seqBase + 15*mb + 512*kb},
 		}},
 	}
+	// The production shape of seq-sparse-repeat, at the test LLC's
+	// scale: a pass sending each LLC set 8 lines alternates with a pass
+	// over a higher range sending each set 16. Each pass finds the
+	// previous pass of its own object in range above its first lines and
+	// evicts those lines before it reaches them (an LRU cascade).
+	sequences = append(sequences, struct {
+		name  string
+		calls []call
+	}{"sparse-repeat", []call{
+		{base: seqBase, stride: 192, span: 96 * units.KB, refs: 512},
+		{base: seqBase + 96*kb, stride: 64, span: 64 * units.KB, refs: 1024},
+		{base: seqBase, stride: 192, span: 96 * units.KB, refs: 512},
+		{base: seqBase + 96*kb, stride: 64, span: 64 * units.KB, refs: 1024},
+		{base: seqBase, stride: 192, span: 96 * units.KB, refs: 512},
+	}})
 	// Floor proofs: sparse passes that send each set 2 to 16 lines.
 	sequences = append(sequences, floorSequences...)
 	// The batched walk's miss hook runs at every miss, at a short odd
@@ -414,31 +430,35 @@ func TestAccessRunMatchesPerRef(t *testing.T) {
 					diffCalls(t, pl.machine(), seqBase, seqBase+16*uint64(units.MB),
 						int64(16*float64(units.MB)*pl.hot), period, sq.calls)
 				}
+				checkLive(t, pl.machine(), seqBase, seqBase+16*uint64(units.MB), sq.calls)
 			})
 		}
 	}
 }
 
-// TestStreamTailGeometries pins the saturated tail's start rules on
-// cache shapes where each one decides a reference:
+// TestStreamTailGeometries pins the saturated tail's start rules and
+// its replay on cache shapes where each one decides a reference:
 //
 //   - window: with a 1-way 4 KB LLC, every LLC set a stride-96 pass
-//     visits proves its misses within one period, except set 0: both
-//     its visits (lines 0 and 64, pre-warmed) hit L1, so the pass
-//     never claims it there. Line 192, also pre-warmed, sits in that
-//     LLC set and is the first reference after the period: it misses
-//     L1 and hits the LLC. A tail that did not wait for a whole
-//     period of references that reached the LLC would book it as a
-//     proven miss.
-//   - l1-lags: with a 512 B 1-way LLC under the 8-way L1, a 512 B
-//     stride maps every line to set 0 of both; the LLC proves misses
-//     from the second line, the L1 from the ninth. A tail that did not
-//     wait for the L1 would leave the L1 set unrebuilt.
+//     visits is reached within one period, except set 0: both its
+//     visits (lines 0 and 64, pre-warmed) hit L1, so the pass never
+//     reaches it there. Line 192, also pre-warmed, sits in that LLC set
+//     and is the first reference after the period: it misses L1 and
+//     hits the LLC. A tail that did not wait for a whole period of
+//     references that reached the LLC would book it as a miss.
+//   - l1-live: with a 512 B 1-way LLC under the 8-way L1, a 512 B
+//     stride maps every line to set 0 of both. Line 24 of the pass is
+//     pre-warmed in the L1 but evicted from the LLC, so from the pass's
+//     second line only the L1 has a live way; a tail that did not wait
+//     for the L1 would book line 24, an L1 hit, as a miss.
+//   - l1-lags: on the same caches the tail starts at the pass's second
+//     line; its replay must leave the L1 set its last 8 lines, where
+//     the LLC set keeps 1.
 //   - wide-span (on the default test machine): a stride of 4097 walks
 //     each LLC set 64 times before moving to the next, so the L1's
 //     512 B set span repeats long before the LLC's 4 KB one. The first
 //     line the pass sends to LLC set 8 is pre-warmed there; a tail
-//     timed by the narrower span would book it as a proven miss.
+//     timed by the narrower span would book it as a miss.
 func TestStreamTailGeometries(t *testing.T) {
 	const base = uint64(1) << 32
 	cases := []struct {
@@ -451,6 +471,11 @@ func TestStreamTailGeometries(t *testing.T) {
 			{base: base, stride: 4096, span: 8192, refs: 2},
 			{base: base + 192*64, stride: 64, span: 64, refs: 1},
 			{base: base, stride: 96, span: units.MB, refs: 200},
+		}},
+		{"l1-live", 512, 1, []call{
+			{base: base + 24*64, stride: 64, span: 64, refs: 1},
+			{base: base + 8000*64, stride: 64, span: 64, refs: 1},
+			{base: base, stride: 512, span: units.MB, refs: 20},
 		}},
 		{"l1-lags", 512, 1, []call{
 			{base: base, stride: 512, span: units.MB, refs: 40},
@@ -473,24 +498,25 @@ func TestStreamTailGeometries(t *testing.T) {
 	}
 }
 
-// floorSequences are call sequences aimed at the floor proof of the
-// single-pass kernel (SetAssoc.probe), laid out for the 64-set, 16-way
-// LLC of testMachine (a 4 KB set span); every pass but the 4 KB
-// warm-up sends each LLC set 2 to 16 lines:
+// floorSequences are call sequences aimed at the live ways of the
+// single-pass kernel (SetAssoc.stream) — a set's floor is its lowest
+// live way — laid out for the 64-set, 16-way LLC of testMachine (a
+// 4 KB set span); every pass but the 4 KB warm-up sends each LLC set 2
+// to 16 lines:
 //
 //   - floor-high-lines-resident: a foreign pass leaves old lines in
 //     every set, a pass over the upper half of a range adds newer
 //     ones, then the whole range follows. Each set's first line misses
-//     and its floor is the upper pass's lowest line there, which the
-//     lines below it do not evict (the foreign lines are older), so the
-//     line at the floor hits. The identical pass repeats after another
-//     foreign pass.
+//     and its lowest live way holds the upper pass's lowest line there,
+//     which the lines below it do not evict (the foreign lines are
+//     older), so that line hits. The identical pass repeats after
+//     another foreign pass.
 //   - floor-off-stride: a pass leaves every other line of a range
 //     resident; passes over the lines between them, then over every
-//     third line, take floors from lines they never touch.
+//     third line, find live ways they pass without touching.
 //   - floor-partly-resident: a 4 KB warm-up makes the first lines of
-//     half the sets of a 64 KB pass hit; the other half miss and take
-//     their floor from the warm-up's lines one set span further.
+//     half the sets of a 64 KB pass hit; the other half miss and find
+//     the warm-up's lines one set span further live.
 var floorSequences = []struct {
 	name  string
 	calls []call
@@ -513,12 +539,12 @@ var floorSequences = []struct {
 	}},
 }
 
-// TestStreamFloorGeometries pins the floor proof on the sequences of
+// TestStreamFloorGeometries pins the live-way rule on the sequences of
 // floorSequences, on the default test machine, in cache mode, on the
-// 32-way LLC (no packed order word, so no floor) and on HBMCXL's
-// 12-way L1 and 2 MB LLC: every call matches the per-reference oracle
-// (diffCalls), and after every call each packed-LRU set the call
-// reached holds the floor the proof must take (checkFloors).
+// 32-way LLC (no packed order word, so no single-pass kernel) and on
+// HBMCXL's 12-way L1 and 2 MB LLC: every call matches the
+// per-reference oracle (diffCalls), and after every call each set
+// holds the single-pass state the rule must leave (checkLive).
 func TestStreamFloorGeometries(t *testing.T) {
 	const base = uint64(1) << 32
 	for _, pl := range []placement{placements[0], placements[3], placements[4], placements[5]} {
@@ -528,22 +554,24 @@ func TestStreamFloorGeometries(t *testing.T) {
 				for _, period := range []int64{1, 7} {
 					diffCalls(t, m, base, base+16*uint64(units.MB), 0, period, sq.calls)
 				}
-				checkFloors(t, m, base, base+16*uint64(units.MB), sq.calls)
+				checkLive(t, m, base, base+16*uint64(units.MB), sq.calls)
 			})
 		}
 	}
 }
 
-// checkFloors drives calls through the batched walk on a fresh
-// hierarchy of machine m and, one reference at a time, through the
-// per-reference oracle on another, and after every single-pass call
-// checks the floor each packed-LRU set the call reached recorded
-// (SetAssoc.probe) against the set's contents before the call: 0 where
-// the first line the call sent the set was resident, else the smallest
-// tag then resident above that line, up to the call's last tag, or one
-// past it. The oracle tells which lines hit L1 and never reached the
-// LLC.
-func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
+// checkLive drives calls through the batched walk on a fresh hierarchy
+// of machine m and, one reference at a time, through the per-reference
+// oracle on another, and after every single-pass call (none on a
+// 32-way LLC) checks each set's single-pass state (SetAssoc.stream)
+// against the set's contents before the call. A set the call reached carries the
+// call's stamp; its live mask holds exactly the ways that still hold a
+// pre-call tag above the last line the call sent the set and at or
+// below the call's last line; and its ahead word lists those ways by
+// ascending tag. A set the call did not reach carries an older stamp,
+// and pending counts the reached sets with live ways. The oracle tells
+// which lines hit L1 and never reached the LLC.
+func checkLive(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
 	t.Helper()
 	hb, _ := buildHierarchy(t, m, lo, hi, 0)
 	hr, _ := buildHierarchy(t, m, lo, hi, 0)
@@ -551,13 +579,13 @@ func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
 		pre1, pre2 := slices.Clone(hb.l1.tags), slices.Clone(hb.llc.tags)
 		drive(hb, c)
 		step := c.stride % c.span
-		if c.random || step == 0 || c.refs-1 > (c.span-1)/step {
+		if c.random || step == 0 || c.refs-1 > (c.span-1)/step || hb.llc.order == nil {
 			var cur int64
 			driveOracle(hr, c, 0, &cur)
 			continue
 		}
-		// The first tag the call sent each set, per cache.
-		first1, first2 := map[uint64]uint64{}, map[uint64]uint64{}
+		// The last tag the call sent each set, per cache.
+		sent1, sent2 := map[uint64]uint64{}, map[uint64]uint64{}
 		shift := hb.l1.lineShift
 		lastLine := ^uint64(0)
 		for i := int64(0); i < c.refs; i++ {
@@ -568,37 +596,53 @@ func checkFloors(t *testing.T, m mem.Machine, lo, hi uint64, calls []call) {
 				continue
 			}
 			lastLine = line
-			if _, ok := first1[line&hb.l1.setMask]; !ok {
-				first1[line&hb.l1.setMask] = line + 1
-			}
-			if _, ok := first2[line&hb.llc.setMask]; !ok && res.Level != LevelL1 {
-				first2[line&hb.llc.setMask] = line + 1
+			sent1[line&hb.l1.setMask] = line + 1
+			if res.Level != LevelL1 {
+				sent2[line&hb.llc.setMask] = line + 1
 			}
 		}
 		last := (c.base+uint64((c.refs-1)*step))>>shift + 1
 		for _, x := range []struct {
-			name  string
-			c     *SetAssoc
-			pre   []uint64
-			first map[uint64]uint64
-		}{{"L1", hb.l1, pre1, first1}, {"LLC", hb.llc, pre2, first2}} {
-			if x.c.floor == nil {
-				continue
-			}
-			for s, f := range x.first {
-				want := last + 1
-				for _, tag := range x.pre[int(s)*x.c.ways : int(s+1)*x.c.ways] {
-					if tag > f && tag <= last {
-						want = min(want, tag)
+			name string
+			c    *SetAssoc
+			pre  []uint64
+			sent map[uint64]uint64
+		}{{"L1", hb.l1, pre1, sent1}, {"LLC", hb.llc, pre2, sent2}} {
+			pending := 0
+			for s := range x.c.live {
+				got := x.c.live[s]
+				sent, ok := x.sent[uint64(s)]
+				if !ok {
+					if got >= x.c.stamp {
+						t.Errorf("call %d %+v: %s set %d not reached, stamp %#x is the call's", k, c, x.name, s, got)
+					}
+					continue
+				}
+				var want []uint64 // live ways by ascending tag
+				ts := x.c.tags[s*x.c.ways : (s+1)*x.c.ways]
+				for w, tag := range ts {
+					if tag == x.pre[s*x.c.ways+w] && tag > sent && tag <= last {
+						want = append(want, uint64(w))
 					}
 				}
-				if slices.Contains(x.pre[int(s)*x.c.ways:int(s+1)*x.c.ways], f) {
-					want = 0
+				slices.SortFunc(want, func(a, b uint64) int { return int(ts[a]) - int(ts[b]) })
+				wantWord, ahead := x.c.stamp, x.c.ahead[s]
+				var gotAhead []uint64
+				for _, w := range want {
+					wantWord |= 1 << w
+					gotAhead = append(gotAhead, ahead&0xf)
+					ahead >>= 4
 				}
-				if got := x.c.floor[s]; got != want {
-					t.Errorf("call %d %+v: %s set %d (first tag %d, last %d) floor = %d, want %d",
-						k, c, x.name, s, f, last, got, want)
+				if got != wantWord || !slices.Equal(gotAhead, want) {
+					t.Errorf("call %d %+v: %s set %d (last sent %d, call's last %d): live %#x ahead %v, want %#x %v",
+						k, c, x.name, s, sent, last, got, gotAhead, wantWord, want)
 				}
+				if len(want) > 0 {
+					pending++
+				}
+			}
+			if x.c.pending != pending {
+				t.Errorf("call %d %+v: %s pending = %d, %d sets have live ways", k, c, x.name, x.c.pending, pending)
 			}
 		}
 		if t.Failed() {
@@ -773,6 +817,9 @@ func BenchmarkAccessRun(b *testing.B) {
 		{name: "seq-singlepass", base: 1 << 32, stride: 256, span: 16 * units.MB},
 		// The same pass on a profiling run: a sampler on the miss hook.
 		{name: "seq-singlepass-sampled", base: 1 << 32, stride: 256, span: 16 * units.MB, sampled: true},
+		// The same pass in cache mode: the tail hands each line to the
+		// MCDRAM front cache.
+		{name: "seq-singlepass-cachemode", base: 1 << 32, stride: 256, span: 16 * units.MB, cacheMode: true},
 		// The production shape of the Figure-4 grid's sparse Sequential
 		// touches: a single pass that sends each LLC set 8 lines,
 		// repeated, alternating with a second object's pass that sends
@@ -785,6 +832,9 @@ func BenchmarkAccessRun(b *testing.B) {
 	for _, p := range patterns {
 		b.Run(p.name, func(b *testing.B) {
 			m := mem.DefaultKNL()
+			if p.cacheMode {
+				m.Mode = mem.CacheMode
+			}
 			pt := mem.NewPageTable(mem.TierDDR)
 			if err := pt.SetCoarseRange(p.base, 32*units.MB, mem.TierDDR); err != nil {
 				b.Fatal(err)

@@ -40,12 +40,6 @@ type Hierarchy struct {
 	runTier  mem.TierID
 	runLines int64
 
-	// l1Hits is streamRun's scratch list of the lines that hit L1 in
-	// the current call, ascending. A call probes each L1 set at most
-	// ways times, so it never outgrows the L1's line count, the
-	// capacity it is built with.
-	l1Hits []uint64
-
 	// onLLCMiss is the LLC-miss hook and missDue the count of LLC
 	// misses left until its next call, counting that miss: every miss
 	// decrements missDue, the one that takes it to zero calls the hook,
@@ -78,7 +72,6 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 		llc:     llc,
 		pt:      pt,
 		traffic: mem.NewTraffic(),
-		l1Hits:  make([]uint64, 0, len(l1.tags)),
 		missDue: math.MaxInt64,
 	}
 	if machine.Mode == mem.CacheMode {
@@ -200,10 +193,11 @@ func (h *Hierarchy) bookFlat(addr, step uint64, n int64) int64 {
 //     pair at the end of the call.
 //   - A call that does not wrap its span ((refs-1)*step < span) takes
 //     the single-pass kernel (streamRun), which proves most of its
-//     misses instead of probing for them and, in flat mode with
-//     step >= line, books its saturated tail in bulk.
-//   - Line-crossing references that are not proven misses take the
-//     full walk, with misses batched per constant-tier extent
+//     misses instead of probing for them and, with step >= line, books
+//     its saturated tail in bulk. It needs packed-LRU caches (at most
+//     16 ways, as on every shipped machine).
+//   - The line-crossing references of a wrapping call take the full
+//     walk, with misses batched per constant-tier extent
 //     (PageTable.TierExtent) instead of per page, so a stream over a
 //     segment pays one table query per run of same-tier misses even
 //     when the stride exceeds a page.
@@ -212,7 +206,7 @@ func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 		return
 	}
 	step := stride % span
-	if step > 0 && refs-1 <= (span-1)/step {
+	if step > 0 && refs-1 <= (span-1)/step && h.l1.order != nil && h.llc.order != nil {
 		h.streamRun(base, step, refs)
 		return
 	}
@@ -238,51 +232,36 @@ func (h *Hierarchy) AccessRun(base uint64, stride, span, refs int64) {
 
 // streamRun is AccessRun for a call that does not wrap its span: refs
 // references at base + i*step, step > 0. Its line-crossing references
-// touch strictly increasing, hence distinct, lines. That makes most of
-// its misses provable (the LRU stack property; Mattson et al., IBM
-// Sys. J. 1970): every access of a W-way LRU set puts its line at the
-// MRU end, so once the call has sent W of its lines to a set, the set
-// holds exactly those W lines, and every later line of the call that
-// maps there — new by distinctness — misses. The kernel counts, per
-// set of each cache, the lines the call sent there (SetAssoc.sent,
-// generation-stamped, so no call clears it). A set that has received
-// W lines is no longer probed: its misses are booked as counts, and
-// the L1-miss line goes on to the LLC, or the LLC-miss line to the
-// memory side (missLine), exactly as the probe would have sent it.
-// Below W the same order proves most misses too (SetAssoc.probe): the
-// first line a set gets is probed with one scan that also records the
-// set's floor, the smallest resident tag above that line up to the
-// call's last; a later line below the floor is new to the set and is
-// installed without a scan. Sets that skipped probes are rebuilt at
-// the end of the call to the last W lines the call sent them, MRU
-// first, by walking the address sequence backwards; the LLC rebuild
-// skips the lines that hit L1, which never reached the LLC. The walk
-// stops once every such set is full, so a call costs O(lines +
-// saturated sets), never O(sets).
+// touch strictly increasing, hence distinct, lines, so each set of each
+// cache receives an ascending run of them. By the LRU stack property
+// (Mattson et al., IBM Sys. J. 1970) a set decides them all from its
+// contents when the call first reaches it: a line of the call can hit
+// only a way that then held a tag between that first line and the
+// call's last, and only while the call has not yet passed or evicted
+// it. SetAssoc.stream keeps those live ways per set, lowest tag first;
+// every other line installs at the LRU way with no scan, so each set
+// holds its true LRU state after every line. A line that misses L1
+// goes on to the LLC, and one that misses the LLC to the memory side
+// (missLine).
 //
-// In flat mode with step >= line (every reference on its own line) the
-// call ends in a saturated tail: the set a reference maps to repeats
-// with its address modulo the wider of the two set spans, so any p =
-// span/gcd(step, span) consecutive references visit every set the call
-// ever will. Once the last p references all reached the LLC (none hit
-// L1, so each claimed its LLC set too) and neither cache has a touched
-// set short of its first proven miss (SetAssoc.unsat), every later
-// reference is a proven miss in both caches, and missTail books the
-// rest of the call in bulk. Cache mode (each miss probes the MCDRAM
-// front cache) and sub-line steps keep the per-line loop.
+// With step >= line (every reference on its own line) the call ends in
+// a saturated tail: any p consecutive references, p the longer of the
+// two caches' set periods (SetAssoc.period), visit every set of either
+// cache the call ever will. Once the last p references all reached the
+// LLC (so each cache has scanned every set the call will send a line
+// to) and no set of either cache has a live way, every later reference
+// misses both caches, and missTail books the rest of the call in bulk.
 func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 	l1, llc := h.l1, h.llc
-	g1, g2 := l1.beginStream(), llc.beginStream()
 	shift := l1.lineShift // both caches use the machine's line size
-	l1Hits := h.l1Hits[:0]
-	lastLine := ^uint64(0)
-	var sameLine, llcHits int64
-	// The call's last tag bounds every set's floor (SetAssoc.probe).
 	last := (base+uint64((refs-1)*step))>>shift + 1
+	l1.beginStream(last)
+	llc.beginStream(last)
+	lastLine := ^uint64(0)
+	var sameLine, l1Hits, llcHits int64
 	p := refs // no tail
-	if h.mcCache == nil && step >= h.machine.LineSize {
-		span := max(l1.setSpan(), llc.setSpan())
-		p = span / min(span, step&-step)
+	if step >= h.machine.LineSize {
+		p = max(l1.period(step), llc.period(step))
 	}
 	tailFrom := p
 	addr := base
@@ -293,62 +272,53 @@ func (h *Hierarchy) streamRun(base uint64, step, refs int64) {
 			continue
 		}
 		lastLine = line
-		if i >= tailFrom && l1.unsat == 0 && llc.unsat == 0 {
+		if i >= tailFrom && l1.pending == 0 && llc.pending == 0 {
 			h.missTail(base, step, i, refs)
 			break
 		}
-		if l1.claim(line, g1) && l1.probe(addr, g1, last) {
-			l1Hits = append(l1Hits, line)
+		if l1.stream(line) {
+			l1Hits++
 			tailFrom = i + 1 + p
 			continue
 		}
-		if llc.claim(line, g2) && llc.probe(addr, g2, last) {
+		if llc.stream(line) {
 			llcHits++
 			continue
 		}
 		h.missLine(addr, i)
 	}
-	h.hitCycles += units.Cycles(len(l1Hits))*h.machine.LLC.L1Hit + units.Cycles(llcHits)*h.machine.LLC.HitCycles
+	h.hitCycles += units.Cycles(l1Hits)*h.machine.LLC.L1Hit + units.Cycles(llcHits)*h.machine.LLC.HitCycles
 	h.bookSameLine(sameLine)
-	// Rebuild, newest line first. l1Hits is ascending, so the next L1
-	// hit to skip is always its last unconsumed entry.
-	lastLine = ^uint64(0)
-	for i := refs - 1; i >= 0 && l1.refills+llc.refills > 0; i-- {
-		line := (base + uint64(i*step)) >> shift
-		if line == lastLine {
-			continue
-		}
-		lastLine = line
-		l1.refill(line, g1)
-		if k := len(l1Hits) - 1; k >= 0 && l1Hits[k] == line {
-			l1Hits = l1Hits[:k]
-			continue
-		}
-		llc.refill(line, g2)
-	}
 }
 
-// missTail books references first..refs-1 of a flat-mode single-pass
-// call — each on its own line, each a proven miss in both caches — in
-// bulk: both miss counters at once, the memory side one TierExtent run
-// at a time (bookFlat), and the miss hook at the due miss only, its
-// address and call index found by arithmetic. The counts, traffic and
-// hook calls are those of refs-first trips through claim, claim and
-// missLine.
+// missTail books references first..refs-1 of a single-pass call (each
+// on its own line, each a miss in both caches) in bulk: both miss
+// counters at once; in flat mode the memory side one TierExtent run at
+// a time (bookFlat) and the miss hook at the due miss only, its address
+// and call index found by arithmetic; in cache mode each line through
+// missLine, for the MCDRAM front cache. The counts, traffic and hook
+// calls are those of the per-line loop. Then each cache replays the
+// lines that decide its final state (SetAssoc.replay).
 func (h *Hierarchy) missTail(base uint64, step, first, refs int64) {
 	h.l1.misses += refs - first
 	h.llc.misses += refs - first
 	for i := first; i < refs; {
 		addr := base + uint64(i*step)
-		if h.missDue == 1 {
+		switch {
+		case h.mcCache != nil:
+			h.missLine(addr, i)
+			i++
+		case h.missDue == 1:
 			h.missDue = h.onLLCMiss(addr, i)
 			i += h.bookFlat(addr, uint64(step), 1)
-			continue
+		default:
+			n := h.bookFlat(addr, uint64(step), min(refs-i, h.missDue-1))
+			h.missDue -= n
+			i += n
 		}
-		n := h.bookFlat(addr, uint64(step), min(refs-i, h.missDue-1))
-		h.missDue -= n
-		i += n
 	}
+	h.l1.replay(base, step, first, refs)
+	h.llc.replay(base, step, first, refs)
 }
 
 // AccessRandomRun walks refs uniformly random 8-byte-aligned

@@ -38,21 +38,18 @@ type SetAssoc struct {
 	orderMask uint64 // low 4*ways bits
 	initOrder uint64 // identity permutation, the post-Reset state
 
-	// sent holds one stamp per set for the single-pass kernel
-	// (Hierarchy.streamRun): gen<<8 | n, where n counts the lines call
-	// gen sent to the set. Generations only grow, so a stale stamp
-	// compares below the current call's base gen<<8 and reads as 0;
-	// no call clears the array.
-	sent []uint64
-	// floor holds, per set, the floor the current single-pass call took
-	// when it sent the set its first line (probe): the smallest tag then
-	// resident above that line, or one past the call's last tag. It is
-	// written on every call's first line in a set, so a stale value is
-	// never read. nil when ways > 16.
-	floor   []uint64
-	gen     uint64
-	refills int // sets the current call stopped probing and not yet rebuilt
-	unsat   int // sets the current call sent 1..ways lines: touched, not yet proving misses
+	// live and ahead hold the single-pass kernel's per-set state
+	// (Hierarchy.streamRun, SetAssoc.stream): live[s] is stamp | mask,
+	// where stamp is the call that last sent set s a line and mask marks
+	// the set's live ways, those still holding a tag the call has yet to
+	// reach; ahead[s] lists the live ways by ascending tag, one nibble
+	// each, the lowest in bits 0-3. Stamps only grow, so a set whose
+	// stamp is older than the current call's reads as not yet reached
+	// and no call clears the arrays. nil when ways > 16.
+	live, ahead []uint64
+	stamp       uint64 // the current call's stamp: its number << 16
+	last        uint64 // the current call's last tag
+	pending     int    // sets the current call reached that still have live ways
 
 	hits, misses int64
 }
@@ -85,7 +82,6 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 		setMask:   uint64(sets - 1),
 		ways:      ways,
 		tags:      make([]uint64, sets*int64(ways)),
-		sent:      make([]uint64, sets),
 	}
 	if ways <= maxPackedWays {
 		c.orderMask = ^uint64(0) >> (64 - 4*uint(ways))
@@ -93,7 +89,8 @@ func NewSetAssoc(name string, size int64, ways int, lineSize int64) (*SetAssoc, 
 			c.initOrder |= uint64(w) << (4 * uint(w))
 		}
 		c.order = make([]uint64, sets)
-		c.floor = make([]uint64, sets)
+		c.live = make([]uint64, sets)
+		c.ahead = make([]uint64, sets)
 		for i := range c.order {
 			c.order[i] = c.initOrder
 		}
@@ -121,26 +118,27 @@ func (c *SetAssoc) Access(addr uint64) bool {
 	}
 	for w, t := range ts {
 		if t == tag {
-			// Splice way w out of its nibble position and reinsert it
-			// at the MRU (low) end.
-			pos := 1
-			for o := ord >> 4; o&0xf != uint64(w); o >>= 4 {
-				pos++
-			}
-			low := ord & (uint64(1)<<(4*uint(pos)) - 1)
-			high := ord &^ (uint64(1)<<(4*uint(pos+1)) - 1)
-			c.order[set] = high | low<<4 | uint64(w)
+			c.order[set] = cut(ord, uint64(w))<<4 | uint64(w) // way w to the MRU end
 			c.hits++
 			return true
 		}
 	}
-	// Miss: the LRU way sits in the top nibble; install there and
-	// rotate it to the MRU end.
-	victim := ord >> (4 * uint(c.ways-1))
-	ts[victim] = tag
-	c.order[set] = (ord<<4 | victim) & c.orderMask
+	c.fill(set, tag)
 	c.misses++
 	return false
+}
+
+// fill installs tag in set s as a miss does, without counting it: the
+// LRU way sits in the top nibble of the order word, takes the tag and
+// rotates to the MRU end. It returns that way. fill is the one install
+// of every packed-LRU path — Access's miss, the single-pass kernel's
+// and its tail's replay — and must stay inlinable (CI checks it does).
+func (c *SetAssoc) fill(s, tag uint64) uint64 {
+	ord := c.order[s]
+	victim := ord >> (4 * uint(c.ways-1))
+	c.tags[int(s)*c.ways+int(victim)] = tag
+	c.order[s] = (ord<<4 | victim) & c.orderMask
+	return victim
 }
 
 // accessWide is the ways>16 fallback: an MRU-ordered tag array shifted
@@ -167,127 +165,123 @@ func (c *SetAssoc) accessWide(ts []uint64, tag uint64) bool {
 // unchanged, so counting it is the only state change.
 func (c *SetAssoc) addHits(n int64) { c.hits += n }
 
-// beginStream opens a single-pass call and returns its base stamp
-// gen<<8: a set's lines-sent count is max(sent[set], base) - base.
-func (c *SetAssoc) beginStream() uint64 {
-	c.gen++
-	c.unsat = 0
-	return c.gen << 8
+// beginStream opens a single-pass call whose last line has tag last.
+func (c *SetAssoc) beginStream(last uint64) {
+	c.stamp, c.last, c.pending = c.stamp+1<<16, last, 0
 }
 
-// setSpan is the address span one way of the cache covers: an
-// address's set repeats with the address modulo setSpan.
-func (c *SetAssoc) setSpan() int64 { return int64(c.setMask+1) << c.lineShift }
+// period is the period of the set sequence of a walk with stride step:
+// an address's set repeats with the address modulo the span one way of
+// the cache covers, so any span/gcd(step, span) consecutive references
+// visit every set the walk ever will.
+func (c *SetAssoc) period(step int64) int64 {
+	span := int64(c.setMask+1) << c.lineShift
+	return span / min(span, step&-step)
+}
 
-// claim books line as sent to its set by the single-pass call with base
-// stamp g. It reports whether the line must be probed (probe); false
-// means the set already holds ways lines of the call, so the line is a
-// proven miss, and claim counts it. The first proven miss of a set
-// marks the set for refill (count ways+1). unsat counts the sets the
-// call has touched but not yet marked. claim sits on the kernel's
-// per-line path twice and must stay inlinable (CI checks it does), so
-// the floor proof lives in probe.
-func (c *SetAssoc) claim(line, g uint64) bool {
-	s := line & c.setMask
-	st := max(c.sent[s], g)
-	w := uint64(c.ways)
-	if st-g < w {
-		if st == g {
-			c.unsat++
+// stream looks up line for the current single-pass call and reports
+// whether it hit; the call's lines ascend and are distinct. Only a live
+// way — one holding, when the call first reached the set, a tag from
+// that line up to the call's last — can hold a line of the call, and
+// only the lowest one: live ways below the line have been passed, and
+// the call's own lines all lie below it. Passed and evicted live ways
+// drop off, so a set without live ways misses with no scan. A wide-way
+// packed-LRU caches only.
+func (c *SetAssoc) stream(line uint64) bool {
+	s, tag := line&c.setMask, line+1
+	m := c.live[s]
+	if m == c.stamp { // reached, no live ways
+		c.fill(s, tag)
+		c.misses++
+		return false
+	}
+	if m < c.stamp {
+		m = c.scan(s, tag)
+	}
+	live, a := m&0xffff, c.ahead[s]
+	hit := false
+	for live != 0 {
+		w := a & 0xf
+		t := c.tags[int(s)*c.ways+int(w)]
+		if t > tag {
+			break
 		}
-		c.sent[s] = st + 1
-		return true
-	}
-	if st-g == w {
-		c.sent[s] = st + 1
-		c.refills++
-		c.unsat--
-	}
-	c.misses++
-	return false
-}
-
-// probe looks up, for the single-pass call with base stamp g and last
-// tag last, a line that claim let through, and reports whether it hit.
-// The call's lines ascend and are distinct, so while the call runs a
-// set's lines above the call's first line there are exactly those it
-// held when that line arrived, less the ones evicted since. The first
-// line a set gets (stamp g+1) therefore scans the set once, both to
-// find the line and to record the set's floor: the smallest resident
-// tag above the line, capped at last+1. A later line below the floor
-// cannot be resident — the call installed only lines below it, and the
-// set held none between the first line and the floor — so it is
-// installed at the MRU end without a tag scan, exactly as Access would
-// after scanning in vain. Lines at or above the floor, and every line
-// of a wide-way cache, take Access. A first line that hits ends the
-// scan early, as Access would, and leaves floor 0: the set holds lines
-// of the call's range, so every later line there is probed.
-func (c *SetAssoc) probe(addr, g, last uint64) bool {
-	if c.order == nil {
-		return c.Access(addr)
-	}
-	line := addr >> c.lineShift
-	s := line & c.setMask
-	tag := line + 1
-	if c.sent[s] == g+1 {
-		// Offsets above tag, unsigned: t-tag-1 wraps past every offset
-		// in the call for empty ways and lines below the line, so a
-		// branch-free minimum finds the floor.
-		base := int(s) * c.ways
-		above := last - tag
-		for w, t := range c.tags[base : base+c.ways] {
-			if t == tag {
-				// Access's splice: way w moves to the MRU end.
-				c.floor[s] = 0
-				ord := c.order[s]
-				pos := 0
-				for o := ord; o&0xf != uint64(w); o >>= 4 {
-					pos++
-				}
-				low := ord & (uint64(1)<<(4*uint(pos)) - 1)
-				high := ord &^ (uint64(1)<<(4*uint(pos+1)) - 1)
-				c.order[s] = high | low<<4 | uint64(w)
-				c.hits++
-				return true
-			}
-			above = min(above, t-tag-1)
+		a >>= 4
+		live &^= 1 << w
+		if hit = t == tag; hit {
+			c.order[s] = cut(c.order[s], w)<<4 | w
+			break
 		}
-		c.floor[s] = tag + 1 + above
-	} else if tag >= c.floor[s] {
-		return c.Access(addr)
 	}
-	ord := c.order[s]
-	victim := ord >> (4 * uint(c.ways-1))
-	c.tags[int(s)*c.ways+int(victim)] = tag
-	c.order[s] = (ord<<4 | victim) & c.orderMask
-	c.misses++
-	return false
+	if hit {
+		c.hits++
+	} else {
+		if v := c.fill(s, tag); live&(1<<v) != 0 {
+			live &^= 1 << v
+			a = cut(a, v)
+		}
+		c.misses++
+	}
+	if live == 0 && m != c.stamp {
+		c.pending--
+	}
+	c.live[s], c.ahead[s] = c.stamp|live, a
+	return hit
 }
 
-// refill is the end-of-call rebuild of the sets the single-pass call
-// with base stamp g stopped probing. The caller hands it the call's
-// lines newest first; refill writes the first ways lines that map to a
-// marked set into its ways by recency (way k holds the k-th most
-// recent line, the order word is the identity: MRU in way 0), counting
-// the set's stamp up from ways+1 to 2*ways+1, and leaves every other
-// set alone. Which way holds a line is not observable — lookups match
-// tags, and replacement follows the order word — so the rebuilt set
-// behaves exactly like the probed one.
-func (c *SetAssoc) refill(line, g uint64) {
-	s := line & c.setMask
-	w := uint64(c.ways)
-	k := c.sent[s] - g - (w + 1)
-	if c.sent[s] < g+w+1 || k >= w {
-		return
+// scan opens set s for the current call at its first line there, tag:
+// it returns the set's live word, marking live the ways whose tag lies
+// in [tag, last], and lists them in ahead[s] by ascending tag. It
+// visits the ways from LRU to MRU, so the lines of an earlier ascending
+// pass arrive in tag order and each is appended.
+func (c *SetAssoc) scan(s, tag uint64) uint64 {
+	ts := c.tags[int(s)*c.ways : int(s+1)*c.ways]
+	ord, span := c.order[s], c.last-tag
+	var live, a, top uint64
+	n := uint(0)
+	for k := 4 * uint(c.ways-1); k < 64; k -= 4 {
+		w := ord >> k & 0xf
+		t := ts[w]
+		if t-tag > span { // unsigned: empty ways and tags below wrap
+			continue
+		}
+		live |= 1 << w
+		j := n
+		for t < top && j > 0 && ts[a>>(4*j-4)&0xf] > t {
+			j--
+		}
+		top = max(top, t)
+		low := a & (1<<(4*j) - 1)
+		a = (a-low)<<4 | w<<(4*j) | low
+		n++
 	}
-	c.tags[int(s)*c.ways+int(k)] = line + 1
-	if k == 0 && c.order != nil {
-		c.order[s] = c.initOrder
+	c.ahead[s] = a
+	if live != 0 {
+		c.pending++
 	}
-	c.sent[s]++
-	if k+1 == w {
-		c.refills--
+	return c.stamp | live
+}
+
+// replay installs, uncounted and in order, the lines of references
+// max(first, refs-ways*period)..refs-1 of a single-pass call at base +
+// i*step whose references first..refs-1 all miss this cache. That
+// leaves each set the call reaches its last ways lines in LRU order,
+// the state the per-line loop leaves.
+func (c *SetAssoc) replay(base uint64, step, first, refs int64) {
+	for i := max(first, refs-int64(c.ways)*c.period(step)); i < refs; i++ {
+		line := (base + uint64(i*step)) >> c.lineShift
+		c.fill(line&c.setMask, line+1)
 	}
+}
+
+// cut removes way w from the packed nibble list x, whose nibbles are
+// distinct ways, lowest first: the nibbles above w's move down one.
+func cut(x, w uint64) uint64 {
+	k := uint(0)
+	for x>>k&0xf != w {
+		k += 4
+	}
+	return x>>(k+4)<<k | x&(1<<k-1)
 }
 
 // Misses returns the number of misses observed.
