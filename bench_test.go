@@ -1,8 +1,8 @@
 package hybridmem
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls
-// out. Each benchmark executes the same simulation the corresponding
+// evaluation, plus an ablation of the advisor's greedy knapsack. Each
+// benchmark executes the same simulation the corresponding
 // cmd/experiments mode prints, and reports the figure's headline
 // quantity as a custom metric so `go test -bench` output carries the
 // reproduced series:
@@ -20,10 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/advisor"
-	"repro/internal/alloc"
 	"repro/internal/callstack"
-	"repro/internal/interpose"
-	"repro/internal/mem"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -258,7 +255,7 @@ func BenchmarkOnlineEpochResolve(b *testing.B) {
 	b.ReportMetric(float64(metrics["solver_objects_repacked"]), "repacked")
 }
 
-// --- Ablations ---
+// --- Ablation ---
 
 // BenchmarkAblationKnapsackExactVsGreedy demonstrates why hmem_advisor
 // ships greedy relaxations: the exact pseudo-polynomial DP blows up
@@ -287,96 +284,6 @@ func BenchmarkAblationKnapsackExactVsGreedy(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(moved), "misses-moved")
-		})
-	}
-}
-
-// ablationFixture builds an interpose library over a big heap with one
-// selected site for malloc-path microbenchmarks.
-func ablationFixture(b *testing.B, opts interpose.Options) (*interpose.Library, callstack.Stack) {
-	b.Helper()
-	pt := mem.NewPageTable(mem.TierDDR)
-	sp := alloc.NewSpace(pt)
-	mk, err := alloc.NewMemkind(sp, 64*units.GB, 16*units.GB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := callstack.NewProgram("abl", xrand.New(1))
-	site := prog.Site("main", "compute", "allocHot")
-	rep := &advisor.Report{
-		App: "abl", Budget: 16 * units.GB,
-		Entries: []advisor.Entry{{
-			Tier: "MCDRAM", ID: string(prog.Table.Translate(site)),
-			Site: prog.Table.Translate(site), Size: 4 * units.KB, Misses: 100,
-		}},
-		LBSize: 4 * units.KB, UBSize: 4 * units.KB,
-	}
-	lib, err := interpose.New(mk, prog, rep, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return lib, site
-}
-
-// BenchmarkAblationDecisionCache compares the interposed malloc path
-// with and without the decision cache of Algorithm 1 (lines 5/9): the
-// cache removes the per-allocation translation.
-func BenchmarkAblationDecisionCache(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts interpose.Options
-	}{
-		{"cached", interpose.Options{}},
-		{"uncached", interpose.Options{DisableCache: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			lib, site := ablationFixture(b, cfg.opts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				addr, err := lib.Malloc(site, 4*units.KB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := lib.Free(addr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := lib.Stats()
-			b.ReportMetric(float64(st.Translates), "translations")
-			b.ReportMetric(float64(lib.OverheadCycles())/float64(b.N), "modeled-cyc/op")
-		})
-	}
-}
-
-// BenchmarkAblationSizeFilter compares the malloc path for allocations
-// outside the lb/ub range with and without the size pre-filter
-// (Algorithm 1, line 3): the filter skips unwinding entirely.
-func BenchmarkAblationSizeFilter(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts interpose.Options
-	}{
-		{"filtered", interpose.Options{}},
-		{"unfiltered", interpose.Options{DisableSizeFilter: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			lib, site := ablationFixture(b, cfg.opts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// 64 KB is outside the [4 KB, 4 KB] selected range.
-				addr, err := lib.Malloc(site, 64*units.KB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := lib.Free(addr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := lib.Stats()
-			b.ReportMetric(float64(st.Unwinds), "unwinds")
-			b.ReportMetric(float64(lib.OverheadCycles())/float64(b.N), "modeled-cyc/op")
 		})
 	}
 }

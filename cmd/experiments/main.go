@@ -27,7 +27,9 @@
 //	                        trace
 //
 // -metrics additionally dumps each sweep cell's always-on engine
-// counters (page-table cache hits, arena reuse, allocation calls, ...).
+// counters (page-table cache hits, arena reuse, allocation calls, ...)
+// and its policy's counters (online_* and solver_* for the online
+// placer, interpose_* for auto-hbwmalloc).
 //
 // Use -app to restrict Figure 4 and the -online table to one
 // application and -scale to shrink the simulated access volume for

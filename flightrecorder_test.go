@@ -188,6 +188,59 @@ func TestOnlineGateTraceMatchesAccounting(t *testing.T) {
 	}
 }
 
+// TestPolicyCountersMatchAccounting cross-checks the placement
+// policies' counters in Result.Metrics against the engine's own
+// accounting and against each other: the online placer's migrated
+// bytes and site moves on the phaseshift run, and auto-hbwmalloc's
+// decision-cache and budget counters on one Lulesh pipeline cell that
+// advises for 512 MB but enforces 256 MB, as the paper runs it.
+func TestPolicyCountersMatchAccounting(t *testing.T) {
+	w, err := hm.WorkloadByName("phaseshift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hm.RunOnline(w, hm.OnlineConfig{Machine: hm.MachineFor(w), Seed: 21, Budget: 16 * units.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	if res.MigratedBytes == 0 {
+		t.Fatal("phaseshift run migrated nothing — the online counters have nothing to cross-check")
+	}
+	if got := m["online_bytes_promoted"] + m["online_bytes_demoted"]; got != res.MigratedBytes {
+		t.Errorf("online bytes promoted+demoted = %d, engine migrated %d", got, res.MigratedBytes)
+	}
+	if got := m["online_promotions"] + m["online_demotions"]; got != m["solver_objects_repacked"] {
+		t.Errorf("online promotions+demotions = %d, solver_objects_repacked = %d", got, m["solver_objects_repacked"])
+	}
+
+	lulesh, err := hm.WorkloadByName("lulesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const enforced = 256 * units.MB
+	pr, err := hm.Pipeline(lulesh, hm.PipelineConfig{
+		Machine: hm.MachineFor(lulesh), Seed: 11, RefScale: 0.1,
+		Budget: 512 * units.MB, Interpose: hm.InterposeOptions{BudgetOverride: enforced},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = pr.Run.Metrics
+	if m["interpose_cache_hits"] == 0 || m["interpose_hbw_hwm"] == 0 {
+		t.Fatalf("pipeline cell never hit the decision cache or placed fast data: %v", m)
+	}
+	if m["interpose_translates"] != m["interpose_cache_misses"] {
+		t.Errorf("interpose translates = %d, cache misses = %d", m["interpose_translates"], m["interpose_cache_misses"])
+	}
+	if got := m["interpose_cache_hits"] + m["interpose_cache_misses"]; got != m["interpose_unwinds"] {
+		t.Errorf("interpose cache hits+misses = %d, unwinds = %d", got, m["interpose_unwinds"])
+	}
+	if m["interpose_hbw_hwm"] > enforced {
+		t.Errorf("interpose fast high-water mark %d exceeds the enforced budget %d", m["interpose_hbw_hwm"], enforced)
+	}
+}
+
 // TestTraceManifestRoundTrip checks the manifest contract at the facade
 // level: a traced run's first event is a manifest that identifies the
 // run and survives a decode/re-encode round trip byte-identically.

@@ -293,27 +293,9 @@ func (s *Server) handle(req *Request, sess *session) *Response {
 	s.requests.Add(1)
 	resp := &Response{Op: req.Op}
 	switch req.Op {
-	case OpPing:
-		return resp
 	case OpStats:
 		st := s.Stats()
 		resp.Stats = &st
-		return resp
-	case OpProfile:
-		prof, key, src, err := s.profileFor(req)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		sess.prof = prof
-		var buf bytes.Buffer
-		if err := prof.WriteCSV(&buf); err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		resp.ProfileCSV = buf.Bytes()
-		resp.Fingerprint = key
-		resp.Cache = src
 		return resp
 	case OpUploadProfile:
 		prof, err := paramedir.ReadCSV(bytes.NewReader(req.ProfileCSV))

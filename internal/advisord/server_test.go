@@ -125,35 +125,47 @@ func TestDaemonRestartServesFromDisk(t *testing.T) {
 func TestProfileUploadAndSampleConversations(t *testing.T) {
 	_, addr := startServer(t, "", 1)
 
-	// 1. Server-side profile.
-	cl, err := Dial(addr)
+	// The profile CSV a client would ship, computed in process.
+	w, m, err := resolveWorkload("minife", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	resp, err := cl.do(&Request{Op: OpProfile, Workload: "minife", Seed: testParams.Seed, RefScale: testParams.RefScale})
+	params := testParams
+	params.Machine = m
+	art, err := stage.Profile(w, params.Normalized(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := paramedir.ReadCSV(bytes.NewReader(resp.ProfileCSV))
+	var csv bytes.Buffer
+	if err := art.Profile.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := paramedir.ReadCSV(bytes.NewReader(csv.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prof.Objects) == 0 {
 		t.Fatal("empty profile")
 	}
-	repProfiled, err := cl.Advise(64*units.MB, "misses")
+
+	// 1. Server-side profile.
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	repProfiled, err := cl.AdviseWorkload("minife", "", testParams, 64*units.MB, "misses")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 2. Upload the same CSV on a fresh conversation.
+	// 2. Upload the CSV on a fresh conversation.
 	cl2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if _, err := cl2.UploadProfile(resp.ProfileCSV); err != nil {
+	if _, err := cl2.UploadProfile(csv.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	repUploaded, err := cl2.Advise(64*units.MB, "misses")
@@ -423,8 +435,9 @@ func TestDaemonRetriesAfterFailedProfile(t *testing.T) {
 	}
 }
 
-// ping runs one OpPing liveness round trip.
+// ping runs one stats round trip: the daemon answers a live
+// connection.
 func ping(cl *Client) error {
-	_, err := cl.do(&Request{Op: OpPing})
+	_, err := cl.Stats()
 	return err
 }

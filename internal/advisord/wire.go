@@ -25,8 +25,6 @@ const MaxFrame = 64 << 20
 
 // Ops of the protocol.
 const (
-	OpPing          = "ping"           // liveness check, echoes
-	OpProfile       = "profile"        // server profiles a named workload
 	OpUploadProfile = "upload-profile" // client supplies a Paramedir CSV
 	OpSamples       = "samples"        // client streams PEBS-style sample batches
 	OpAdvise        = "advise"         // produce a placement report
@@ -53,8 +51,8 @@ type Sample struct {
 type Request struct {
 	Op string `json:"op"`
 
-	// Profiling provenance (OpProfile, and OpAdvise when the session
-	// has no profile yet): the named workload and run parameters.
+	// Profiling provenance (OpAdvise when the session has no profile
+	// yet): the named workload and run parameters.
 	// Machine is a registered machine name ("" = the workload's
 	// canonical per-rank machine).
 	Workload     string  `json:"workload,omitempty"`
@@ -93,14 +91,13 @@ type Response struct {
 	Err string `json:"err,omitempty"`
 
 	// Fingerprint is the content-addressed key of the artifact served
-	// (the advise key for OpAdvise, the profile key for OpProfile).
+	// (the advise key for OpAdvise, the profile's content fingerprint
+	// for OpUploadProfile).
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Cache attributes where the artifact came from: miss, hit-disk or
 	// hit-mem. A request touching several artifacts reports the coldest.
 	Cache string `json:"cache,omitempty"`
 
-	// OpProfile / OpUploadProfile: the profile in Paramedir CSV form.
-	ProfileCSV []byte `json:"profile_csv,omitempty"`
 	// OpSamples: aggregated sample total for the session.
 	Samples int64 `json:"samples,omitempty"`
 	// OpAdvise: the report exactly as PlacementReport.Write renders it

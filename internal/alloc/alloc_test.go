@@ -297,15 +297,60 @@ func TestMemkindHBWCapacityIsEnforced(t *testing.T) {
 func TestMemkindReallocStaysInKind(t *testing.T) {
 	mk, _ := NewMemkind(newTestSpace(), 4*units.MB, units.MB)
 	p, _ := mk.Malloc(KindHBW, 128)
-	q, err := mk.Realloc(p, 100*units.KB)
+	q, kind, err := mk.ReallocFallback(p, 100*units.KB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k, _ := mk.KindOf(q); k != KindHBW {
-		t.Fatalf("realloc moved across kinds: %v", k)
+	if k, _ := mk.KindOf(q); k != KindHBW || kind != KindHBW {
+		t.Fatalf("realloc moved across kinds: %v (reported %v)", k, kind)
 	}
-	if q2, err := mk.Realloc(0, 100); err != nil || q2 == 0 {
-		t.Fatalf("realloc(0,n): %v", err)
+	if q2, kind, err := mk.ReallocFallback(0, 100); err != nil || q2 == 0 || kind != KindDefault {
+		t.Fatalf("realloc(0,n) = %#x on %v: %v", q2, kind, err)
+	}
+}
+
+// TestMemkindReallocSpills: a block that outgrows its heap moves down
+// KindDefault's fallback chain, the old block is freed, and the serving
+// kind is reported; with every heap full the realloc fails and the old
+// block stays live.
+func TestMemkindReallocSpills(t *testing.T) {
+	mk, err := NewMemkindHierarchy(newTestSpace(), []HeapSpec{
+		{Tier: mem.TierSpec{ID: mem.TierDDR, Name: "DDR", RelativePerf: 1}, Size: 4 * units.MB},
+		{Tier: mem.TierSpec{ID: mem.TierMCDRAM, Name: "MCDRAM", RelativePerf: 4.8}, Size: 2 * units.MB},
+		{Tier: mem.TierSpec{ID: mem.TierNVM, Name: "NVM", RelativePerf: 0.4}, Size: 8 * units.MB},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nvm = Kind(2)
+	hbw, _ := mk.Malloc(KindHBW, units.MB)
+	// 3 MB outgrows the 2 MB HBW heap: the block spills to the default.
+	q, kind, err := mk.ReallocFallback(hbw, 3*units.MB)
+	if err != nil || kind != KindDefault {
+		t.Fatalf("HBW spill = %v on %v, want the default heap", err, kind)
+	}
+	if k, _ := mk.KindOf(q); k != KindDefault || mk.Arena(KindHBW).used != 0 {
+		t.Fatalf("spilled block on %v, %d HBW bytes still live", k, mk.Arena(KindHBW).used)
+	}
+	// 6 MB outgrows the default heap too: the block spills to NVM,
+	// never up to the faster HBW heap.
+	r, kind, err := mk.ReallocFallback(q, 6*units.MB)
+	if err != nil || kind != nvm || mk.Arena(KindDefault).used != 0 {
+		t.Fatalf("default spill = %v on %v (%d default bytes live), want NVM", err, kind, mk.Arena(KindDefault).used)
+	}
+	// A shrink stays in place and reports the owning heap.
+	if s, kind, err := mk.ReallocFallback(r, 5*units.MB); err != nil || kind != nvm || s != r {
+		t.Fatalf("in-place shrink = %#x on %v: %v", s, kind, err)
+	}
+	// No heap holds 16 MB: OOM, and the old block stays live.
+	if _, _, err := mk.ReallocFallback(r, 16*units.MB); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("oversized realloc err = %v, want OOM", err)
+	}
+	if size, live := mk.Arena(nvm).SizeOf(r); !live || size != 6*units.MB {
+		t.Fatalf("failed realloc left the old block live=%v at %d bytes", live, size)
+	}
+	if _, _, err := mk.ReallocFallback(0x1234, 10); !errors.Is(err, ErrBadFree) {
+		t.Fatalf("foreign realloc err = %v, want ErrBadFree", err)
 	}
 }
 

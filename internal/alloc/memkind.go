@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mem"
@@ -230,18 +231,33 @@ func (mk *Memkind) Free(addr uint64) error {
 	return fmt.Errorf("%w: %#x not in any heap", ErrBadFree, addr)
 }
 
-// Realloc resizes addr within its owning heap; addr==0 allocates from
-// KindDefault as C realloc(NULL, n) does.
-func (mk *Memkind) Realloc(addr uint64, size int64) (uint64, error) {
+// ReallocFallback resizes addr within its owning heap. When that heap
+// is out of memory the block spills: it is reallocated down
+// KindDefault's fallback chain, as MallocFallback would place a fresh
+// allocation, and the old block is freed. addr==0 allocates as C
+// realloc(NULL, n) does, through the same chain. It returns the kind
+// that serves the block: the owning kind when the resize stayed in
+// place.
+func (mk *Memkind) ReallocFallback(addr uint64, size int64) (uint64, Kind, error) {
 	if addr == 0 {
-		return mk.Malloc(KindDefault, size)
+		return mk.MallocFallback(KindDefault, size)
 	}
-	for _, k := range mk.order {
-		if mk.arenas[k].InSegment(addr) {
-			return mk.arenas[k].Realloc(addr, size)
-		}
+	k, ok := mk.KindOf(addr)
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: realloc %#x not in any heap", ErrBadFree, addr)
 	}
-	return 0, fmt.Errorf("%w: realloc %#x not in any heap", ErrBadFree, addr)
+	na, err := mk.arenas[k].Realloc(addr, size)
+	if !errors.Is(err, ErrOutOfMemory) {
+		return na, k, err
+	}
+	na, served, err := mk.MallocFallback(KindDefault, size)
+	if err != nil {
+		return 0, k, err
+	}
+	if err := mk.arenas[k].Free(addr); err != nil {
+		return 0, k, err
+	}
+	return na, served, nil
 }
 
 // KindOf returns the kind whose heap segment contains addr.

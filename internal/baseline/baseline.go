@@ -56,19 +56,8 @@ func (p *ddrPolicy) Malloc(_ callstack.Stack, size int64) (uint64, error) {
 }
 
 func (p *ddrPolicy) Realloc(_ callstack.Stack, addr uint64, size int64) (uint64, error) {
-	na, err := p.mk.Realloc(addr, size)
-	if err == nil || !errors.Is(err, alloc.ErrOutOfMemory) {
-		return na, err
-	}
-	// Owning heap full: move down the hierarchy manually.
-	na, _, err = p.mk.MallocFallback(alloc.KindDefault, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.mk.Free(addr); err != nil {
-		return 0, err
-	}
-	return na, nil
+	na, _, err := p.mk.ReallocFallback(addr, size)
+	return na, err
 }
 
 func (p *ddrPolicy) Free(addr uint64) error { return p.mk.Free(addr) }
@@ -117,23 +106,11 @@ func (p *numactlPolicy) Malloc(_ callstack.Stack, size int64) (uint64, error) {
 	return addr, err
 }
 
-func (p *numactlPolicy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64, error) {
-	na, err := p.mk.Realloc(addr, size)
-	if err == nil {
-		return na, nil
-	}
-	if !errors.Is(err, alloc.ErrOutOfMemory) {
-		return 0, err
-	}
-	// HBW heap full: move the object down the hierarchy manually.
-	na, _, err = p.mk.MallocFallback(alloc.KindDefault, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.mk.Free(addr); err != nil {
-		return 0, err
-	}
-	return na, nil
+// Realloc resizes in the owning heap; an HBW block that outgrows the
+// fast heap spills to DDR as first-touch overflow would.
+func (p *numactlPolicy) Realloc(_ callstack.Stack, addr uint64, size int64) (uint64, error) {
+	na, _, err := p.mk.ReallocFallback(addr, size)
+	return na, err
 }
 
 func (p *numactlPolicy) Free(addr uint64) error { return p.mk.Free(addr) }
@@ -145,8 +122,9 @@ func (p *numactlPolicy) OverheadCycles() units.Cycles { return p.overhead }
 // before the library falls back to the default heap). autohbw pays it
 // for every threshold-passing allocation once fast memory is full —
 // one of the two effects behind its 8% Lulesh regression (Section
-// IV.C); the framework's budget check and decision cache avoid the
-// attempt entirely.
+// IV.C) — and for every HBW realloc that spills to DDR. The
+// framework's budget check and decision cache avoid the attempt
+// entirely.
 const hbwFailCycles units.Cycles = 42000
 
 // autohbwPolicy promotes allocations >= threshold to MCDRAM.
@@ -182,11 +160,24 @@ func (p *autohbwPolicy) Malloc(_ callstack.Stack, size int64) (uint64, error) {
 	return addr, err
 }
 
-func (p *autohbwPolicy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64, error) {
-	if k, ok := p.mk.KindOf(addr); ok && k == alloc.KindHBW {
-		p.overhead += alloc.HBWAllocPenalty(size)
+// Realloc resizes in the owning heap and spills to DDR when an HBW
+// block outgrows the fast heap, as Malloc falls back. An HBW block pays
+// the memkind allocator cost when it stays on HBW; a spilled one pays
+// hbwFailCycles instead, the failed attempt a falling-back Malloc pays.
+func (p *autohbwPolicy) Realloc(_ callstack.Stack, addr uint64, size int64) (uint64, error) {
+	from, _ := p.mk.KindOf(addr)
+	na, kind, err := p.mk.ReallocFallback(addr, size)
+	if err != nil {
+		return 0, err
 	}
-	return p.mk.Realloc(addr, size)
+	if from == alloc.KindHBW {
+		if kind == alloc.KindHBW {
+			p.overhead += alloc.HBWAllocPenalty(size)
+		} else {
+			p.overhead += hbwFailCycles
+		}
+	}
+	return na, nil
 }
 
 func (p *autohbwPolicy) Free(addr uint64) error { return p.mk.Free(addr) }

@@ -230,3 +230,34 @@ func TestDDRRealloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAutoHBWReallocSpillsToDDR: an HBW block that outgrows the HBW
+// heap moves to DDR, as autohbw's Malloc falls back, instead of
+// failing the run. The spill pays hbwFailCycles, the failed attempt a
+// falling-back Malloc pays, and not the HBW allocator cost.
+func TestAutoHBWReallocSpillsToDDR(t *testing.T) {
+	mk := newMemkind(t, 3*units.MB)
+	p := mkPolicy(t, AutoHBW(units.MB), mk)
+	a, err := p.Malloc(nil, 2*units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, _ := mk.KindOf(a); k != alloc.KindHBW {
+		t.Fatal("2 MB allocation not on HBW")
+	}
+	before := p.OverheadCycles()
+	na, err := p.Realloc(nil, a, 4*units.MB)
+	if err != nil {
+		t.Fatalf("realloc past the HBW heap: %v", err)
+	}
+	if k, _ := mk.KindOf(na); k != alloc.KindDefault {
+		t.Fatalf("grown block on %v, want DDR", k)
+	}
+	hbw := mk.Arena(alloc.KindHBW)
+	if _, live := hbw.SizeOf(a); live || hbw.Mallocs() != hbw.Frees() {
+		t.Fatalf("old HBW block not freed: %d mallocs, %d frees", hbw.Mallocs(), hbw.Frees())
+	}
+	if got := p.OverheadCycles() - before; got != hbwFailCycles {
+		t.Fatalf("spilled realloc cost %d cycles, want hbwFailCycles (%d)", got, hbwFailCycles)
+	}
+}

@@ -72,7 +72,8 @@ func (p *manualPolicy) Malloc(stack callstack.Stack, size int64) (uint64, error)
 }
 
 func (p *manualPolicy) Realloc(_ callstack.Stack, addr uint64, size int64) (uint64, error) {
-	return p.mk.Realloc(addr, size)
+	na, _, err := p.mk.ReallocFallback(addr, size)
+	return na, err
 }
 
 func (p *manualPolicy) Free(addr uint64) error       { return p.mk.Free(addr) }

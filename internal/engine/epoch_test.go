@@ -36,7 +36,8 @@ func (p *epochProbe) Malloc(_ callstack.Stack, size int64) (uint64, error) {
 }
 
 func (p *epochProbe) Realloc(_ callstack.Stack, addr uint64, size int64) (uint64, error) {
-	return p.mk.Realloc(addr, size)
+	na, _, err := p.mk.ReallocFallback(addr, size)
+	return na, err
 }
 
 func (p *epochProbe) Free(addr uint64) error       { return p.mk.Free(addr) }

@@ -57,7 +57,7 @@ func TestCachedMallocFreeZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := lib.Stats()
+	before := lib.stats
 	allocs := testing.AllocsPerRun(10000, func() {
 		addr, err := lib.Malloc(site, 64*units.KB)
 		if err != nil {
@@ -70,8 +70,8 @@ func TestCachedMallocFreeZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cached Malloc/Free allocates %.1f times per pair, want 0", allocs)
 	}
-	after := lib.Stats()
-	if after.CacheHits <= before.CacheHits || after.Translates != before.Translates {
+	after := lib.stats
+	if after.cacheHits <= before.cacheHits || after.translates != before.translates {
 		t.Errorf("guard did not stay on the cached path: before %+v after %+v", before, after)
 	}
 	// The unmatched path (size-filtered) must be allocation-free too:

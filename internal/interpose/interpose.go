@@ -25,12 +25,12 @@
 // allocations each allocator owns (so frees are routed correctly), how
 // much alternate space is in use per tier (so no budget is ever
 // exceeded even when the advisor under-estimated loop allocations),
-// and execution statistics (allocation counts, average size,
-// high-water mark, and whether anything did not fit).
+// and execution statistics (allocation counts, bytes requested,
+// high-water mark, and whether anything did not fit), which every run
+// reports in Result.Metrics under interpose_* keys.
 package interpose
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/advisor"
@@ -43,39 +43,34 @@ import (
 
 // Options tune the library; zero values give the paper's defaults.
 type Options struct {
-	// DisableSizeFilter bypasses the lb/ub pre-check (ablation).
-	DisableSizeFilter bool
-	// DisableCache bypasses the decision cache so every allocation
-	// pays translation (ablation).
-	DisableCache bool
 	// BudgetOverride replaces the report's fastest-tier budget when
 	// positive. The paper uses this for Lulesh: advise for 512 MB but
 	// enforce 256 MB.
 	BudgetOverride int64
 }
 
-// Stats are the metrics auto-hbwmalloc captures "upon user request".
-type Stats struct {
-	Allocations    int64 // total mallocs seen
-	HBWAllocations int64 // routed to the fastest tier
-	BytesRequested int64
-	HBWBytes       int64
-	HWM            int64 // fastest-tier high-water mark (library view)
-	NotFit         int64 // matched but rejected by budget/OOM at target
-	Fallbacks      int64 // allocations served below their intended tier
-	CacheHits      int64
-	CacheMisses    int64
-	Partitioned    int64 // allocations placed by critical sub-range
-	Unwinds        int64
-	Translates     int64
-	SizeFiltered   int64 // skipped by the lb/ub pre-filter
+// counters are the statistics auto-hbwmalloc captures "upon user
+// request"; they leave the library only through MetricsSnapshot.
+type counters struct {
+	allocations    int64 // mallocs seen
+	bytesRequested int64
+	hbwAllocations int64 // routed to the fastest tier
+	hbwBytes       int64
+	hbwHWM         int64 // fastest-tier high-water mark (library view)
+	notFit         int64 // matched but rejected by budget/OOM at target
+	fallbacks      int64 // allocations served below their intended tier
+	cacheHits      int64
+	cacheMisses    int64
+	partitioned    int64 // allocations placed by critical sub-range
+	unwinds        int64
+	translates     int64
+	sizeFiltered   int64 // skipped by the lb/ub pre-filter
 }
 
 // Library is one loaded instance of auto-hbwmalloc.
 type Library struct {
 	mk   *alloc.Memkind
 	prog *callstack.Program
-	opts Options
 
 	targets    map[callstack.Key]alloc.Kind // whole-object target heap
 	partitions map[callstack.Key]advisor.Entry
@@ -95,7 +90,7 @@ type Library struct {
 	parts    map[uint64]partRange
 	decision map[uint64]siteDecision // stack fingerprint -> decision
 
-	stats    Stats
+	stats    counters
 	overhead units.Cycles
 }
 
@@ -119,7 +114,7 @@ func New(mk *alloc.Memkind, prog *callstack.Program, rep *advisor.Report, opts O
 	fastKind := mk.FastestKind()
 	defTier, _ := mk.TierOf(alloc.KindDefault)
 	l := &Library{
-		mk: mk, prog: prog, opts: opts,
+		mk: mk, prog: prog,
 		targets:    make(map[callstack.Key]alloc.Kind),
 		partitions: keyedPartitions(rep),
 		lb:         rep.LBSize, ub: rep.UBSize,
@@ -204,8 +199,8 @@ func (l *Library) Name() string { return "framework" }
 
 // Malloc implements Algorithm 1 of the paper, generalized to N tiers.
 func (l *Library) Malloc(stack callstack.Stack, size int64) (uint64, error) {
-	l.stats.Allocations++
-	l.stats.BytesRequested += size
+	l.stats.allocations++
+	l.stats.bytesRequested += size
 
 	d := l.classify(stack, size)
 	switch d.kind {
@@ -231,7 +226,7 @@ func (l *Library) defaultAlloc(size int64) (uint64, error) {
 		return 0, err
 	}
 	if kind != alloc.KindDefault {
-		l.stats.Fallbacks++
+		l.stats.fallbacks++
 	}
 	return addr, nil
 }
@@ -244,25 +239,22 @@ func (l *Library) classify(stack callstack.Stack, size int64) siteDecision {
 	if len(l.targets) == 0 && len(l.partitions) == 0 {
 		return siteDecision{}
 	}
-	if !l.opts.DisableSizeFilter && l.ub > 0 {
-		if size < l.lb || size > l.ub {
-			l.stats.SizeFiltered++
-			return siteDecision{}
-		}
+	if l.ub > 0 && (size < l.lb || size > l.ub) {
+		l.stats.sizeFiltered++
+		return siteDecision{}
 	}
 	// Unwind the call stack (always needed past the size gate).
-	l.stats.Unwinds++
+	l.stats.unwinds++
 	l.overhead += callstack.UnwindCost(len(stack))
 
-	if !l.opts.DisableCache {
-		if d, found := l.decision[stack.Fingerprint()]; found {
-			l.stats.CacheHits++
-			return d
-		}
-		l.stats.CacheMisses++
+	fp := stack.Fingerprint()
+	if d, found := l.decision[fp]; found {
+		l.stats.cacheHits++
+		return d
 	}
+	l.stats.cacheMisses++
 	// Translate (binutils) and match against the report.
-	l.stats.Translates++
+	l.stats.translates++
 	l.overhead += callstack.TranslateCost(len(stack))
 	key := l.prog.Table.Translate(stack)
 	d := siteDecision{}
@@ -271,9 +263,7 @@ func (l *Library) classify(stack callstack.Stack, size int64) siteDecision {
 	} else if _, ok := l.partitions[key]; ok {
 		d = siteDecision{kind: promotePartition, target: l.fastKind}
 	}
-	if !l.opts.DisableCache {
-		l.decision[stack.Fingerprint()] = d
-	}
+	l.decision[fp] = d
 	return d
 }
 
@@ -293,7 +283,7 @@ func (l *Library) tryPartition(stack callstack.Stack, size int64) (uint64, bool)
 		psz = size - off
 	}
 	if l.used[l.fastKind]+psz > l.budgets[l.fastKind] {
-		l.stats.NotFit++
+		l.stats.notFit++
 		return 0, false
 	}
 	addr, err := l.mk.Malloc(alloc.KindDefault, size)
@@ -304,13 +294,13 @@ func (l *Library) tryPartition(stack callstack.Stack, size int64) (uint64, bool)
 	l.mk.BindPages(addr, off, psz, fastTier)
 	l.parts[addr] = partRange{offset: off, size: psz}
 	l.used[l.fastKind] += psz
-	if l.used[l.fastKind] > l.stats.HWM {
-		l.stats.HWM = l.used[l.fastKind]
+	if l.used[l.fastKind] > l.stats.hbwHWM {
+		l.stats.hbwHWM = l.used[l.fastKind]
 	}
 	l.overhead += alloc.HBWAllocPenalty(psz)
-	l.stats.HBWAllocations++
-	l.stats.HBWBytes += psz
-	l.stats.Partitioned++
+	l.stats.hbwAllocations++
+	l.stats.hbwBytes += psz
+	l.stats.partitioned++
 	return addr, true
 }
 
@@ -329,14 +319,14 @@ func (l *Library) tryTier(target alloc.Kind, size int64) (uint64, bool) {
 		}
 		if b, capped := l.budgets[k]; capped && l.used[k]+size > b {
 			if k == target {
-				l.stats.NotFit++
+				l.stats.notFit++
 			}
 			continue
 		}
 		addr, err := l.mk.Malloc(k, size)
 		if err != nil {
 			if k == target {
-				l.stats.NotFit++
+				l.stats.notFit++
 			}
 			continue
 		}
@@ -345,14 +335,14 @@ func (l *Library) tryTier(target alloc.Kind, size int64) (uint64, bool) {
 		l.owned[addr] = ownedAlloc{kind: k, size: aligned}
 		l.used[k] += aligned
 		if k == l.fastKind {
-			if l.used[k] > l.stats.HWM {
-				l.stats.HWM = l.used[k]
+			if l.used[k] > l.stats.hbwHWM {
+				l.stats.hbwHWM = l.used[k]
 			}
-			l.stats.HBWAllocations++
-			l.stats.HBWBytes += size
+			l.stats.hbwAllocations++
+			l.stats.hbwBytes += size
 		}
 		if k != target {
-			l.stats.Fallbacks++
+			l.stats.fallbacks++
 		}
 		return addr, true
 	}
@@ -374,8 +364,13 @@ func (l *Library) Free(addr uint64) error {
 	return l.mk.Free(addr)
 }
 
-// Realloc implements engine.Policy. A matched site growing beyond its
-// tier's budget falls down the hierarchy, releasing its footprint.
+// Realloc implements engine.Policy. A tier-resident block grows in
+// place while its tier's budget allows and otherwise falls down the
+// hierarchy, releasing its footprint; a partitioned block loses its
+// bound range. Any block whose heap is exhausted spills down the
+// hierarchy (alloc.Memkind.ReallocFallback), the same overflow path
+// Malloc takes, so an interposed run never fails where the plain
+// default allocator would have spilled.
 func (l *Library) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64, error) {
 	if addr == 0 {
 		return l.Malloc(stack, size)
@@ -386,56 +381,47 @@ func (l *Library) Realloc(stack callstack.Stack, addr uint64, size int64) (uint6
 		l.mk.BindPages(addr, pr.offset, pr.size, l.defTier)
 		delete(l.parts, addr)
 		l.used[l.fastKind] -= pr.size
-		return l.reallocSpilling(addr, size)
 	}
-	oa, wasOurs := l.owned[addr]
-	if !wasOurs {
-		return l.reallocSpilling(addr, size)
-	}
-	// Tier-resident: stay if the tier's budget allows.
+	oa, owned := l.owned[addr]
 	b, capped := l.budgets[oa.kind]
-	if !capped || l.used[oa.kind]-oa.size+size <= b {
-		na, err := l.mk.Realloc(addr, size)
-		if err == nil {
-			delete(l.owned, addr)
-			l.used[oa.kind] -= oa.size
-			aligned, _ := l.mk.Arena(oa.kind).SizeOf(na)
-			l.owned[na] = ownedAlloc{kind: oa.kind, size: aligned}
-			l.used[oa.kind] += aligned
-			if oa.kind == l.fastKind && l.used[oa.kind] > l.stats.HWM {
-				l.stats.HWM = l.used[oa.kind]
-			}
-			l.overhead += alloc.HBWAllocPenalty(size)
-			return na, nil
+	if owned && capped && l.used[oa.kind]-oa.size+size > b {
+		// Over the tier's budget: demote down the hierarchy.
+		l.stats.notFit++
+		na, err := l.defaultAlloc(size)
+		if err != nil {
+			return 0, err
+		}
+		if err := l.Free(addr); err != nil {
+			return 0, err
+		}
+		return na, nil
+	}
+	from, _ := l.mk.KindOf(addr)
+	na, kind, err := l.mk.ReallocFallback(addr, size)
+	if err != nil {
+		return 0, err
+	}
+	if kind != from {
+		// The owning heap was exhausted and the block spilled.
+		if owned {
+			l.stats.notFit++
+		}
+		if kind != alloc.KindDefault {
+			l.stats.fallbacks++
 		}
 	}
-	// Demote down the hierarchy.
-	l.stats.NotFit++
-	na, err := l.defaultAlloc(size)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.Free(addr); err != nil {
-		return 0, err
-	}
-	return na, nil
-}
-
-// reallocSpilling resizes addr in place, falling down the hierarchy
-// when the owning heap is exhausted — the same overflow path Malloc
-// takes, so an interposed run never fails where the plain default
-// allocator would have spilled.
-func (l *Library) reallocSpilling(addr uint64, size int64) (uint64, error) {
-	na, err := l.mk.Realloc(addr, size)
-	if err == nil || !errors.Is(err, alloc.ErrOutOfMemory) {
-		return na, err
-	}
-	na, err = l.defaultAlloc(size)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.mk.Free(addr); err != nil {
-		return 0, err
+	if owned {
+		delete(l.owned, addr)
+		l.used[oa.kind] -= oa.size
+		if kind == oa.kind {
+			aligned, _ := l.mk.Arena(kind).SizeOf(na)
+			l.owned[na] = ownedAlloc{kind: kind, size: aligned}
+			l.used[kind] += aligned
+			if kind == l.fastKind && l.used[kind] > l.stats.hbwHWM {
+				l.stats.hbwHWM = l.used[kind]
+			}
+			l.overhead += alloc.HBWAllocPenalty(size)
+		}
 	}
 	return na, nil
 }
@@ -443,7 +429,23 @@ func (l *Library) reallocSpilling(addr uint64, size int64) (uint64, error) {
 // OverheadCycles implements engine.Policy.
 func (l *Library) OverheadCycles() units.Cycles { return l.overhead }
 
-// Stats returns a snapshot of the library's statistics. No production
-// caller: no run result carries these counters yet; the interpose tests
-// and the root interposition benchmarks read them.
-func (l *Library) Stats() Stats { return l.stats }
+// MetricsSnapshot implements engine.MetricsProvider: the library's
+// statistics, merged into Result.Metrics at the end of the run.
+func (l *Library) MetricsSnapshot() map[string]int64 {
+	st := &l.stats
+	return map[string]int64{
+		"interpose_allocations":     st.allocations,
+		"interpose_bytes_requested": st.bytesRequested,
+		"interpose_hbw_allocations": st.hbwAllocations,
+		"interpose_hbw_bytes":       st.hbwBytes,
+		"interpose_hbw_hwm":         st.hbwHWM,
+		"interpose_not_fit":         st.notFit,
+		"interpose_fallbacks":       st.fallbacks,
+		"interpose_cache_hits":      st.cacheHits,
+		"interpose_cache_misses":    st.cacheMisses,
+		"interpose_partitioned":     st.partitioned,
+		"interpose_unwinds":         st.unwinds,
+		"interpose_translates":      st.translates,
+		"interpose_size_filtered":   st.sizeFiltered,
+	}
+}

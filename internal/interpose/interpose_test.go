@@ -56,11 +56,11 @@ func TestMatchedSiteGoesToHBW(t *testing.T) {
 	if k, _ := f.mk.KindOf(addr); k != alloc.KindHBW {
 		t.Fatalf("matched allocation on %v, want hbw", k)
 	}
-	st := lib.Stats()
-	if st.HBWAllocations != 1 || st.Unwinds != 1 || st.Translates != 1 {
+	st := lib.stats
+	if st.hbwAllocations != 1 || st.unwinds != 1 || st.translates != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if lib.used[lib.fastKind] <= 0 || lib.Stats().HWM <= 0 {
+	if lib.used[lib.fastKind] <= 0 || st.hbwHWM <= 0 {
 		t.Fatal("usage accounting missing")
 	}
 	if err := lib.Free(addr); err != nil {
@@ -107,17 +107,15 @@ func TestSizeFilterSkipsUnwind(t *testing.T) {
 	if _, err := lib.Malloc(f.hot, units.KB); err != nil {
 		t.Fatal(err)
 	}
-	st := lib.Stats()
-	if st.Unwinds != 0 || st.Translates != 0 || st.SizeFiltered != 1 {
+	if st := lib.stats; st.unwinds != 0 || st.translates != 0 || st.sizeFiltered != 1 {
 		t.Fatalf("stats = %+v, want size-filtered skip", st)
 	}
-	// Disabling the filter forces the full path.
-	lib2, _ := New(f.mk, f.prog, f.rep, Options{DisableSizeFilter: true})
-	if _, err := lib2.Malloc(f.hot, units.KB); err != nil {
+	// A size inside [lb, ub] passes the filter and unwinds.
+	if _, err := lib.Malloc(f.hot, 8*units.MB); err != nil {
 		t.Fatal(err)
 	}
-	if lib2.Stats().Unwinds != 1 {
-		t.Fatal("filter-disabled path did not unwind")
+	if st := lib.stats; st.unwinds != 1 || st.sizeFiltered != 1 {
+		t.Fatalf("stats = %+v, want one unwind past the filter", st)
 	}
 }
 
@@ -132,29 +130,20 @@ func TestDecisionCacheAvoidsRetranslation(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	st := lib.Stats()
-	if st.Translates != 1 {
-		t.Fatalf("translates = %d, want 1 (cache)", st.Translates)
+	st := lib.stats
+	if st.translates != 1 {
+		t.Fatalf("translates = %d, want 1 (cache)", st.translates)
 	}
-	if st.CacheHits != 9 || st.CacheMisses != 1 {
-		t.Fatalf("cache hits/misses = %d/%d", st.CacheHits, st.CacheMisses)
+	if st.cacheHits != 9 || st.cacheMisses != 1 || st.unwinds != 10 {
+		t.Fatalf("cache hits/misses = %d/%d over %d unwinds", st.cacheHits, st.cacheMisses, st.unwinds)
+	}
+	// The overhead is ten unwinds, one translation and ten HBW allocations.
+	want := 10*callstack.UnwindCost(len(f.hot)) + callstack.TranslateCost(len(f.hot)) + 10*alloc.HBWAllocPenalty(8*units.MB)
+	if lib.OverheadCycles() != want {
+		t.Fatalf("overhead = %d cycles, want %d", lib.OverheadCycles(), want)
 	}
 	for _, a := range addrs {
 		lib.Free(a)
-	}
-
-	// Ablation: with the cache disabled every allocation translates.
-	lib2, _ := New(f.mk, f.prog, f.rep, Options{DisableCache: true})
-	for i := 0; i < 10; i++ {
-		if _, err := lib2.Malloc(f.hot, 8*units.MB); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if lib2.Stats().Translates != 10 {
-		t.Fatalf("uncached translates = %d, want 10", lib2.Stats().Translates)
-	}
-	if lib2.OverheadCycles() <= lib.OverheadCycles() {
-		t.Fatal("disabling the cache should cost more")
 	}
 }
 
@@ -177,8 +166,8 @@ func TestBudgetEnforced(t *testing.T) {
 	if k, _ := f.mk.KindOf(a2); k != alloc.KindDefault {
 		t.Fatal("over-budget allocation not demoted to DDR")
 	}
-	if lib.Stats().NotFit != 1 {
-		t.Fatalf("NotFit = %d, want 1", lib.Stats().NotFit)
+	if lib.stats.notFit != 1 {
+		t.Fatalf("notFit = %d, want 1", lib.stats.notFit)
 	}
 	// Freeing the first releases budget for a third.
 	if err := lib.Free(a1); err != nil {
@@ -279,7 +268,7 @@ func TestEmptySelectionShortCircuits(t *testing.T) {
 	if _, err := lib.Malloc(f.hot, 8*units.MB); err != nil {
 		t.Fatal(err)
 	}
-	if st := lib.Stats(); st.Unwinds != 0 {
+	if st := lib.stats; st.unwinds != 0 {
 		t.Fatalf("empty selection should never unwind, stats = %+v", st)
 	}
 }

@@ -17,6 +17,7 @@ type partitionFixture struct {
 	mk   *alloc.Memkind
 	pt   *mem.PageTable
 	prog *callstack.Program
+	rep  *advisor.Report
 	lib  *Library
 	big  callstack.Stack
 }
@@ -44,7 +45,7 @@ func newPartitionFixture(t *testing.T, budget int64) *partitionFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &partitionFixture{mk: mk, pt: pt, prog: prog, lib: lib, big: big}
+	return &partitionFixture{mk: mk, pt: pt, prog: prog, rep: rep, lib: lib, big: big}
 }
 
 func TestPartitionBindsHotRange(t *testing.T) {
@@ -76,8 +77,8 @@ func TestPartitionBindsHotRange(t *testing.T) {
 	if f.lib.used[f.lib.fastKind] != 16*units.MB {
 		t.Fatalf("used = %d, want the 16 MB partition", f.lib.used[f.lib.fastKind])
 	}
-	st := f.lib.Stats()
-	if st.Partitioned != 1 || st.HBWAllocations != 1 {
+	st := f.lib.stats
+	if st.partitioned != 1 || st.hbwAllocations != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Freeing unbinds and releases budget.
@@ -107,8 +108,8 @@ func TestPartitionBudgetEnforced(t *testing.T) {
 	if f.pt.TierOf(a2+uint64(8*units.MB)) != mem.TierDDR {
 		t.Fatal("over-budget partition still bound pages")
 	}
-	if f.lib.Stats().NotFit != 1 {
-		t.Fatalf("NotFit = %d", f.lib.Stats().NotFit)
+	if f.lib.stats.notFit != 1 {
+		t.Fatalf("notFit = %d", f.lib.stats.notFit)
 	}
 	_ = a1
 }
@@ -126,18 +127,23 @@ func TestPartitionClampedToAllocation(t *testing.T) {
 	if f.pt.TierOf(addr+uint64(9*units.MB)) != mem.TierDDR {
 		t.Fatal("size-filtered allocation had pages bound")
 	}
-	// Disable the filter: clamping path engages.
+	// A report whose size range admits 12 MB: the clamping path engages.
 	f2 := newPartitionFixture(t, 64*units.MB)
-	f2.lib.opts.DisableSizeFilter = true
-	addr2, err := f2.lib.Malloc(f2.big, 12*units.MB)
+	rep := *f2.rep
+	rep.LBSize = 12 * units.MB
+	lib, err := New(f2.mk, f2.prog, &rep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr2, err := lib.Malloc(f2.big, 12*units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f2.pt.TierOf(addr2+uint64(9*units.MB)) != mem.TierMCDRAM {
 		t.Fatal("clamped hot range not bound")
 	}
-	if f2.lib.used[f2.lib.fastKind] != 4*units.MB {
-		t.Fatalf("used = %d, want clamped 4 MB", f2.lib.used[f2.lib.fastKind])
+	if lib.used[lib.fastKind] != 4*units.MB {
+		t.Fatalf("used = %d, want clamped 4 MB", lib.used[lib.fastKind])
 	}
 }
 

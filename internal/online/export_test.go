@@ -2,12 +2,8 @@ package online
 
 import "repro/internal/mem"
 
-// The placer's statistics and live assignment are inspected only by
-// the tests; the run reports its solver counters through
-// MetricsSnapshot.
-
-// Stats returns a snapshot of the placer's statistics.
-func (p *Policy) Stats() Stats { return p.stats }
+// The placer's live assignment is inspected only by the tests; the run
+// reports its counters through MetricsSnapshot.
 
 // Assignments returns a copy of the solver's current site→tier map.
 // Sites the waterfall explicitly placed are present — INCLUDING

@@ -37,7 +37,6 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -141,21 +140,22 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats are the placer's execution statistics.
-type Stats struct {
-	Epochs            int64 // epoch boundaries observed
-	SamplesSeen       int64 // PEBS samples handed over
-	SamplesAttributed int64 // samples landing in a tracked region
-	PlansEvaluated    int64 // epochs where the solve disagreed with the current placement
-	GateRejected      int64 // plans the cost-benefit gate refused
-	MoveEpochs        int64 // epochs that actually migrated data
-	LastMoveEpoch     int64 // index of the last migrating epoch (-1 = none)
-	Promotions        int64 // sites moved to a faster tier
-	Demotions         int64 // sites moved to a slower tier
-	BytesPromoted     int64 // bytes migrated towards faster tiers
-	BytesDemoted      int64 // bytes migrated towards slower tiers
-	BindsAtAlloc      int64 // allocations bound to their tier at birth (no copy)
-	SolvePanics       int64 // epoch re-solves that panicked or were refused (placement kept)
+// counters are the placer's statistics; they leave the placer only
+// through MetricsSnapshot.
+type counters struct {
+	resolves          int64 // epoch re-solves run
+	repacked          int64 // committed site→tier changes
+	samplesSeen       int64 // PEBS samples handed over
+	samplesAttributed int64 // samples landing in a tracked region
+	plansEvaluated    int64 // epochs where the solve disagreed with the current placement
+	gateRejected      int64 // plans the cost-benefit gate refused
+	moveEpochs        int64 // epochs that actually migrated data
+	promotions        int64 // sites moved to a faster tier
+	demotions         int64 // sites moved to a slower tier
+	bytesPromoted     int64 // bytes migrated towards faster tiers
+	bytesDemoted      int64 // bytes migrated towards slower tiers
+	bindsAtAlloc      int64 // allocations bound to their tier at birth (no copy)
+	solvePanics       int64 // epoch re-solves that panicked or were refused (placement kept)
 }
 
 // region is one live allocation the placer tracks.
@@ -210,17 +210,14 @@ type Policy struct {
 	// warm carries solver context between this policy's epochs: epoch
 	// N's sorted site order seeds epoch N+1's re-solve, so a stable
 	// heat ranking costs an O(n) verification instead of a sort.
-	// resolves/repacked/lastCands/lastWarm are the always-on solver
-	// counters surfaced through MetricsSnapshot and the per-epoch
-	// solver trace event.
+	// lastCands/lastWarm describe the latest re-solve for the
+	// per-epoch solver trace event.
 	warm      *advisor.WarmState
-	resolves  int64
-	repacked  int64
 	lastCands int
 	lastWarm  bool
 
 	overhead units.Cycles
-	stats    Stats
+	stats    counters
 }
 
 // New builds the placer over a run's allocator façade and program.
@@ -272,7 +269,6 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		assigned: make(map[string]mem.TierID),
 		usedBy:   make(map[mem.TierID]int64),
 		warm:     advisor.NewWarmState(),
-		stats:    Stats{LastMoveEpoch: -1},
 	}
 	for _, t := range hier {
 		p.perf[t.ID] = opts.Machine.EffectivePerf(t)
@@ -387,7 +383,7 @@ func (p *Policy) bindAtBirth(rg *region) {
 	p.mk.BindPages(rg.start, 0, rg.size, want)
 	p.retier(rg, want)
 	p.overhead += alloc.HBWAllocPenalty(rg.size)
-	p.stats.BindsAtAlloc++
+	p.stats.bindsAtAlloc++
 }
 
 // retier moves the usedBy accounting of rg from its current tier to t.
@@ -458,7 +454,8 @@ func (p *Policy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64
 	}
 	i, ok := p.findIndex(addr)
 	if !ok {
-		return p.mk.Realloc(addr, size)
+		na, _, err := p.mk.ReallocFallback(addr, size)
+		return na, err
 	}
 	old := p.regions[i]
 	if old.cur != old.seg {
@@ -471,20 +468,11 @@ func (p *Policy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64
 	// Graveyard the old extent like Free does: samples taken against
 	// the pre-realloc address earlier this epoch must still attribute.
 	p.freed = append(p.freed, old)
-	na, err := p.mk.Realloc(addr, size)
+	// An exhausted heap (a real event on N-tier machines with a
+	// capacity-clamped default) spills the block down the hierarchy.
+	na, kind, err := p.mk.ReallocFallback(addr, size)
 	if err != nil {
-		if !errors.Is(err, alloc.ErrOutOfMemory) {
-			return 0, err
-		}
-		// Owning heap full (a real event on N-tier machines with a
-		// capacity-clamped default): move down the hierarchy manually.
-		na, _, err = p.mk.MallocFallback(alloc.KindDefault, size)
-		if err != nil {
-			return 0, err
-		}
-		if err := p.mk.Free(addr); err != nil {
-			return 0, err
-		}
+		return 0, err
 	}
 	if size > p.maxSize[old.site] {
 		p.maxSize[old.site] = size
@@ -492,10 +480,7 @@ func (p *Policy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64
 	if size > p.epochMax[old.site] {
 		p.epochMax[old.site] = size
 	}
-	seg := old.seg
-	if kind, ok := p.mk.KindOf(na); ok {
-		seg, _ = p.mk.TierOf(kind)
-	}
+	seg, _ := p.mk.TierOf(kind)
 	p.track(region{start: na, size: size, site: old.site, seg: seg, cur: seg})
 	return na, nil
 }
@@ -504,19 +489,31 @@ func (p *Policy) Realloc(stack callstack.Stack, addr uint64, size int64) (uint64
 func (p *Policy) OverheadCycles() units.Cycles { return p.overhead }
 
 // MetricsSnapshot implements engine.MetricsProvider: the placer's
-// always-on solver counters, merged into Result.Metrics at the end of
-// the run. solver_warm_hits/misses count epoch re-solves that reused
-// the previous epoch's sorted order vs. ones that had to cold-sort;
+// always-on counters, merged into Result.Metrics at the end of the run.
+// solver_warm_hits/misses count epoch re-solves that reused the
+// previous epoch's sorted order vs. ones that had to cold-sort;
 // solver_objects_repacked counts committed site→tier changes across
-// all epochs.
+// all epochs, so it equals online_promotions + online_demotions. The
+// engine counts the epochs themselves (Result.Epochs).
 func (p *Policy) MetricsSnapshot() map[string]int64 {
 	ws := p.warm.Stats()
+	st := &p.stats
 	return map[string]int64{
-		"solver_resolves":         p.resolves,
-		"solver_warm_hits":        ws.OrderHits + ws.FloorHits,
-		"solver_warm_misses":      ws.OrderMisses + ws.FloorMisses,
-		"solver_objects_repacked": p.repacked,
-		"solver_panics":           p.stats.SolvePanics,
+		"solver_resolves":           st.resolves,
+		"solver_warm_hits":          ws.OrderHits + ws.FloorHits,
+		"solver_warm_misses":        ws.OrderMisses + ws.FloorMisses,
+		"solver_objects_repacked":   st.repacked,
+		"solver_panics":             st.solvePanics,
+		"online_samples_seen":       st.samplesSeen,
+		"online_samples_attributed": st.samplesAttributed,
+		"online_plans_evaluated":    st.plansEvaluated,
+		"online_gate_rejected":      st.gateRejected,
+		"online_move_epochs":        st.moveEpochs,
+		"online_promotions":         st.promotions,
+		"online_demotions":          st.demotions,
+		"online_bytes_promoted":     st.bytesPromoted,
+		"online_bytes_demoted":      st.bytesDemoted,
+		"online_binds_at_alloc":     st.bindsAtAlloc,
 	}
 }
 
@@ -541,7 +538,6 @@ type siteAssign struct {
 // diff on predicted net gain vs pairwise migration cost, and emit the
 // migrations.
 func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
-	p.stats.Epochs++
 	p.overhead += replanCycles
 	// The epoch's demand traffic prices this boundary's migrations:
 	// on machines with shared controllers, a plan profitable at idle
@@ -564,14 +560,14 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	}
 
 	var attributed int64
+	p.stats.samplesSeen += int64(len(info.Samples))
 	for _, s := range info.Samples {
-		p.stats.SamplesSeen++
 		if site, ok := p.attribute(s.Addr); ok {
 			p.agg.Add(site, 1)
 			attributed++
 		}
 	}
-	p.stats.SamplesAttributed += attributed
+	p.stats.samplesAttributed += attributed
 	p.freed = p.freed[:0]
 	defer p.agg.EndEpoch()
 	defer func() { p.epochMax = make(map[string]int64) }()
@@ -637,7 +633,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	if len(changed) == 0 && !misplaced {
 		return nil
 	}
-	p.stats.PlansEvaluated++
+	p.stats.plansEvaluated++
 
 	moves, moveCost, usedAfter := p.planMoves(ordered, next)
 
@@ -701,7 +697,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 		obs.Emit(o, ev)
 	}
 	if !pass {
-		p.stats.GateRejected++
+		p.stats.gateRejected++
 		return nil
 	}
 
@@ -709,27 +705,26 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	// the move traffic; the bookkeeping here must mirror it.
 	for s := range changed {
 		if p.perf[newOf(s)] > p.perf[oldOf(s)] {
-			p.stats.Promotions++
+			p.stats.promotions++
 		} else {
-			p.stats.Demotions++
+			p.stats.demotions++
 		}
 	}
 	p.assigned = next
-	p.repacked += int64(len(changed))
+	p.stats.repacked += int64(len(changed))
 	for _, mv := range moves {
 		if i, ok := p.findIndex(mv.Addr); ok {
 			p.regions[i].cur = mv.To
 		}
 		if p.perf[mv.To] > p.perf[mv.From] {
-			p.stats.BytesPromoted += mv.Size
+			p.stats.bytesPromoted += mv.Size
 		} else {
-			p.stats.BytesDemoted += mv.Size
+			p.stats.bytesDemoted += mv.Size
 		}
 	}
 	p.usedBy = usedAfter
 	if len(moves) > 0 {
-		p.stats.MoveEpochs++
-		p.stats.LastMoveEpoch = int64(info.Index)
+		p.stats.moveEpochs++
 	}
 	return moves
 }
@@ -739,7 +734,7 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 // one failing solve must not take the whole run down: when the solve
 // panics, or the advisor refuses its selection (an overpacked tier),
 // the placer keeps the current placement for this epoch, counts the
-// failure (Stats.SolvePanics, metric solver_panics), and emits a
+// failure (metric solver_panics), and emits a
 // degrade event whose Detail carries the refusal or the panic value,
 // so the trace explains the skipped re-plan.
 func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem.TierID, ok bool) {
@@ -749,7 +744,7 @@ func (p *Policy) safeSolve(epoch int) (ordered []siteAssign, next map[string]mem
 			reason, detail = "epoch-solve-panic", fmt.Sprint(v)
 		}
 		if reason != "" {
-			p.stats.SolvePanics++
+			p.stats.solvePanics++
 			obs.Emit(p.opts.Obs, obs.DegradeEvent{
 				Strategy: p.opts.Strategy.Name(), Reason: reason,
 				Fallback: "keep-placement", Epoch: epoch, Detail: detail,
@@ -802,7 +797,7 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID, error) {
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
 
-	p.resolves++
+	p.stats.resolves++
 	p.lastCands = len(objs)
 	before := p.warm.Stats()
 	byTier, err := advisor.Waterfall(objs, p.packTiers, p.opts.Strategy, p.warm, nil)

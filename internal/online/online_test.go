@@ -54,7 +54,7 @@ func runStatic(t *testing.T, w *engine.Workload, budget int64, seed uint64) *eng
 }
 
 // runOnline executes w under the online adaptive placer, returning the
-// run result and the policy for its statistics. The production seed
+// run result and the policy for its live state. The production seed
 // offset matches runStatic's, so both face the same ASLR layout.
 func runOnline(t *testing.T, w *engine.Workload, opts online.Options, seed uint64) (*engine.Result, *online.Policy) {
 	t.Helper()
@@ -96,18 +96,18 @@ func TestOnlineBeatsStaticOnPhaseShift(t *testing.T) {
 	// break; the online placer serves nearly all of them.
 	const budget = 16 * units.MB
 	static := runStatic(t, apps.PhaseShift(), budget, 7)
-	res, pol := runOnline(t, w, online.Options{Budget: budget}, 7)
+	res, _ := runOnline(t, w, online.Options{Budget: budget}, 7)
 
 	if res.Migrations == 0 {
 		t.Fatal("online run never migrated — it is not adapting")
 	}
-	st := pol.Stats()
-	if st.MoveEpochs < 2 {
-		t.Fatalf("move epochs = %d, want re-placements across slot switches (stats: %+v)", st.MoveEpochs, st)
+	moveEpochs := res.Metrics["online_move_epochs"]
+	if moveEpochs < 2 {
+		t.Fatalf("move epochs = %d, want re-placements across slot switches (metrics: %v)", moveEpochs, res.Metrics)
 	}
 	if res.FOM <= static.FOM {
 		t.Fatalf("online FOM %.3f did not beat static misses(0) FOM %.3f (migrated %d MB in %d epochs)",
-			res.FOM, static.FOM, res.MigratedBytes/units.MB, st.MoveEpochs)
+			res.FOM, static.FOM, res.MigratedBytes/units.MB, moveEpochs)
 	}
 }
 
@@ -120,30 +120,29 @@ func TestHysteresisKeepsStableWorkloadQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, pol := runOnline(t, w, online.Options{Budget: 128 * units.MB}, 7)
-	st := pol.Stats()
-	if st.Epochs == 0 || st.SamplesAttributed == 0 {
-		t.Fatalf("monitor never engaged: %+v", st)
+	res, _ := runOnline(t, w, online.Options{Budget: 128 * units.MB}, 7)
+	if res.Epochs == 0 || res.Metrics["online_samples_attributed"] == 0 {
+		t.Fatalf("monitor never engaged: %d epochs, metrics %v", res.Epochs, res.Metrics)
 	}
 	if res.Migrations != 0 || res.MigratedBytes != 0 {
-		t.Fatalf("stable workload migrated %d regions / %d bytes, want zero (stats: %+v)",
-			res.Migrations, res.MigratedBytes, st)
+		t.Fatalf("stable workload migrated %d regions / %d bytes, want zero (metrics: %v)",
+			res.Migrations, res.MigratedBytes, res.Metrics)
 	}
-	if st.GateRejected == 0 {
-		t.Fatalf("gate never evaluated a plan — quiet run is vacuous: %+v", st)
+	if res.Metrics["online_gate_rejected"] == 0 {
+		t.Fatalf("gate never evaluated a plan — quiet run is vacuous: %v", res.Metrics)
 	}
 }
 
 // TestGateBlocksEverythingAtInfiniteHysteresis: the hysteresis knob
 // must be able to pin the placer down entirely.
 func TestGateBlocksEverythingAtInfiniteHysteresis(t *testing.T) {
-	res, pol := runOnline(t, apps.PhaseShift(), online.Options{
+	res, _ := runOnline(t, apps.PhaseShift(), online.Options{
 		Budget: 32 * units.MB, Hysteresis: 1e12,
 	}, 7)
 	if res.Migrations != 0 {
 		t.Fatalf("migrated %d regions despite infinite hysteresis", res.Migrations)
 	}
-	if pol.Stats().GateRejected == 0 {
+	if res.Metrics["online_gate_rejected"] == 0 {
 		t.Fatal("gate never rejected — plans were not even considered")
 	}
 }
@@ -297,12 +296,12 @@ func TestOnlineDemotesBelowDDROnNTierMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pol.Stats()
-	if res.Migrations == 0 || st.MoveEpochs == 0 {
-		t.Fatalf("N-tier online run never migrated: %+v", st)
+	st := res.Metrics
+	if res.Migrations == 0 || st["online_move_epochs"] == 0 {
+		t.Fatalf("N-tier online run never migrated: %v", st)
 	}
-	if st.Demotions == 0 || st.BytesDemoted == 0 {
-		t.Fatalf("rotation produced no demotions: %+v", st)
+	if st["online_demotions"] == 0 || st["online_bytes_demoted"] == 0 {
+		t.Fatalf("rotation produced no demotions: %v", st)
 	}
 	// The cooling group cannot fit DDR whole: the solver must have
 	// banished some site to the NVM floor, and bytes must live there.
@@ -313,14 +312,14 @@ func TestOnlineDemotesBelowDDROnNTierMachine(t *testing.T) {
 		}
 	}
 	if !nvmAssigned {
-		t.Fatalf("no site assigned to the NVM floor after rotation (assignments=%v, stats=%+v)",
+		t.Fatalf("no site assigned to the NVM floor after rotation (assignments=%v, metrics=%v)",
 			pol.Assignments(), st)
 	}
 	// (Live-byte counters are zero here — the engine frees every
 	// program-lifetime object at run end — so the floor's occupancy
 	// shows in the heap high-water mark instead.)
 	if res.TierHWMs[mem.TierNVM] == 0 {
-		t.Fatalf("NVM heap never hosted data (HWMs=%v, stats=%+v)", res.TierHWMs, st)
+		t.Fatalf("NVM heap never hosted data (HWMs=%v, metrics=%v)", res.TierHWMs, st)
 	}
 	if pol.FastUsed() > 16*units.MB {
 		t.Fatalf("fast usage %d exceeds budget", pol.FastUsed())
@@ -337,24 +336,19 @@ func TestContentionGateRefusesMigrationUnderSharedController(t *testing.T) {
 	w := apps.PhaseShift()
 	const budget = 16 * units.MB
 
-	plain, plainPol := runOnline(t, w, online.Options{Budget: budget}, 7)
+	plain, _ := runOnline(t, w, online.Options{Budget: budget}, 7)
 	if plain.Migrations == 0 {
 		t.Fatal("baseline online run never migrated — contention comparison is vacuous")
 	}
 
 	shared := apps.MachineFor(w)
 	shared = mem.WithSharedControllers(shared, 1, mem.TierDDR, mem.TierMCDRAM)
-	var pol *online.Policy
 	res, err := engine.Run(w, engine.Config{
 		Machine: shared, Seed: 7 + 0x9e37,
-		MakePolicy: func(mk *alloc.Memkind, prog *callstack.Program) (engine.Policy, error) {
-			p, err := online.New(mk, prog, online.Options{
-				Machine: shared, Budget: budget,
-				SamplePeriod: testPeriod, TotalEpochs: w.Iterations,
-			})
-			pol = p
-			return p, err
-		},
+		MakePolicy: online.Factory(online.Options{
+			Machine: shared, Budget: budget,
+			SamplePeriod: testPeriod, TotalEpochs: w.Iterations,
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,9 +357,9 @@ func TestContentionGateRefusesMigrationUnderSharedController(t *testing.T) {
 		t.Fatalf("shared-controller run migrated %d bytes, plain run %d — contention did not bite",
 			res.MigratedBytes, plain.MigratedBytes)
 	}
-	if pol.Stats().GateRejected <= plainPol.Stats().GateRejected {
+	if res.Metrics["online_gate_rejected"] <= plain.Metrics["online_gate_rejected"] {
 		t.Fatalf("shared gate rejected %d plans vs plain %d — pricing unchanged",
-			pol.Stats().GateRejected, plainPol.Stats().GateRejected)
+			res.Metrics["online_gate_rejected"], plain.Metrics["online_gate_rejected"])
 	}
 }
 
@@ -374,18 +368,13 @@ func TestContentionGateRefusesMigrationUnderSharedController(t *testing.T) {
 // placer — and the epochs it closes carry enough floor traffic to act.
 func TestFloorBytesTriggerDrivesRescue(t *testing.T) {
 	m, w := ntierShift()
-	var pol *online.Policy
 	res, err := engine.Run(w, engine.Config{
 		Machine: m, Seed: 5,
-		MakePolicy: func(mk *alloc.Memkind, prog *callstack.Program) (engine.Policy, error) {
-			p, err := online.New(mk, prog, online.Options{
-				Machine: m, Budget: 16 * units.MB,
-				EveryIterations: 1000, EveryFloorBytes: 4 * units.MB,
-				SamplePeriod: testPeriod, Hysteresis: 0.8,
-			})
-			pol = p
-			return p, err
-		},
+		MakePolicy: online.Factory(online.Options{
+			Machine: m, Budget: 16 * units.MB,
+			EveryIterations: 1000, EveryFloorBytes: 4 * units.MB,
+			SamplePeriod: testPeriod, Hysteresis: 0.8,
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,8 +382,8 @@ func TestFloorBytesTriggerDrivesRescue(t *testing.T) {
 	if res.Epochs == 0 {
 		t.Fatal("floor trigger never closed an epoch despite NVM spill")
 	}
-	if res.Migrations == 0 || pol.Stats().MoveEpochs == 0 {
-		t.Fatalf("floor-triggered epochs never rescued data: %+v", pol.Stats())
+	if res.Migrations == 0 || res.Metrics["online_move_epochs"] == 0 {
+		t.Fatalf("floor-triggered epochs never rescued data: %v", res.Metrics)
 	}
 }
 
@@ -445,16 +434,17 @@ func TestFailedSolveKeepsPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run failed: %v", err)
 			}
-			if n := pol.MetricsSnapshot()["solver_panics"]; n == 0 || n != pol.Stats().SolvePanics {
-				t.Fatalf("solver_panics = %d, Stats.SolvePanics = %d", n, pol.Stats().SolvePanics)
+			panics := res.Metrics["solver_panics"]
+			if panics == 0 {
+				t.Fatal("no failed solve counted in solver_panics")
 			}
 			if res.Migrations != 0 || res.MigratedBytes != 0 || len(pol.Assignments()) != 0 {
 				t.Fatalf("failed solves moved data: %d migrations, %d bytes, assignments %v",
 					res.Migrations, res.MigratedBytes, pol.Assignments())
 			}
 			want := `"ev":"degrade","strategy":"` + tc.strat.Name() + `","reason":"` + tc.reason + `","fallback":"keep-placement"`
-			if got := strings.Count(trace.String(), want); int64(got) != pol.Stats().SolvePanics {
-				t.Fatalf("%d degrade events %s for %d failed solves", got, want, pol.Stats().SolvePanics)
+			if got := strings.Count(trace.String(), want); int64(got) != panics {
+				t.Fatalf("%d degrade events %s for %d failed solves", got, want, panics)
 			}
 			// Every degrade event keeps the reason the solve failed.
 			for _, line := range strings.Split(trace.String(), "\n") {

@@ -4,7 +4,16 @@ import (
 	"testing"
 
 	hm "repro"
+	"repro/internal/advisor"
+	"repro/internal/alloc"
+	"repro/internal/baseline"
+	"repro/internal/callstack"
+	"repro/internal/engine"
+	"repro/internal/interpose"
+	"repro/internal/mem"
+	"repro/internal/online"
 	"repro/internal/units"
+	"repro/internal/xrand"
 )
 
 // TestNTierWaterfallBeatsTwoTierAndDDR is the acceptance scenario of
@@ -81,5 +90,72 @@ func TestHBMCXLWaterfall(t *testing.T) {
 	}
 	if mc.Tiers[0].Capacity != 8*units.MB {
 		t.Fatalf("fast budget not applied: %+v", mc.Tiers[0])
+	}
+}
+
+// TestEveryPolicyReallocSpillsDownTheHierarchy: on a DDR+MCDRAM+NVM
+// node whose default heap is full, every policy's realloc of a growing
+// block spills to the NVM heap below the default and frees the old
+// block, whether the block sat on the default heap or on MCDRAM.
+func TestEveryPolicyReallocSpillsDownTheHierarchy(t *testing.T) {
+	m := mem.KNLOptane()
+	prog := callstack.NewProgram("spill", xrand.New(1))
+	site := prog.Site("main", "init", "allocGrower")
+	key := prog.Table.Translate(site)
+	selected := &advisor.Report{
+		App: "spill", Budget: 64 * units.MB,
+		Entries: []advisor.Entry{{Tier: "MCDRAM", ID: string(key), Site: key, Size: 2 * units.MB, Misses: 100}},
+		LBSize:  2 * units.MB, UBSize: 2 * units.MB,
+	}
+	for _, tc := range []struct {
+		name   string
+		policy engine.PolicyFactory
+	}{
+		{"ddr", baseline.DDR()},
+		{"numactl", baseline.Numactl()},
+		{"autohbw", baseline.AutoHBW(units.MB)},
+		{"framework-unmatched", interpose.Factory(&advisor.Report{App: "spill", Budget: 64 * units.MB}, interpose.Options{})},
+		{"framework-matched", interpose.Factory(selected, interpose.Options{})},
+		{"online", online.Factory(online.Options{Machine: m, Budget: 4 * units.MB})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var heaps []alloc.HeapSpec
+			for _, h := range []struct {
+				id   mem.TierID
+				size int64
+			}{{mem.TierDDR, 16 * units.MB}, {mem.TierMCDRAM, 4 * units.MB}, {mem.TierNVM, 64 * units.MB}} {
+				tier, _ := m.Tier(h.id)
+				heaps = append(heaps, alloc.HeapSpec{Tier: tier, Size: h.size})
+			}
+			mk, err := alloc.NewMemkindHierarchy(alloc.NewSpace(mem.NewPageTable(mem.TierDDR)), heaps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := tc.policy(mk, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := p.Malloc(site, 2*units.MB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, _ := mk.KindOf(a)
+			for {
+				if _, err := mk.Malloc(alloc.KindDefault, units.MB); err != nil {
+					break
+				}
+			}
+			na, err := p.Realloc(site, a, 8*units.MB)
+			if err != nil {
+				t.Fatalf("realloc with the default heap full: %v", err)
+			}
+			k, _ := mk.KindOf(na)
+			if tier, _ := mk.TierOf(k); tier != mem.TierNVM {
+				t.Fatalf("grown block on %v, want NVM", tier)
+			}
+			if _, live := mk.Arena(from).SizeOf(a); live {
+				t.Fatalf("old block on %v still live", from)
+			}
+		})
 	}
 }

@@ -164,8 +164,6 @@ func TestExecuteKeyCompleteness(t *testing.T) {
 		{"config.Cores", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Cores = 2 }},
 		{"config.Seed", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Seed++ }},
 		{"config.RefScale", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.RefScale = 0.5 }},
-		{"interpose.DisableSizeFilter", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.DisableSizeFilter = true }},
-		{"interpose.DisableCache", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.DisableCache = true }},
 		{"interpose.BudgetOverride", func(w *Workload, c *PipelineConfig, r *PlacementReport) { c.Interpose.BudgetOverride = 32 * units.MB }},
 		{"report.Entries", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.Entries[0].Site = "main>alloc_b" }},
 		{"report.EntryPartition", func(w *Workload, c *PipelineConfig, r *PlacementReport) { r.Entries[0].PartSize = 4 * units.MB }},
