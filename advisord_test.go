@@ -58,7 +58,7 @@ func reportBytes(t *testing.T, rep *hm.PlacementReport) []byte {
 
 // sweepReports runs one RunSweep pipeline cell per strategy on the
 // workload's canonical machine and returns each cell's written report:
-// the memoized-profile, warm-started Stage 3 path.
+// the memoized-profile Stage 3 path.
 func sweepReports(t *testing.T, workload string, seed uint64, refScale float64, budget int64, strategies []string) map[string][]byte {
 	t.Helper()
 	w, err := hm.WorkloadByName(workload)

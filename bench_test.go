@@ -228,12 +228,10 @@ func BenchmarkSweepFigure4Serial(b *testing.B) {
 }
 
 // BenchmarkOnlineEpochResolve measures the online placer's epoch
-// re-solve loop — the path the warm-start seam accelerates: every
-// epoch re-runs the waterfall over the live footprint, and epoch N's
-// sorted site order seeds epoch N+1's solve. The phaseshift workload
-// drives many epochs with a shifting hot set, so both the warm-hit
-// and the repack paths execute. Reported metrics come from the run's
-// always-on solver counters.
+// re-solve loop: every epoch re-runs the waterfall over the live
+// footprint, and the phaseshift workload drives many epochs with a
+// shifting hot set. Reported metrics come from the run's always-on
+// solver counters.
 func BenchmarkOnlineEpochResolve(b *testing.B) {
 	w, err := WorkloadByName("phaseshift")
 	if err != nil {
@@ -251,7 +249,6 @@ func BenchmarkOnlineEpochResolve(b *testing.B) {
 		metrics = res.Metrics
 	}
 	b.ReportMetric(float64(metrics["solver_resolves"]), "resolves")
-	b.ReportMetric(float64(metrics["solver_warm_hits"]), "warm-hits")
 	b.ReportMetric(float64(metrics["solver_objects_repacked"]), "repacked")
 }
 

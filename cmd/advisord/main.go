@@ -46,7 +46,7 @@ func main() {
 		workload    = flag.String("workload", "minife", "loadgen workload name")
 		machine     = flag.String("machine", "", "machine name (empty = the workload's per-rank machine)")
 		budget      = flag.Int64("budget", 0, "loadgen fast-memory budget in bytes (0 = 64 MB)")
-		strategy    = flag.String("strategy", "misses", "advisor strategy (density|misses[:pct]|exact|exact-dp|fcfs)")
+		strategy    = flag.String("strategy", "misses", "advisor strategy: "+hm.StrategyGrammar)
 		scale       = flag.Float64("scale", 0, "access-volume scale for loadgen profiling runs (0 = 1.0)")
 		minWarm     = flag.Float64("min-warm-speedup", 10, "fail loadgen unless warm req/s >= this multiple of cold")
 		expectCold  = flag.String("expect-cold", "miss", "cache attribution required of every cold-phase request: miss (fresh cache) or hit-disk (a PREVIOUS advisord process already populated this -cache dir — the cross-process sharing proof)")

@@ -88,7 +88,7 @@ var traceErr error
 // prints greedy-vs-exact optimality-gap tables (the exact solver is
 // the oracle the greedy strategies are measured against).
 var strategyFlag = flag.String("strategy", "",
-	"override the -fig 4 / -ntier packing strategy: density | misses[:pct] | exact | exact-dp")
+	"override the -fig 4 / -ntier packing strategy: "+hm.StrategyGrammar)
 
 // stratOverride is the parsed -strategy value (nil = per-mode default).
 var stratOverride hm.Strategy

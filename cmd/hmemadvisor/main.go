@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,8 +27,10 @@ import (
 	"repro/internal/units"
 )
 
-func parseBudget(s string) (int64, error) {
-	mult := int64(1)
+// parseBudget reads the -budget flag: a positive byte count with an
+// optional K, M or G suffix. Errors quote the flag value as given.
+func parseBudget(flagVal string) (int64, error) {
+	s, mult := flagVal, int64(1)
 	switch {
 	case strings.HasSuffix(s, "G"):
 		mult, s = units.GB, strings.TrimSuffix(s, "G")
@@ -37,8 +40,13 @@ func parseBudget(s string) (int64, error) {
 		mult, s = units.KB, strings.TrimSuffix(s, "K")
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad budget %q: %w", s, err)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("bad budget %q: %w", flagVal, err)
+	case v <= 0:
+		return 0, fmt.Errorf("bad budget %q: must be positive", flagVal)
+	case v > math.MaxInt64/mult:
+		return 0, fmt.Errorf("bad budget %q: overflows 64-bit bytes", flagVal)
 	}
 	return v * mult, nil
 }
@@ -47,7 +55,7 @@ func main() {
 	in := flag.String("in", "", "input Paramedir CSV (required)")
 	out := flag.String("out", "", "output placement report (required)")
 	budget := flag.String("budget", "256M", "fast-memory budget (e.g. 128M, 16G)")
-	strategy := flag.String("strategy", "misses:0", "packing strategy: density | misses[:pct] | exact | exact-strict | exactdp | fcfs")
+	strategy := flag.String("strategy", "misses:0", "packing strategy: "+hm.StrategyGrammar)
 	timeAware := flag.Bool("timeaware", false, "budget the peak concurrent footprint from the liveness timeline")
 	predictTrace := flag.String("predict", "", "trace file to predict the placement's speedup against (optional)")
 	app := flag.String("app", "", "workload name for -predict machine derivation (defaults to the profile's app)")
@@ -96,7 +104,7 @@ func main() {
 			ConfigFP: hm.ConfigFingerprint(resultFlags()),
 		})
 	}
-	rep, err := stage.Advise(context.Background(), prof, hm.TwoTier(b), strat, *timeAware, nil, rec)
+	rep, err := stage.Advise(context.Background(), prof, hm.TwoTier(b), strat, *timeAware, rec)
 	if err != nil {
 		fail(err)
 	}

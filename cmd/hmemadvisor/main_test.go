@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/paramedir"
@@ -69,5 +71,43 @@ func TestTraceWriteFailureExitsNonZero(t *testing.T) {
 	}
 	if code := exitCode(t, "-in", in, "-out", out, "-trace", "/dev/full"); code != 1 {
 		t.Fatalf("trace to /dev/full: exit %d, want 1", code)
+	}
+}
+
+// TestParseBudget pins the -budget grammar: a positive byte count with
+// an optional K, M or G suffix. Overflowing and non-positive values are
+// refused with an error that quotes the flag value as given.
+func TestParseBudget(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+	}{
+		{"256M", 256 * units.MB},
+		{"16G", 16 * units.GB},
+		{"4K", 4 * units.KB},
+		{"4096", 4096},
+		{"8589934591G", 8589934591 * units.GB},
+	} {
+		got, err := parseBudget(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("parseBudget(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{
+		"17179869185G",         // wraps to exactly 1 GB
+		"99999999999G",         // wraps negative
+		"9223372036854775807K", // MaxInt64 kilobytes
+		"9223372036854775808",  // beyond int64 before any suffix
+		"0", "0M", "-5M", "-1",
+		"", "M", "12X", "1.5G",
+	} {
+		got, err := parseBudget(bad)
+		if err == nil {
+			t.Errorf("parseBudget(%q) = %d, want an error", bad, got)
+			continue
+		}
+		if want := fmt.Sprintf("bad budget %q", bad); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("parseBudget(%q) error %q does not start with %s", bad, err, want)
+		}
 	}
 }

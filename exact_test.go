@@ -211,7 +211,7 @@ func TestStrategyByName(t *testing.T) {
 			t.Errorf("StrategyByName(%q).Name() = %q, want %q", name, s.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "misses5", "misses:", "misses:x", "ilp", "Exact"} {
+	for _, bad := range []string{"", "misses5", "misses:", "misses:x", "misses:Inf", "misses:NaN", "misses:-5", "misses:-0", "ilp", "Exact"} {
 		if _, err := hm.StrategyByName(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}

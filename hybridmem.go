@@ -163,17 +163,20 @@ var (
 	StrategyFCFS Strategy = advisor.FCFSStrategy{}
 )
 
+// StrategyGrammar lists every name StrategyByName accepts, for the
+// command-line surfaces' help strings.
+const StrategyGrammar = advisor.StrategyGrammar
+
 // StrategyByName resolves a command-line strategy name — the one
-// grammar cmd/hmemadvisor and cmd/experiments share:
-//
-//	density | misses | misses:<pct> | exact | exact-strict | exact-dp | exactdp | fcfs
-//
-// "exact-strict" is the exact solver with graceful degradation
-// disabled: a node-limit or deadline overrun is an error instead of a
-// fallback to the density waterfall (see PlacementReport.Degraded).
+// grammar (StrategyGrammar) cmd/hmemadvisor, cmd/experiments and
+// cmd/advisord share. "exact-strict" is the exact solver with graceful
+// degradation disabled: a node-limit or deadline overrun is an error
+// instead of a fallback to the density waterfall (see
+// PlacementReport.Degraded).
 // Unknown names and malformed misses thresholds are errors; in
 // particular "misses5" is rejected rather than silently parsed as a
-// 0% threshold.
+// 0% threshold, and a threshold must be a finite, non-negative
+// percentage.
 func StrategyByName(name string) (Strategy, error) {
 	// The grammar lives in internal/advisor so the advisory daemon's
 	// wire protocol resolves names identically to the CLIs.
@@ -572,7 +575,7 @@ func MemoryConfigFor(m Machine, fastBudget int64) MemoryConfig {
 // under StrategyExactNTier — the solver's node/prune counters as
 // pack/solver events.
 func AdviseHierarchy(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, strat Strategy, rec *FlightRecorder) (*PlacementReport, error) {
-	return stage.Advise(ctx, prof, mc, strat, false, nil, rec)
+	return stage.Advise(ctx, prof, mc, strat, false, rec)
 }
 
 // AdviseTimeAware is the liveness-aware variant of AdviseHierarchy
@@ -582,7 +585,7 @@ func AdviseHierarchy(ctx context.Context, prof *ObjectProfile, mc MemoryConfig, 
 // packs each tier against the peak CONCURRENT footprint reconstructed
 // from the trace's allocation timeline.
 func AdviseTimeAware(prof *ObjectProfile, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
-	return stage.Advise(context.Background(), prof, mc, strat, true, nil, nil)
+	return stage.Advise(context.Background(), prof, mc, strat, true, nil)
 }
 
 // ExecuteConfig parameterizes Stage 4 and baseline runs.
@@ -856,7 +859,7 @@ func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: %w", err)
 	}
-	return adviseAndExecute(w, cfg, art.Trace, art.Run, art.Profile, nil, nil)
+	return adviseAndExecute(w, cfg, art.Trace, art.Run, art.Profile, nil)
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -887,20 +890,12 @@ func (cfg *PipelineConfig) profileParams() stage.ProfileParams {
 // Pipeline and the sweep engine so a memoized-profile sweep cannot
 // drift from the serial path.
 //
-// The sweep engine passes the WarmState it keeps per memoized profile
-// (Pipeline passes nil), so adjacent budget/strategy cells reuse each
-// other's sorted orders and exact-solver floors. Warm-starting only
-// prunes — reports stay byte-identical to the cold path — so the
-// sweep's bit-identical-to-serial contract is untouched. The
-// time-aware advisors have no warm seam and always run cold.
-//
 // A non-nil runs memo shares the production run between calls with
 // equal executeKey, so sweep cells whose placements coincide simulate
 // it once. Traced and fault-scoped runs are never shared: a shared
 // run's events would land in whichever sharer's recorder claimed the
-// key (the rule that turns off exact warm-start sharing under
-// tracing), and chaos victims are chosen per cell.
-func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, ws *advisor.WarmState, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
+// key, and chaos victims are chosen per cell.
+func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -920,7 +915,7 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 	if cfg.Memory != nil {
 		mc = *cfg.Memory
 	}
-	rep, err := stage.Advise(ctx, prof, mc, strat, cfg.TimeAware, ws, cfg.Obs)
+	rep, err := stage.Advise(ctx, prof, mc, strat, cfg.TimeAware, cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: advise stage: %w", err)
 	}

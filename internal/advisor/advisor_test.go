@@ -161,7 +161,7 @@ func TestAdviseMultiTier(t *testing.T) {
 		obj("cold", 4, 10),
 		{ID: "static:grid", Size: 2 * units.MB, Misses: 800, Static: true},
 	}
-	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestAdviseMultiTier(t *testing.T) {
 
 func TestAdviseSizeBounds(t *testing.T) {
 	objs := []Object{obj("a", 2, 1000), obj("b", 6, 900), {ID: "s", Size: units.MB, Misses: 800, Static: true}}
-	rep, err := Advise(context.Background(), "app", objs, TwoTier(16*units.MB), MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, TwoTier(16*units.MB), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,27 +198,27 @@ func TestAdviseSizeBounds(t *testing.T) {
 }
 
 func TestAdviseErrors(t *testing.T) {
-	if _, err := Advise(context.Background(), "a", nil, MemoryConfig{}, MissesStrategy{}, nil, nil); err == nil {
+	if _, err := Advise(context.Background(), "a", nil, MemoryConfig{}, MissesStrategy{}, nil); err == nil {
 		t.Fatal("empty memory config accepted")
 	}
-	if _, err := Advise(context.Background(), "a", nil, TwoTier(units.MB), nil, nil, nil); err == nil {
+	if _, err := Advise(context.Background(), "a", nil, TwoTier(units.MB), nil, nil); err == nil {
 		t.Fatal("nil strategy accepted")
 	}
 	bad := TwoTier(units.MB)
 	bad.Tiers[0].Capacity = 0
-	if _, err := Advise(context.Background(), "a", nil, bad, MissesStrategy{}, nil, nil); err == nil {
+	if _, err := Advise(context.Background(), "a", nil, bad, MissesStrategy{}, nil); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	bad2 := TwoTier(units.MB)
 	bad2.Tiers[1].RelativePerf = 0
-	if _, err := Advise(context.Background(), "a", nil, bad2, MissesStrategy{}, nil, nil); err == nil {
+	if _, err := Advise(context.Background(), "a", nil, bad2, MissesStrategy{}, nil); err == nil {
 		t.Fatal("zero perf accepted")
 	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
 	objs := []Object{obj("hot", 4, 1000), {ID: "static:g", Size: units.MB, Misses: 5, Static: true}}
-	rep, err := Advise(context.Background(), "app", objs, TwoTier(32*units.MB), DensityStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, TwoTier(32*units.MB), DensityStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestAdviseThreeTiers(t *testing.T) {
 		obj("warm", 32, 500),
 		obj("cool", 32, 100),
 	}
-	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +368,11 @@ func TestWaterfallKeepsSubsliceSelections(t *testing.T) {
 		{Name: "DDR", Capacity: units.GB, RelativePerf: 1},
 	}}
 	objs := []Object{obj("a", 4, 50), obj("b", 4, 40), obj("c", 4, 30), obj("d", 4, 20), obj("e", 4, 10)}
-	want, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{copy: true}, nil, nil)
+	want, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{copy: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{}, nil, nil)
+	got, err := Advise(context.Background(), "app", objs, mc, prefixStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestAdviseDefaultTierMidHierarchy(t *testing.T) {
 		obj("warm", 32, 500),
 		obj("cold", 32, 10),
 	}
-	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestNTierReportRoundTrip(t *testing.T) {
 		DefaultTier: "DDR",
 	}
 	objs := []Object{obj("a", 4, 900), obj("b", 16, 500), obj("c", 24, 3)}
-	rep, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestSinglePackedFloorReportIsSelfDescribing(t *testing.T) {
 		DefaultTier: "DDR",
 	}
 	objs := []Object{obj("hot", 8, 1000), obj("cold", 16, 5)}
-	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

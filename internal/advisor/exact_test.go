@@ -85,7 +85,7 @@ func TestExactNTierMatchesBruteForce(t *testing.T) {
 				int64(r.Intn(6)+1), int64(r.Intn(1000))))
 		}
 		mc := threeTierKNLish(int64(r.Intn(12)+4)*units.MB, int64(r.Intn(16)+4)*units.MB)
-		rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+		rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -113,7 +113,7 @@ func TestExactNTierPricesBanishmentAsACost(t *testing.T) {
 		obj("cold1", 8, 10),
 		obj("cold2", 8, 5),
 	}
-	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExactNTierPricesBanishmentAsACost(t *testing.T) {
 	// knapsack binds), paying a small objective cost — strictly below
 	// exact, never above.
 	for _, greedy := range []Strategy{MissesStrategy{}, DensityStrategy{}} {
-		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
+		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestExactNTierSurvivesCapacityPressure(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 8, int64(1000-i)))
 	}
-	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 	if err != nil {
 		t.Fatalf("capacity-pressure instance rejected: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestExactNTierSurvivesCapacityPressure(t *testing.T) {
 		t.Fatalf("non-default budgets overpacked: %v", used)
 	}
 	// The objective model still dominates the greedy cascade's.
-	g, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil, nil)
+	g, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 		obj("M", 14, 300),
 		obj("d", 2, 1),
 	}
-	exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+	exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 		t.Fatalf("exact objective %.6f, brute force %.6f", got, want)
 	}
 	for _, greedy := range []Strategy{MissesStrategy{}, DensityStrategy{}} {
-		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
+		g, err := Advise(context.Background(), "app", objs, mc, greedy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestExactNTierDominatesGreedyDefaultOverload(t *testing.T) {
 // error, no entries.
 func TestExactNTierLeavesUnfittableObjectsImplicit(t *testing.T) {
 	objs := []Object{obj("big0", 30, 500), obj("big1", 30, 400)}
-	rep, err := Advise(context.Background(), "app", objs, smallFloorConfig(), ExactNTier{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, smallFloorConfig(), ExactNTier{}, nil)
 	if err != nil {
 		t.Fatalf("fragmented instance rejected: %v", err)
 	}
@@ -297,7 +297,7 @@ func TestExactNTierNodeLimit(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 2, int64(100+i)))
 	}
-	_, err := Advise(context.Background(), "app", objs, threeTierKNLish(8*units.MB, 8*units.MB), ExactNTier{MaxNodes: 3, Strict: true}, nil, nil)
+	_, err := Advise(context.Background(), "app", objs, threeTierKNLish(8*units.MB, 8*units.MB), ExactNTier{MaxNodes: 3, Strict: true}, nil)
 	if err == nil || !strings.Contains(err.Error(), "branch-and-bound") {
 		t.Fatalf("expected a node-limit error, got %v", err)
 	}
@@ -316,7 +316,7 @@ func TestExactNTierDegrades(t *testing.T) {
 		objs = append(objs, obj(fmt.Sprintf("o%d", i), 2, int64(100+i)))
 	}
 	mc := threeTierKNLish(8*units.MB, 8*units.MB)
-	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{MaxNodes: 3}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, ExactNTier{MaxNodes: 3}, nil)
 	if err != nil {
 		t.Fatalf("non-strict node-limit overrun should degrade, got error: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestExactNTierDegrades(t *testing.T) {
 	}
 
 	// The placement must be exactly the fallback waterfall's.
-	want, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil, nil)
+	want, err := Advise(context.Background(), "app", objs, mc, DensityStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,13 +406,13 @@ func TestAdviseRejectsRogueHierarchySelections(t *testing.T) {
 		"double place": {"MCDRAM": {o}, "NVM": {o}},
 	}
 	for name, sel := range cases {
-		if _, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: sel}, nil, nil); err == nil {
+		if _, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: sel}, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// A well-formed selection through the same seam still works.
 	ok := map[string][]Object{"MCDRAM": {o}}
-	rep, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: ok}, nil, nil)
+	rep, err := Advise(context.Background(), "app", []Object{o}, mc, rogueHierarchyStrategy{sel: ok}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,13 +436,13 @@ func (overpackStrategy) Select(objs []Object, budget int64) []Object {
 // with an error, not flow into a report the interposer would truncate.
 func TestAdviseRejectsOverpackedSelection(t *testing.T) {
 	objs := []Object{obj("giant", 64, 1000)}
-	_, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), overpackStrategy{}, nil, nil)
+	_, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), overpackStrategy{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "overpacked") {
 		t.Fatalf("overpacked selection accepted: err=%v", err)
 	}
 	// The same guard protects every tier of an N-tier cascade.
 	mc := threeTierKNLish(4*units.MB, 8*units.MB)
-	_, err = Advise(context.Background(), "app", objs, mc, overpackStrategy{}, nil, nil)
+	_, err = Advise(context.Background(), "app", objs, mc, overpackStrategy{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "overpacked") {
 		t.Fatalf("N-tier overpacked selection accepted: err=%v", err)
 	}
@@ -459,7 +459,7 @@ func TestAdviseRejectsOverpackedSelection(t *testing.T) {
 		t.Fatalf("partitioned overflow overpacked selection accepted: err=%v", err)
 	}
 	// Honest strategies on the same instance simply skip the object.
-	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, TwoTier(8*units.MB), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func AdvisePartitioned(app string, objs []Object, hot map[string]paramedir.HotRa
 		})
 	}
 	// Waterfall the whole-object overflow down the remaining tiers.
-	rest, err := Waterfall(overflow, withoutTrailingDefault(tiers[1:], def), strat, nil, nil)
+	rest, err := Waterfall(overflow, withoutTrailingDefault(tiers[1:], def), strat, nil)
 	if err != nil {
 		return nil, err
 	}

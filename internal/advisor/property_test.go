@@ -76,7 +76,7 @@ func TestPropertyNoStrategyExceedsTierBudgets(t *testing.T) {
 			}
 			_, def := mc.hierarchy()
 			for _, strat := range propertyStrategies() {
-				rep, err := Advise(context.Background(), "app", objs, mc, strat, nil, nil)
+				rep, err := Advise(context.Background(), "app", objs, mc, strat, nil)
 				if err != nil {
 					t.Fatalf("trial %d %s: %v", trial, strat.Name(), err)
 				}
@@ -116,11 +116,11 @@ func TestPropertyTwoTierDegenerateMatchesExactDP(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		objs := randObjects(r, 3+r.Intn(10), 5)
 		mc := TwoTier(int64(r.Intn(20)+2) * units.MB)
-		dp, err := Advise(context.Background(), "app", objs, mc, ExactDP{}, nil, nil)
+		dp, err := Advise(context.Background(), "app", objs, mc, ExactDP{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+		nt, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,12 +153,12 @@ func TestPropertyWaterfallWithinBoundOfExact(t *testing.T) {
 	for trial := 0; trial < instances; trial++ {
 		objs := randObjects(r, 6+r.Intn(8), 6)
 		mc := randThreeTier(r)
-		exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+		exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, greedy := range []Strategy{MissesStrategy{}, DensityStrategy{}} {
-			rep, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
+			rep, err := Advise(context.Background(), "app", objs, mc, greedy, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, greedy.Name(), err)
 			}
@@ -202,12 +202,12 @@ func TestPropertyExactDominatesWithBindingFloor(t *testing.T) {
 				{Name: "NVM", Capacity: int64(r.Intn(16)+4) * units.MB, RelativePerf: 0.4},
 			},
 		}
-		exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil, nil)
+		exact, err := Advise(context.Background(), "app", objs, mc, ExactNTier{}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, greedy := range propertyStrategies() {
-			rep, err := Advise(context.Background(), "app", objs, mc, greedy, nil, nil)
+			rep, err := Advise(context.Background(), "app", objs, mc, greedy, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, greedy.Name(), err)
 			}

@@ -268,15 +268,10 @@ type Report struct {
 // strategies are effectively instant and are not interrupted
 // mid-knapsack.
 //
-// A non-nil WarmState carries solver context (sorted orders, previous
-// exact assignments) between adjacent advises of the same profile —
-// the sweep's budget cells, the online placer's epochs. Warm-starting
-// only prunes work; the returned report is byte-identical to the cold
-// (nil ws) advise of the same inputs. A non-nil recorder receives one
-// pack event per waterfall packing step and the exact N-tier solver's
-// search statistics (nodes explored, LP-bound cutoffs, best
-// objective).
-func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+// A non-nil recorder receives one pack event per waterfall packing
+// step and the exact N-tier solver's search statistics (nodes
+// explored, LP-bound cutoffs, best objective).
+func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, strat Strategy, rec *obs.Recorder) (*Report, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
@@ -291,10 +286,10 @@ func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, str
 	// where the cascade below IS the exact problem and the strategy's
 	// one-knapsack seam reproduces the reference DP bit for bit.
 	if hs, ok := strat.(HierarchyStrategy); ok && !(len(tiers) == 2 && tiers[1].Name == def) {
-		return adviseHierarchyStrategy(ctx, app, objs, tiers, def, hs, ws, rec)
+		return adviseHierarchyStrategy(ctx, app, objs, tiers, def, hs, rec)
 	}
 
-	return waterfallCascade(app, objs, tiers, def, strat, ws, rec)
+	return waterfallCascade(app, objs, tiers, def, strat, rec)
 }
 
 // waterfallCascade is the per-tier greedy packing shared by the
@@ -302,10 +297,10 @@ func Advise(ctx context.Context, app string, objs []Object, mc MemoryConfig, str
 // fallback: the Waterfall over every tier but a trailing default, which
 // absorbs the remainder implicitly — running the strategy against its
 // (huge) capacity would be pure waste, pseudo-polynomial for ExactDP.
-func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+func waterfallCascade(app string, objs []Object, tiers []TierConfig, def string, strat Strategy, rec *obs.Recorder) (*Report, error) {
 	// The strategies get a private copy, as SelectHierarchy does: the
 	// caller's slice may be shared by concurrent sweep cells.
-	byTier, err := Waterfall(append([]Object(nil), objs...), withoutTrailingDefault(tiers, def), strat, ws, rec)
+	byTier, err := Waterfall(append([]Object(nil), objs...), withoutTrailingDefault(tiers, def), strat, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -327,21 +322,15 @@ func withoutTrailingDefault(tiers []TierConfig, def string) []TierConfig {
 // of what the tiers before it left. It packs exactly the tiers it is
 // given, so callers that leave a trailing default implicit drop it
 // first. Per tier the budget is clamped to the candidates' footprint,
-// the strategy selects (SelectWarm, slotted by tier name, when ws is
-// non-nil), an overpacked selection is refused, and rec gets one pack
-// event. byTier[i] is tiers[i]'s selection in packing order.
-func Waterfall(objs []Object, tiers []TierConfig, strat Strategy, ws *WarmState, rec *obs.Recorder) ([][]Object, error) {
-	wstrat, warmable := strat.(WarmStrategy)
+// the strategy selects, an overpacked selection is refused, and rec
+// gets one pack event. byTier[i] is tiers[i]'s selection in packing
+// order.
+func Waterfall(objs []Object, tiers []TierConfig, strat Strategy, rec *obs.Recorder) ([][]Object, error) {
 	byTier := make([][]Object, len(tiers))
 	remaining := objs
 	for i, tier := range tiers {
 		budget := ClampBudget(remaining, tier.Capacity)
-		var chosen []Object
-		if warmable && ws != nil {
-			chosen = wstrat.SelectWarm(remaining, budget, ws, tier.Name)
-		} else {
-			chosen = strat.Select(remaining, budget)
-		}
+		chosen := strat.Select(remaining, budget)
 		if err := checkSelectionFits(strat.Name(), tier.Name, chosen, budget); err != nil {
 			return nil, err
 		}
@@ -394,20 +383,18 @@ func newReport(app, strategy string, tiers []TierConfig, def string, byTier [][]
 // calls, with identical report-shape rules — entries per non-default
 // tier in hierarchy order, default placements implicit, per-tier
 // budgets recorded for N-tier reports.
-func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tiers []TierConfig, def string, hs HierarchyStrategy, ws *WarmState, rec *obs.Recorder) (*Report, error) {
+func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tiers []TierConfig, def string, hs HierarchyStrategy, rec *obs.Recorder) (*Report, error) {
 	var sel map[string][]Object
 	var err error
 	if e, ok := hs.(ExactNTier); ok {
 		// The stats-carrying solve is the same search; the recorder gets
-		// its progress numbers even when the node budget overruns, and a
-		// warm state seeds the floor / remembers the new assignment.
+		// its progress numbers even when the node budget overruns.
 		var st NTierSolveStats
-		sel, st, err = e.selectHierarchy(ctx, append([]Object(nil), objs...), tiers, def, ws, "hierarchy")
+		sel, st, err = e.selectHierarchy(ctx, append([]Object(nil), objs...), tiers, def)
 		if rec != nil {
 			obs.Emit(rec, obs.SolverEvent{
 				Strategy: hs.Name(), Objects: len(objs), Tiers: len(tiers),
 				Nodes: st.Nodes, Pruned: st.Pruned, Best: st.Best, Overrun: st.Overrun,
-				Warm: st.Warm, WarmPruned: st.WarmPruned,
 			})
 		}
 		if err != nil && !e.Strict {
@@ -425,7 +412,7 @@ func adviseHierarchyStrategy(ctx context.Context, app string, objs []Object, tie
 			}
 			if reason != "" {
 				fallback := DensityStrategy{}
-				rep, ferr := waterfallCascade(app, objs, tiers, def, fallback, ws, rec)
+				rep, ferr := waterfallCascade(app, objs, tiers, def, fallback, rec)
 				if ferr != nil {
 					return nil, ferr
 				}

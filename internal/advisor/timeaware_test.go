@@ -28,7 +28,7 @@ func TestTimeAwarePacksDisjointObjects(t *testing.T) {
 	}
 	// A 40 MB budget cannot hold all three under the stock sum
 	// constraint, but time-aware packing takes everything.
-	plain, err := Advise(context.Background(), "app", []Object{objs[0].Object, objs[1].Object, objs[2].Object}, TwoTier(40*units.MB), MissesStrategy{}, nil, nil)
+	plain, err := Advise(context.Background(), "app", []Object{objs[0].Object, objs[1].Object, objs[2].Object}, TwoTier(40*units.MB), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

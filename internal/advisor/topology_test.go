@@ -40,7 +40,7 @@ func TestAdvisePrefersNearDDROverRemoteFastTier(t *testing.T) {
 		obj("cold", 4, 10),
 	}
 
-	aware, err := Advise(context.Background(), "app", objs, dualSocketConfig(true), MissesStrategy{}, nil, nil)
+	aware, err := Advise(context.Background(), "app", objs, dualSocketConfig(true), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAdvisePrefersNearDDROverRemoteFastTier(t *testing.T) {
 		t.Fatalf("cold should be banished to NVM, got %q", got)
 	}
 
-	blind, err := Advise(context.Background(), "app", objs, dualSocketConfig(false), MissesStrategy{}, nil, nil)
+	blind, err := Advise(context.Background(), "app", objs, dualSocketConfig(false), MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAdviseNearInstanceFirstAtEqualPerf(t *testing.T) {
 		},
 	}
 	objs := []Object{obj("hot", 4, 1000), obj("warm", 4, 500)}
-	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil, nil)
+	rep, err := Advise(context.Background(), "app", objs, mc, MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func adviseReport(prof *paramedir.Profile, mc advisor.MemoryConfig, strategy str
 	if err != nil {
 		return nil, err
 	}
-	rep, err := stage.Advise(context.Background(), prof, mc, strat, false, nil, nil)
+	rep, err := stage.Advise(context.Background(), prof, mc, strat, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -37,12 +37,9 @@ type Summary struct {
 	SolverRuns   int64
 	SolverNodes  int64
 	SolverPruned int64
-	// Warm-start effectiveness: solver runs seeded from a previous
-	// solution, subtrees its floor pruned, and objects whose tier
-	// changed between consecutive solves.
-	SolverWarm       int64
-	SolverWarmPruned int64
-	SolverRepacked   int64
+	// SolverRepacked counts objects whose tier changed between
+	// consecutive solves.
+	SolverRepacked int64
 
 	// Waterfall packing.
 	PackSteps int64
@@ -129,10 +126,6 @@ func Summarize(r io.Reader) (*Summary, error) {
 			s.SolverRuns++
 			s.SolverNodes += e.Nodes
 			s.SolverPruned += e.Pruned
-			if e.Warm {
-				s.SolverWarm++
-			}
-			s.SolverWarmPruned += e.WarmPruned
 			s.SolverRepacked += int64(e.Repacked)
 		case "pack":
 			s.PackSteps++
@@ -207,12 +200,12 @@ func (s *Summary) WriteText(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if s.SolverRuns > 0 {
-		fmt.Fprintf(w, "solver: %d run(s) — %d nodes explored, %d pruned by LP bound\n",
+		fmt.Fprintf(w, "solver: %d run(s) — %d nodes explored, %d pruned by LP bound",
 			s.SolverRuns, s.SolverNodes, s.SolverPruned)
-		if s.SolverWarm > 0 || s.SolverRepacked > 0 {
-			fmt.Fprintf(w, "  warm-start: %d warm run(s), %d subtree(s) cut by prior-solution floor, %d object(s) repacked\n",
-				s.SolverWarm, s.SolverWarmPruned, s.SolverRepacked)
+		if s.SolverRepacked > 0 {
+			fmt.Fprintf(w, ", %d object(s) repacked", s.SolverRepacked)
 		}
+		fmt.Fprintln(w)
 	}
 	if s.PackSteps > 0 {
 		fmt.Fprintf(w, "waterfall: %d packing step(s)\n", s.PackSteps)

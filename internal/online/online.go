@@ -207,14 +207,9 @@ type Policy struct {
 	demand map[mem.TierID]int64
 	window units.Cycles
 
-	// warm carries solver context between this policy's epochs: epoch
-	// N's sorted site order seeds epoch N+1's re-solve, so a stable
-	// heat ranking costs an O(n) verification instead of a sort.
-	// lastCands/lastWarm describe the latest re-solve for the
+	// lastCands is the latest re-solve's candidate count, for the
 	// per-epoch solver trace event.
-	warm      *advisor.WarmState
 	lastCands int
-	lastWarm  bool
 
 	overhead units.Cycles
 	stats    counters
@@ -268,7 +263,6 @@ func New(mk *alloc.Memkind, prog *callstack.Program, opts Options) (*Policy, err
 		agg:      NewAggregator(epochDecay),
 		assigned: make(map[string]mem.TierID),
 		usedBy:   make(map[mem.TierID]int64),
-		warm:     advisor.NewWarmState(),
 	}
 	for _, t := range hier {
 		p.perf[t.ID] = opts.Machine.EffectivePerf(t)
@@ -490,18 +484,14 @@ func (p *Policy) OverheadCycles() units.Cycles { return p.overhead }
 
 // MetricsSnapshot implements engine.MetricsProvider: the placer's
 // always-on counters, merged into Result.Metrics at the end of the run.
-// solver_warm_hits/misses count epoch re-solves that reused the
-// previous epoch's sorted order vs. ones that had to cold-sort;
-// solver_objects_repacked counts committed site→tier changes across
-// all epochs, so it equals online_promotions + online_demotions. The
-// engine counts the epochs themselves (Result.Epochs).
+// solver_resolves counts epoch re-solves; solver_objects_repacked
+// counts committed site→tier changes across all epochs, so it equals
+// online_promotions + online_demotions. The engine counts the epochs
+// themselves (Result.Epochs).
 func (p *Policy) MetricsSnapshot() map[string]int64 {
-	ws := p.warm.Stats()
 	st := &p.stats
 	return map[string]int64{
 		"solver_resolves":           st.resolves,
-		"solver_warm_hits":          ws.OrderHits + ws.FloorHits,
-		"solver_warm_misses":        ws.OrderMisses + ws.FloorMisses,
 		"solver_objects_repacked":   st.repacked,
 		"solver_panics":             st.solvePanics,
 		"online_samples_seen":       st.samplesSeen,
@@ -611,11 +601,10 @@ func (p *Policy) EpochEnd(info engine.EpochInfo) []engine.Migration {
 	if o := p.opts.Obs; o != nil {
 		// One solver event per epoch re-solve: the greedy waterfall
 		// expands no branch-and-bound nodes, so Nodes stays zero and the
-		// interesting numbers are the warm-order reuse and the churn the
-		// solve proposed.
+		// interesting number is the churn the solve proposed.
 		obs.Emit(o, obs.SolverEvent{
 			Strategy: p.opts.Strategy.Name(), Objects: p.lastCands, Tiers: len(p.tiers),
-			Epoch: info.Index, Warm: p.lastWarm, Repacked: len(changed),
+			Epoch: info.Index, Repacked: len(changed),
 		})
 	}
 	misplaced := false
@@ -799,8 +788,7 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID, error) {
 
 	p.stats.resolves++
 	p.lastCands = len(objs)
-	before := p.warm.Stats()
-	byTier, err := advisor.Waterfall(objs, p.packTiers, p.opts.Strategy, p.warm, nil)
+	byTier, err := advisor.Waterfall(objs, p.packTiers, p.opts.Strategy, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -812,8 +800,6 @@ func (p *Policy) solve() ([]siteAssign, map[string]mem.TierID, error) {
 			next[o.ID] = p.tiers[i].ID
 		}
 	}
-	after := p.warm.Stats()
-	p.lastWarm = after.OrderMisses == before.OrderMisses && after.OrderHits > before.OrderHits
 	return ordered, next, nil
 }
 

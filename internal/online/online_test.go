@@ -39,7 +39,7 @@ func runStatic(t *testing.T, w *engine.Workload, budget int64, seed uint64) *eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := advisor.Advise(context.Background(), pr.App, advisor.FromProfile(pr), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil, nil)
+	rep, err := advisor.Advise(context.Background(), pr.App, advisor.FromProfile(pr), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

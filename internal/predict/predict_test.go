@@ -39,7 +39,7 @@ func adviseBudget(t *testing.T, res *engine.Result, budget int64) *advisor.Repor
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil, nil)
+	rep, err := advisor.Advise(context.Background(), prof.App, advisor.FromProfile(prof), advisor.TwoTier(budget), advisor.MissesStrategy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

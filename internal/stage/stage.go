@@ -123,19 +123,18 @@ func Profile(w *engine.Workload, p ProfileParams, run engine.Config) (*ProfileAr
 // Advise is Stage 3: it packs prof's objects over mc with strat and
 // returns the placement report. With timeAware it budgets each tier
 // against the peak concurrent footprint of the profile's liveness
-// timeline (advisor.AdviseTimeAware); that packer has no warm-start or
-// recorder seam, so ws and rec are ignored and a trace of it carries
-// no pack events. Otherwise it is the stock waterfall
-// (advisor.Advise), warm-started from ws and recording into rec when
-// they are non-nil. ctx is polled only by the exact solver.
-func Advise(ctx context.Context, prof *paramedir.Profile, mc advisor.MemoryConfig, strat advisor.Strategy, timeAware bool, ws *advisor.WarmState, rec *obs.Recorder) (*advisor.Report, error) {
+// timeline (advisor.AdviseTimeAware); that packer has no recorder
+// seam, so rec is ignored and a trace of it carries no pack events.
+// Otherwise it is the stock waterfall (advisor.Advise), recording into
+// rec when it is non-nil. ctx is polled only by the exact solver.
+func Advise(ctx context.Context, prof *paramedir.Profile, mc advisor.MemoryConfig, strat advisor.Strategy, timeAware bool, rec *obs.Recorder) (*advisor.Report, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("stage: nil profile")
 	}
 	if timeAware {
 		return advisor.AdviseTimeAware(prof.App, advisor.FromProfileTimed(prof), mc, strat)
 	}
-	return advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, ws, rec)
+	return advisor.Advise(ctx, prof.App, advisor.FromProfile(prof), mc, strat, rec)
 }
 
 // Load is the disk tier: it returns key's value from c when the entry

@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -135,16 +134,10 @@ type SweepOptions struct {
 	Cache *ArtifactCache
 }
 
-// profiled is the memoized Stage 1+2 artifact of a pipeline cell.
-// warm travels with the artifact: every cell sharing the profile
-// advises over the SAME candidate set, so one cell's sorted order (and
-// the exact solver's previous assignment) warm-starts the next cell's
-// solve. Warm-starting only prunes — cell reports stay byte-identical
-// to cold solves — so sharing it across the worker pool cannot break
-// the sweep's bit-identical-to-serial contract.
+// profiled is the memoized Stage 1+2 artifact of a pipeline cell and
+// the wall time its profiling took.
 type profiled struct {
 	*stage.ProfileArtifact
-	warm *advisor.WarmState
 	wall time.Duration
 }
 
@@ -337,7 +330,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		if err != nil {
 			return nil, fmt.Errorf("hybridmem: sweep %s (seed %d): %w", p.Workload.Name, p.Pipeline.Seed, err)
 		}
-		return &profiled{ProfileArtifact: art, warm: advisor.NewWarmState(), wall: time.Since(start)}, nil
+		return &profiled{ProfileArtifact: art, wall: time.Since(start)}, nil
 	}
 	point := func(i, worker int, art *profiled) (SweepResult, error) {
 		p := cfgs[i]
@@ -377,17 +370,7 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 			if cellObs != nil {
 				cfg.Obs = cellObs[i]
 			}
-			ws := art.warm
-			if _, hier := cfg.Strategy.(advisor.HierarchyStrategy); hier && cellObs != nil {
-				// A traced exact cell emits solver events whose node and
-				// prune counts depend on which sharer solved first —
-				// scheduling — so the incumbent sharing is disabled under
-				// tracing to keep the stream byte-identical across worker
-				// counts. Greedy cells emit no warm-dependent event data
-				// and stay warm either way.
-				ws = nil
-			}
-			pr, err := adviseAndExecute(p.Workload, cfg, art.Trace, art.Run, art.Profile, ws, runs)
+			pr, err := adviseAndExecute(p.Workload, cfg, art.Trace, art.Run, art.Profile, runs)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}

@@ -40,10 +40,34 @@ func sweepGrid(w *hm.Workload, m hm.Machine) []hm.SweepPoint {
 	return pts
 }
 
+// ntierSweepGrid is the exact-solver determinism grid: exact and
+// density cells over several budgets of one N-tier profile, so every
+// cell shares the memoized profile and the exact cells' solver work is
+// the largest per-cell advise in the repo.
+func ntierSweepGrid() []hm.SweepPoint {
+	w := hm.NTierDemoWorkload()
+	m := hm.PerRankMachine(hm.KNLOptane(), w.Ranks, w.Threads)
+	var pts []hm.SweepPoint
+	for _, mb := range []int64{64, 128, 256} {
+		mc := hm.MemoryConfigFor(m, mb*units.MB)
+		for _, st := range []struct {
+			name string
+			s    hm.Strategy
+		}{{"exact", hm.StrategyExactNTier}, {"density", hm.StrategyDensity}} {
+			pts = append(pts, hm.PipelinePoint(fmt.Sprintf("%s-%dMB", st.name, mb), w, hm.PipelineConfig{
+				Machine: m, Seed: 42, Memory: &mc, Strategy: st.s, RefScale: 0.25,
+			}))
+		}
+	}
+	return pts
+}
+
 // TestSweepMatchesSerialLoop is the determinism acceptance test of the
 // sweep engine: a parallel RunSweep must return results identical to
 // executing every cell serially through the plain facade calls —
-// memoized profiles, worker scheduling and all.
+// memoized profiles, worker scheduling and all. It runs the mixed
+// minife grid and the N-tier exact/density grid, the latter at one
+// and four workers.
 func TestSweepMatchesSerialLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full sweep grid is not -short")
@@ -52,58 +76,68 @@ func TestSweepMatchesSerialLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := hm.MachineFor(w)
-	pts := sweepGrid(w, m)
-
-	par, err := hm.RunSweep(pts, hm.SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(pts) {
-		t.Fatalf("got %d results for %d points", len(par), len(pts))
-	}
-
-	for i, p := range pts {
-		var wantRun *hm.RunResult
-		var wantReport *hm.PlacementReport
-		switch {
-		case p.Pipeline != nil:
-			pr, err := hm.Pipeline(p.Workload, *p.Pipeline)
-			if err != nil {
-				t.Fatal(err)
+	for _, in := range []struct {
+		name    string
+		pts     []hm.SweepPoint
+		workers []int
+	}{
+		{"mixed", sweepGrid(w, hm.MachineFor(w)), []int{4}},
+		{"ntier", ntierSweepGrid(), []int{1, 4}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			wantRuns := make([]*hm.RunResult, len(in.pts))
+			wantReports := make([]*hm.PlacementReport, len(in.pts))
+			for i, p := range in.pts {
+				var err error
+				switch {
+				case p.Pipeline != nil:
+					var pr *hm.PipelineResult
+					pr, err = hm.Pipeline(p.Workload, *p.Pipeline)
+					if pr != nil {
+						wantRuns[i], wantReports[i] = pr.Run, pr.Report
+					}
+				case p.Baseline != nil:
+					wantRuns[i], err = hm.RunBaseline(p.Workload, p.Baseline.Baseline, p.Baseline.Config)
+				default:
+					wantRuns[i], err = hm.RunOnline(p.Workload, *p.Online)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			wantRun, wantReport = pr.Run, pr.Report
-		case p.Baseline != nil:
-			wantRun, err = hm.RunBaseline(p.Workload, p.Baseline.Baseline, p.Baseline.Config)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range in.workers {
+				par, err := hm.RunSweep(in.pts, hm.SweepOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if len(par) != len(in.pts) {
+					t.Fatalf("workers=%d: got %d results for %d points", workers, len(par), len(in.pts))
+				}
+				for i, p := range in.pts {
+					if !reflect.DeepEqual(par[i].Run, wantRuns[i]) {
+						t.Errorf("workers=%d point %d (%s): sweep result diverged from serial call:\nsweep:  %+v\nserial: %+v",
+							workers, i, p.Label, par[i].Run, wantRuns[i])
+					}
+					if wantReports[i] != nil {
+						var a, b bytes.Buffer
+						if err := wantReports[i].Write(&a); err != nil {
+							t.Fatal(err)
+						}
+						if err := par[i].Pipeline.Report.Write(&b); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(a.Bytes(), b.Bytes()) {
+							t.Errorf("workers=%d point %d (%s): advisor report diverged:\n--- serial ---\n%s\n--- sweep ---\n%s",
+								workers, i, p.Label, a.String(), b.String())
+						}
+					}
+					if par[i].Refs != hm.SimulatedRefs(wantRuns[i]) {
+						t.Errorf("workers=%d point %d (%s): refs = %d, want %d",
+							workers, i, p.Label, par[i].Refs, hm.SimulatedRefs(wantRuns[i]))
+					}
+				}
 			}
-		default:
-			wantRun, err = hm.RunOnline(p.Workload, *p.Online)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(par[i].Run, wantRun) {
-			t.Errorf("point %d (%s): parallel sweep result diverged from serial call:\nsweep:  %+v\nserial: %+v",
-				i, p.Label, par[i].Run, wantRun)
-		}
-		if wantReport != nil {
-			var a, b bytes.Buffer
-			if err := wantReport.Write(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := par[i].Pipeline.Report.Write(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("point %d (%s): advisor report diverged:\n--- serial ---\n%s\n--- sweep ---\n%s",
-					i, p.Label, a.String(), b.String())
-			}
-		}
-		if par[i].Refs != hm.SimulatedRefs(wantRun) {
-			t.Errorf("point %d (%s): refs = %d, want %d", i, p.Label, par[i].Refs, hm.SimulatedRefs(wantRun))
-		}
+		})
 	}
 }
 
@@ -258,66 +292,6 @@ func TestSweepRejectsMalformedPoints(t *testing.T) {
 	for _, p := range cases {
 		if _, err := hm.RunSweep([]hm.SweepPoint{p}, hm.SweepOptions{}); err == nil {
 			t.Errorf("point %q: RunSweep accepted a malformed point", p.Label)
-		}
-	}
-}
-
-// TestSweepWarmInvariantAcrossWorkers pins the warm-start contract at
-// the sweep seam: cells sharing a memoized profile also share a
-// WarmState, so which cell's solve warm-starts which depends entirely
-// on worker scheduling — and must therefore never show in results.
-// The grid mixes exact-solver and greedy cells over several budgets of
-// one N-tier profile (maximal warm sharing) and requires every run and
-// advisor report to be byte-identical across worker counts AND to the
-// serial (cold) Pipeline of the same cell.
-func TestSweepWarmInvariantAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep grids are not -short")
-	}
-	w := hm.NTierDemoWorkload()
-	m := hm.PerRankMachine(hm.KNLOptane(), w.Ranks, w.Threads)
-	var pts []hm.SweepPoint
-	for _, mb := range []int64{64, 128, 256} {
-		mc := hm.MemoryConfigFor(m, mb*units.MB)
-		for _, st := range []struct {
-			name string
-			s    hm.Strategy
-		}{{"exact", hm.StrategyExactNTier}, {"density", hm.StrategyDensity}} {
-			pts = append(pts, hm.PipelinePoint(fmt.Sprintf("%s-%dMB", st.name, mb), w, hm.PipelineConfig{
-				Machine: m, Seed: 42, Memory: &mc, Strategy: st.s, RefScale: 0.25,
-			}))
-		}
-	}
-
-	serial := make([]*hm.PipelineResult, len(pts))
-	for i, p := range pts {
-		pr, err := hm.Pipeline(p.Workload, *p.Pipeline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = pr
-	}
-
-	for _, workers := range []int{1, 4} {
-		res, err := hm.RunSweep(pts, hm.SweepOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, p := range pts {
-			if !reflect.DeepEqual(res[i].Run, serial[i].Run) {
-				t.Errorf("workers=%d point %d (%s): run diverged from cold serial pipeline", workers, i, p.Label)
-			}
-			var a, b bytes.Buffer
-			if err := serial[i].Report.Write(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := res[i].Pipeline.Report.Write(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("workers=%d point %d (%s): warm report diverged from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
-					workers, i, p.Label, a.String(), b.String())
-			}
 		}
 	}
 }
