@@ -228,10 +228,13 @@ func BenchmarkSweepFigure4Serial(b *testing.B) {
 }
 
 // BenchmarkOnlineEpochResolve measures the online placer's epoch
-// re-solve loop: every epoch re-runs the waterfall over the live
-// footprint, and the phaseshift workload drives many epochs with a
-// shifting hot set. Reported metrics come from the run's always-on
-// solver counters.
+// re-solve loop and the live migration it triggers: every epoch
+// re-runs the waterfall over the live footprint, and the phaseshift
+// workload drives many epochs with a shifting hot set. At full scale
+// and a 16 MB budget the migration gate accepts moves (at scale 0.25 it
+// rejects every plan), so the run repacks objects over several move
+// epochs; the benchmark fails if it stops doing so. Reported metrics
+// come from the run's always-on solver and placer counters.
 func BenchmarkOnlineEpochResolve(b *testing.B) {
 	w, err := WorkloadByName("phaseshift")
 	if err != nil {
@@ -241,15 +244,19 @@ func BenchmarkOnlineEpochResolve(b *testing.B) {
 	var metrics map[string]int64
 	for i := 0; i < b.N; i++ {
 		res, err := RunOnline(w, OnlineConfig{
-			Machine: m, Seed: 21, RefScale: 0.25, Budget: 64 * units.MB,
+			Machine: m, Seed: 21, RefScale: 1, Budget: 16 * units.MB,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		metrics = res.Metrics
 	}
+	if metrics["online_move_epochs"] == 0 {
+		b.Fatal("no epoch moved an object: the benchmark no longer reaches the migration path")
+	}
 	b.ReportMetric(float64(metrics["solver_resolves"]), "resolves")
 	b.ReportMetric(float64(metrics["solver_objects_repacked"]), "repacked")
+	b.ReportMetric(float64(metrics["online_move_epochs"]), "move-epochs")
 }
 
 // --- Ablation ---

@@ -196,7 +196,6 @@ func TestStrategyByName(t *testing.T) {
 		"density":  "density",
 		"exact":    "exact",
 		"exact-dp": "exact-dp",
-		"exactdp":  "exact-dp",
 		"fcfs":     "fcfs",
 		"misses":   "misses(0%)",
 		"misses:5": "misses(5%)",
@@ -211,7 +210,7 @@ func TestStrategyByName(t *testing.T) {
 			t.Errorf("StrategyByName(%q).Name() = %q, want %q", name, s.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "misses5", "misses:", "misses:x", "misses:Inf", "misses:NaN", "misses:-5", "misses:-0", "ilp", "Exact"} {
+	for _, bad := range []string{"", "misses5", "misses:", "misses:x", "misses:Inf", "misses:NaN", "misses:-5", "misses:-0", "ilp", "Exact", "exactdp"} {
 		if _, err := hm.StrategyByName(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}

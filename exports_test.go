@@ -20,9 +20,9 @@ import (
 	"testing"
 )
 
-// noCallerMark is the doc-comment escape for an exported internal
-// function that is kept on purpose although no production code calls
-// it; the sentence it starts gives the reason.
+// noCallerMark is the doc-comment escape for an exported function
+// that is kept on purpose although no production code calls it; the
+// sentence it starts gives the reason.
 const noCallerMark = "No production caller:"
 
 // listedPackage is the part of `go list -json` output the export
@@ -37,14 +37,14 @@ type listedPackage struct {
 
 // TestInternalExportsHaveCallers type-checks every non-test package of
 // the module and of perfbench, and fails on any exported function or
-// method of an internal package that no non-test code uses. A use
-// inside the function's own body does not count. A method that
-// satisfies one of the module's interfaces, error or fmt.Stringer, or
-// that is named Unwrap, is exempt, since it is called through the
-// interface. An export kept on purpose says so in its doc comment with
-// a sentence that starts "No production caller:"; the test also fails
-// when such an export has gained a caller, so the escape cannot go
-// stale.
+// method of an internal package or of the root facade that no non-test
+// code uses. A use inside the function's own body does not count. A
+// method that satisfies one of the module's interfaces, error or
+// fmt.Stringer, or that is named Unwrap, is exempt, since it is called
+// through the interface. An export kept on purpose says so in its doc
+// comment with a sentence that starts "No production caller:"; the
+// test also fails when such an export has gained a caller, so the
+// escape cannot go stale.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	// Packages outside the two modules come from the compiler's export
@@ -81,7 +81,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	// The candidates: every exported function and method declared in a
-	// non-test file of an internal package.
+	// non-test file of an internal package or of the root package.
 	type export struct {
 		fn     *types.Func
 		decl   *ast.FuncDecl
@@ -106,7 +106,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		if !strings.HasPrefix(p.ImportPath, "repro/internal/") {
+		if p.ImportPath != "repro" && !strings.HasPrefix(p.ImportPath, "repro/internal/") {
 			continue
 		}
 		for _, f := range files {

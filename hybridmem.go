@@ -214,10 +214,6 @@ func DefaultKNL() Machine { return mem.DefaultKNL() }
 // Optane-class NVM floor slower than DDR.
 func KNLOptane() Machine { return mem.KNLOptane() }
 
-// HBMCXL returns the HBM-first node with DDR as the default tier and a
-// CXL memory expander below it.
-func HBMCXL() Machine { return mem.HBMCXL() }
-
 // DualSocketHBM returns the two-domain topology showcase: the rank is
 // pinned to socket 0 with plain DDR and an NVM floor, while socket 1
 // carries an HBM-class tier that is raw-faster than DDR but slower
@@ -230,14 +226,6 @@ func DualSocketHBM() Machine { return mem.DualSocketHBM() }
 // socket's iMC on Optane nodes, or HBM+DDR sharing the mesh).
 func WithSharedControllers(m Machine, controller int, tiers ...TierID) Machine {
 	return mem.WithSharedControllers(m, controller, tiers...)
-}
-
-// WithUniformTopology re-declares the machine as a multi-domain node
-// with an all-ones distance matrix — the degenerate topology whose
-// behavior must be byte-identical to the flat machine (see the
-// uniform-topology invariance tests).
-func WithUniformTopology(m Machine, domains int) Machine {
-	return mem.WithUniformTopology(m, domains)
 }
 
 // PerRankMachine derives the machine one MPI rank sees on a node
@@ -415,7 +403,9 @@ func StrategyPatternAware(patterns map[string]AccessPattern) Strategy {
 // does not fit the fastest tier's remaining budget whole, places only
 // its hot range (plain waterfall below that tier); auto-hbwmalloc then
 // binds just those pages to fast memory (simulated mbind) — the
-// paper's final future-work item.
+// paper's final future-work item. No production caller: it is the only
+// producer of the partition entries that auto-hbwmalloc honours from
+// report files, kept so that path stays reachable from the library.
 func AdvisePartitioned(prof *ObjectProfile, tr *Trace, mc MemoryConfig, strat Strategy) (*PlacementReport, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("hybridmem: nil profile")
@@ -458,11 +448,6 @@ type ProfileConfig struct {
 	RefScale float64
 	// Obs, when non-nil, records the run's manifest and epoch events.
 	Obs *FlightRecorder
-
-	// ctx, when non-nil, cancels the run at iteration/phase boundaries
-	// (set via ProfileCtx / PipelineCtx; not public so the context-free
-	// entry points stay the canonical zero-value API).
-	ctx context.Context
 }
 
 // DefaultScaledPeriod is the default PEBS period for the scaled
@@ -507,7 +492,7 @@ func ProfileWithPolicy(w *Workload, cfg ProfileConfig, rep *PlacementReport) (*T
 // placing allocations with makePolicy.
 func profile(w *Workload, cfg ProfileConfig, makePolicy engine.PolicyFactory, tag string) (*Trace, *RunResult, error) {
 	res, err := stage.Monitor(w, cfg.params(), engine.Config{
-		MakePolicy: makePolicy, Tag: tag, Obs: cfg.Obs, Ctx: cfg.ctx,
+		MakePolicy: makePolicy, Tag: tag, Obs: cfg.Obs,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -531,23 +516,6 @@ func Advise(prof *ObjectProfile, budget int64, strat Strategy) (*PlacementReport
 // the given fast-tier budget — the memory configuration file of the
 // paper's hmem_advisor.
 func TwoTier(fastBudget int64) MemoryConfig { return advisor.TwoTier(fastBudget) }
-
-// NTier builds an advisor configuration from an arbitrary tier list.
-// The tier named "DDR" (when present) becomes the default tier —
-// untargeted allocations land there and tiers slower than it receive
-// explicit placement entries; without a DDR tier the slowest tier is
-// the implicit default, the paper's two-tier semantics. Set
-// MemoryConfig.DefaultTier to override.
-func NTier(tiers ...TierConfig) MemoryConfig {
-	mc := MemoryConfig{Tiers: tiers}
-	for _, t := range tiers {
-		if t.Name == "DDR" {
-			mc.DefaultTier = "DDR"
-			break
-		}
-	}
-	return mc
-}
 
 // MemoryConfigFor derives the advisor configuration from a simulated
 // machine — every tier with its capacity and relative performance,
@@ -603,7 +571,7 @@ type ExecuteConfig struct {
 	// public configuration surface.
 	pool *engine.Pool
 	// ctx, when non-nil, cancels the run at iteration/phase boundaries
-	// (set via ExecuteCtx / the sweep engine).
+	// (set by the sweep engine from RunSweepCtx's context).
 	ctx context.Context
 	// fault, when non-nil, arms the seeded chaos hooks inside the run
 	// (set by RunSweep from SweepOptions.Fault; nil costs nothing).
@@ -821,11 +789,6 @@ type PipelineConfig struct {
 	// pools: its artifact is shared across cells and its owner is
 	// scheduling-dependent.
 	pool *engine.Pool
-	// ctx, when non-nil, cancels every stage: the profiling and
-	// production runs poll it at iteration/phase boundaries and the
-	// exact solver every ~64k branch-and-bound nodes (set via
-	// PipelineCtx / RunSweepCtx).
-	ctx context.Context
 	// fault arms the chaos hooks of the execute stage only — the
 	// profiling artifact is shared across sweep cells, so injecting
 	// there is SweepSetup's job, not the engine hooks'.
@@ -855,11 +818,11 @@ func Pipeline(w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	art, err := stage.Profile(w, cfg.profileParams(), engine.Config{Obs: cfg.Obs, Ctx: cfg.ctx})
+	art, err := stage.Profile(w, cfg.profileParams(), engine.Config{Obs: cfg.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("hybridmem: %w", err)
 	}
-	return adviseAndExecute(w, cfg, art.Trace, art.Run, art.Profile, nil)
+	return adviseAndExecute(context.Background(), w, cfg, art.Trace, art.Run, art.Profile, nil)
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -888,18 +851,16 @@ func (cfg *PipelineConfig) profileParams() stage.ProfileParams {
 
 // adviseAndExecute is the Stage 3+4 tail of a pipeline run, shared by
 // Pipeline and the sweep engine so a memoized-profile sweep cannot
-// drift from the serial path.
+// drift from the serial path. ctx cancels both stages: the exact
+// solver polls it every ~64k branch-and-bound nodes and the production
+// run at iteration/phase boundaries.
 //
 // A non-nil runs memo shares the production run between calls with
 // equal executeKey, so sweep cells whose placements coincide simulate
 // it once. Traced and fault-scoped runs are never shared: a shared
 // run's events would land in whichever sharer's recorder claimed the
 // key, and chaos victims are chosen per cell.
-func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
-	ctx := cfg.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func adviseAndExecute(ctx context.Context, w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunResult, prof *ObjectProfile, runs *sweep.Memo[*RunResult]) (*PipelineResult, error) {
 	strat := cfg.Strategy
 	// Chaos seam: solver starvation clamps the exact solver's node
 	// budget so it hits its limit and exercises the degradation ladder.
@@ -925,7 +886,7 @@ func adviseAndExecute(w *Workload, cfg PipelineConfig, tr *Trace, profRun *RunRe
 		return Execute(w, rep, cfg.Interpose, ExecuteConfig{
 			Machine: cfg.Machine, Cores: cfg.Cores, Seed: cfg.Seed + 0x9e37,
 			RefScale: cfg.RefScale, Obs: cfg.Obs, pool: cfg.pool,
-			ctx: cfg.ctx, fault: cfg.fault,
+			ctx: ctx, fault: cfg.fault,
 		})
 	}
 	var res *RunResult

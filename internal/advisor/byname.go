@@ -9,7 +9,7 @@ import (
 
 // StrategyGrammar is every name StrategyByName accepts, as the
 // command-line surfaces print it in their help.
-const StrategyGrammar = "density | misses | misses:<pct> | exact | exact-strict | exact-dp | exactdp | fcfs"
+const StrategyGrammar = "density | misses | misses:<pct> | exact | exact-strict | exact-dp | fcfs"
 
 // StrategyByName resolves the command-line strategy grammar shared by
 // every surface that accepts a strategy as text — cmd/hmemadvisor,
@@ -29,7 +29,7 @@ func StrategyByName(name string) (Strategy, error) {
 		return ExactNTier{}, nil
 	case "exact-strict":
 		return ExactNTier{Strict: true}, nil
-	case "exact-dp", "exactdp":
+	case "exact-dp":
 		return ExactDP{}, nil
 	case "fcfs":
 		return FCFSStrategy{}, nil

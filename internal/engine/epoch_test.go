@@ -1,18 +1,22 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/callstack"
 	"repro/internal/mem"
 	"repro/internal/pebs"
+	"repro/internal/runerr"
 	"repro/internal/units"
 )
 
 // epochProbe is a minimal EpochPolicy: everything on DDR, epochs and
 // samples recorded, an optional one-shot migration of the first
-// allocation issued at the first boundary.
+// allocation issued at the first boundary, and an optional hook called
+// at every boundary.
 type epochProbe struct {
 	mk   *alloc.Memkind
 	spec EpochSpec
@@ -21,6 +25,7 @@ type epochProbe struct {
 	firstSize int64
 	migrate   bool
 	migrated  bool
+	onEpoch   func(EpochInfo)
 
 	infos []EpochInfo
 }
@@ -46,6 +51,9 @@ func (p *epochProbe) EpochSpec() EpochSpec         { return p.spec }
 
 func (p *epochProbe) EpochEnd(info EpochInfo) []Migration {
 	p.infos = append(p.infos, info)
+	if p.onEpoch != nil {
+		p.onEpoch(info)
+	}
 	if p.migrate && !p.migrated && p.firstAddr != 0 {
 		p.migrated = true
 		return []Migration{{
@@ -98,6 +106,37 @@ func TestEpochPerIteration(t *testing.T) {
 	}
 	if res.Trace != nil {
 		t.Fatal("epoch monitoring must not produce a trace")
+	}
+}
+
+// TestChaosRunStopsAtBoundaryAfterCancel cancels a run from inside
+// the policy at epoch k's boundary: the run must stop at its next
+// cancellation poll with an error keeping both runerr.ErrCanceled and
+// context.Canceled, and close no epoch after k.
+func TestChaosRunStopsAtBoundaryAfterCancel(t *testing.T) {
+	const k = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var p *epochProbe
+	probe := probeFactory(&p, EpochSpec{EveryIterations: 1}, false)
+	w := testWorkload()
+	_, err := Run(w, Config{
+		Machine: testMachine(), Seed: 3, Ctx: ctx,
+		MakePolicy: func(mk *alloc.Memkind, prog *callstack.Program) (Policy, error) {
+			pol, err := probe(mk, prog)
+			p.onEpoch = func(info EpochInfo) {
+				if info.Index == k {
+					cancel()
+				}
+			}
+			return pol, err
+		},
+	})
+	if !errors.Is(err, runerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want runerr.ErrCanceled keeping context.Canceled", err)
+	}
+	if len(p.infos) != k+1 {
+		t.Fatalf("closed %d of %d epochs, want %d: the run went past the canceled boundary", len(p.infos), w.Iterations, k+1)
 	}
 }
 

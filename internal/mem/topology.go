@@ -157,8 +157,9 @@ func (m *Machine) validateTopology() error {
 // WithUniformTopology returns the machine re-declared as a
 // multi-domain node whose distance matrix is all ones, with tiers
 // spread round-robin across the domains. Because every distance is
-// 1.0, all topology pricing must degenerate to the flat model — the
-// helper exists for the invariance tests that pin exactly that.
+// 1.0, all topology pricing must degenerate to the flat model. No
+// production caller: the helper exists for the invariance tests that
+// pin exactly that.
 func WithUniformTopology(m Machine, domains int) Machine {
 	if domains < 1 {
 		domains = 1

@@ -80,7 +80,7 @@ func TestNTierWaterfallBeatsTwoTierAndDDR(t *testing.T) {
 // checking the hierarchy order and that the default tier stays
 // implicit.
 func TestHBMCXLWaterfall(t *testing.T) {
-	m := hm.HBMCXL()
+	m := mem.HBMCXL()
 	mc := hm.MemoryConfigFor(m, 8*units.MB)
 	if mc.DefaultTier != "DDR" {
 		t.Fatalf("default tier = %q", mc.DefaultTier)

@@ -1,17 +1,16 @@
 package hybridmem
 
-// The hardened execution surface: cancellation-aware entry points,
-// the typed failure vocabulary of the sweep engine and the exact
-// solver, and the seeded fault-injection harness for chaos testing.
+// The hardened execution surface: the typed failure vocabulary of the
+// sweep engine and the exact solver, and the seeded fault-injection
+// harness for chaos testing.
 //
 // Design rules, in force everywhere below:
 //
-//   - The context-free run entry points (Profile, Execute,
-//     RunBaseline, RunOnline, Pipeline, RunSweep) remain the canonical
-//     API and are byte-identical to their pre-hardening behavior; each
-//     …Ctx variant with a context.Background() is exactly its
-//     context-free twin. The advisor takes its context directly:
-//     AdviseHierarchy's first argument.
+//   - The run entry points (Profile, Execute, RunBaseline, RunOnline,
+//     Pipeline, RunSweep) take no context. Contexts are accepted where
+//     work is long: RunSweepCtx, and AdviseHierarchy's first argument.
+//     A single run is canceled as a one-point RunSweepCtx, which takes
+//     the same engine path as the context-free call.
 //   - Cancellation is polled at simulation boundaries only —
 //     iteration/phase boundaries in the engine, every ~64k nodes in
 //     the exact solver — never inside the memory-access hot loop, so
@@ -21,8 +20,6 @@ package hybridmem
 //     regardless of worker count or scheduling.
 
 import (
-	"context"
-
 	"repro/internal/advisor"
 	"repro/internal/faultinject"
 	"repro/internal/runerr"
@@ -117,41 +114,4 @@ const (
 // it to SweepOptions.Fault.
 func NewFaultInjector(seed uint64, spec FaultSpec) *FaultInjector {
 	return faultinject.New(seed, spec)
-}
-
-// ProfileCtx is Profile under a context: the run polls ctx at
-// iteration/phase boundaries and returns an ErrCanceled-wrapped error
-// promptly once it is done.
-func ProfileCtx(ctx context.Context, w *Workload, cfg ProfileConfig) (*Trace, *RunResult, error) {
-	cfg.ctx = ctx
-	return Profile(w, cfg)
-}
-
-// ExecuteCtx is Execute under a context; see ProfileCtx.
-func ExecuteCtx(ctx context.Context, w *Workload, rep *PlacementReport, opts InterposeOptions, cfg ExecuteConfig) (*RunResult, error) {
-	cfg.ctx = ctx
-	return Execute(w, rep, opts, cfg)
-}
-
-// RunBaselineCtx is RunBaseline under a context; see ProfileCtx.
-func RunBaselineCtx(ctx context.Context, w *Workload, b Baseline, cfg ExecuteConfig) (*RunResult, error) {
-	cfg.ctx = ctx
-	return RunBaseline(w, b, cfg)
-}
-
-// RunOnlineCtx is RunOnline under a context; see ProfileCtx.
-func RunOnlineCtx(ctx context.Context, w *Workload, cfg OnlineConfig) (*RunResult, error) {
-	cfg.ctx = ctx
-	return RunOnline(w, cfg)
-}
-
-// PipelineCtx is Pipeline under a context: every stage honours it —
-// the profiling and production runs at iteration/phase boundaries,
-// the exact solver every ~64k branch-and-bound nodes. A deadline that
-// expires inside a non-strict exact solve does not fail the pipeline:
-// the advise stage degrades to the density waterfall and the report
-// carries a Degradation marker.
-func PipelineCtx(ctx context.Context, w *Workload, cfg PipelineConfig) (*PipelineResult, error) {
-	cfg.ctx = ctx
-	return Pipeline(w, cfg)
 }

@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,11 +269,11 @@ func TestChaosAdviseDeadlineDegrades(t *testing.T) {
 	// Three tiers so the exact strategy runs its branch-and-bound
 	// solver (two tiers degenerate to the DP knapsack, which has no
 	// deadline to miss).
-	mc := hm.NTier(
-		hm.TierConfig{Name: "MCDRAM", Capacity: 32 * units.MB, RelativePerf: 4},
-		hm.TierConfig{Name: "DDR", Capacity: 512 * units.MB, RelativePerf: 1},
-		hm.TierConfig{Name: "NVM", Capacity: 4 * units.GB, RelativePerf: 0.3},
-	)
+	mc := hm.MemoryConfig{Tiers: []hm.TierConfig{
+		{Name: "MCDRAM", Capacity: 32 * units.MB, RelativePerf: 4},
+		{Name: "DDR", Capacity: 512 * units.MB, RelativePerf: 1},
+		{Name: "NVM", Capacity: 4 * units.GB, RelativePerf: 0.3},
+	}, DefaultTier: "DDR"}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
@@ -326,17 +328,60 @@ func TestChaosAdviseDeadlineDegrades(t *testing.T) {
 	}
 }
 
-// TestChaosPipelineCtxCanceled checks that cancellation reaches the
-// engine through the pipeline facade with the typed sentinel.
-func TestChaosPipelineCtxCanceled(t *testing.T) {
+// cancelOnCall is a context whose Err reports context.Canceled from
+// its nth call on (never when n is 0) and counts every call, so a test
+// can stop a run at a chosen cancellation poll.
+type cancelOnCall struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelOnCall) Err() error {
+	if k := c.calls.Add(1); c.n > 0 && k >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestChaosSweepArmStopsAfterCancel checks that each sweep arm hands
+// its context to the run it starts. A one-cell sweep first runs under
+// a context that never cancels, counting the polls; its last poll
+// falls in the arm's own run. The same cell then runs under a context
+// that cancels from that poll on: the cell must start, then stop in
+// the arm's run with an error keeping ErrCanceled and context.Canceled.
+func TestChaosSweepArmStopsAfterCancel(t *testing.T) {
 	w, err := hm.WorkloadByName("minife")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = hm.PipelineCtx(ctx, w, hm.PipelineConfig{Machine: hm.MachineFor(w), Seed: 21, Budget: 32 * units.MB, RefScale: 0.25})
-	if !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ErrCanceled keeping context.Canceled", err)
+	m := hm.MachineFor(w)
+	for _, tc := range []struct {
+		pt hm.SweepPoint
+		// in is the text of the error the arm's own run returns.
+		in string
+	}{
+		{hm.PipelinePoint("pipeline", w, hm.PipelineConfig{Machine: m, Seed: 21, Budget: 32 * units.MB, RefScale: 0.05}), "execute stage: engine:"},
+		{hm.BaselinePoint("baseline", w, hm.BaselineDDR, hm.ExecuteConfig{Machine: m, Seed: 21, RefScale: 0.05}), ": engine:"},
+		{hm.OnlinePoint("online", w, hm.OnlineConfig{Machine: m, Seed: 21, RefScale: 0.05, Budget: 32 * units.MB}), ": engine:"},
+	} {
+		t.Run(tc.pt.Label, func(t *testing.T) {
+			pts := []hm.SweepPoint{tc.pt}
+			count := &cancelOnCall{Context: context.Background()}
+			if _, err := hm.RunSweepCtx(count, pts, hm.SweepOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &cancelOnCall{Context: context.Background(), n: count.calls.Load()}
+			res, err := hm.RunSweepCtx(ctx, pts, hm.SweepOptions{Workers: 1})
+			if !errors.Is(err, hm.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrCanceled keeping context.Canceled", err)
+			}
+			if !strings.Contains(res[0].Err.Error(), tc.in) {
+				t.Errorf("cell Err = %v, want it stopped in the arm's own run (%q)", res[0].Err, tc.in)
+			}
+			if res[0].Run != nil {
+				t.Error("canceled cell has a run result")
+			}
+		})
 	}
 }

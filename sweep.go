@@ -365,12 +365,11 @@ func RunSweepCtx(ctx context.Context, points []SweepPoint, opts SweepOptions) ([
 		case p.Pipeline != nil:
 			cfg := *p.Pipeline
 			cfg.pool = pools[worker]
-			cfg.ctx = ctx
 			cfg.fault = cellFault
 			if cellObs != nil {
 				cfg.Obs = cellObs[i]
 			}
-			pr, err := adviseAndExecute(p.Workload, cfg, art.Trace, art.Run, art.Profile, runs)
+			pr, err := adviseAndExecute(ctx, p.Workload, cfg, art.Trace, art.Run, art.Profile, runs)
 			if err != nil {
 				return res, fmt.Errorf("hybridmem: sweep %q: %w", p.Label, err)
 			}

@@ -70,7 +70,7 @@ func TestProfileKeyCompleteness(t *testing.T) {
 		{"machine.TierLatency", func(w *Workload, c *PipelineConfig) { c.Machine.Tiers[0].LatencyCycles++ }},
 		{"machine.Cores", func(w *Workload, c *PipelineConfig) { c.Machine.Cores /= 2 }},
 		{"machine.CacheMode", func(w *Workload, c *PipelineConfig) { c.Machine = mem.WithCacheMode(c.Machine) }},
-		{"machine.Topology", func(w *Workload, c *PipelineConfig) { c.Machine = WithUniformTopology(c.Machine, 2) }},
+		{"machine.Topology", func(w *Workload, c *PipelineConfig) { c.Machine = mem.WithUniformTopology(c.Machine, 2) }},
 		{"workload.Name", func(w *Workload, c *PipelineConfig) { w.Name = "minife-b" }},
 		{"workload.Iterations", func(w *Workload, c *PipelineConfig) { w.Iterations++ }},
 		{"workload.ObjectSize", func(w *Workload, c *PipelineConfig) { w.Objects[0].Size += 4096 }},

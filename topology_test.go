@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	hm "repro"
+	"repro/internal/mem"
 	"repro/internal/units"
 )
 
@@ -19,7 +20,7 @@ import (
 func ntierGoldenMachines(w *hm.Workload) map[string]hm.Machine {
 	return map[string]hm.Machine{
 		"knloptane": hm.PerRankMachine(hm.KNLOptane(), w.Ranks, w.Threads),
-		"hbmcxl":    hm.PerRankMachine(hm.HBMCXL(), w.Ranks, w.Threads),
+		"hbmcxl":    hm.PerRankMachine(mem.HBMCXL(), w.Ranks, w.Threads),
 	}
 }
 
@@ -95,7 +96,7 @@ func TestUniformTopologyAdviceInvariance(t *testing.T) {
 		for _, st := range goldenStrategies() {
 			name := fmt.Sprintf("%s_%s", w.Name, st.label)
 			t.Run("seed/"+name, func(t *testing.T) {
-				m := hm.WithUniformTopology(hm.MachineFor(w), 2)
+				m := mem.WithUniformTopology(hm.MachineFor(w), 2)
 				got := goldenReportOn(t, w, m, st.s)
 				want, err := os.ReadFile(filepath.Join("testdata", "seed_reports", name+".report"))
 				if err != nil {
@@ -112,7 +113,7 @@ func TestUniformTopologyAdviceInvariance(t *testing.T) {
 	w := hm.NTierDemoWorkload()
 	for name, m := range ntierGoldenMachines(w) {
 		t.Run("ntier/"+name, func(t *testing.T) {
-			got := ntierGoldenReport(t, w, hm.WithUniformTopology(m, 3))
+			got := ntierGoldenReport(t, w, mem.WithUniformTopology(m, 3))
 			want, err := os.ReadFile(filepath.Join("testdata", "ntier_reports", name+".report"))
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +136,7 @@ func TestUniformTopologyRunInvariance(t *testing.T) {
 	}
 	w := hm.NTierDemoWorkload()
 	flat := hm.PerRankMachine(hm.KNLOptane(), w.Ranks, w.Threads)
-	uni := hm.WithUniformTopology(flat, 2)
+	uni := mem.WithUniformTopology(flat, 2)
 
 	sameResult := func(label string, a, b *hm.RunResult) {
 		t.Helper()
