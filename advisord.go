@@ -20,9 +20,9 @@ import (
 type (
 	// ArtifactCache is the content-addressed on-disk artifact store
 	// shared by the advisory daemon and the sweep engine's persistent
-	// memo tier (SweepOptions.Cache). Entries carry per-file sha256
-	// checksums and are written atomically; corrupt entries are
-	// detected, dropped and recomputed, never served.
+	// memo tier (SweepOptions.Cache). Each entry is one file whose
+	// header carries the body's sha256, written atomically; corrupt
+	// entries are detected, dropped and recomputed, never served.
 	ArtifactCache = stage.Cache
 	// ArtifactCacheStats counts a cache's hits, misses, puts and
 	// corrupt-entry drops.

@@ -287,21 +287,29 @@ func TestSweepCacheBitIdentical(t *testing.T) {
 		t.Fatalf("warm sweep did not serve the profile from disk: %+v", st)
 	}
 
-	// Corrupt the stored trace on disk; the next sweep must detect it,
-	// recompute, and still come out bit-identical.
-	var corrupted bool
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || d.Name() != "trace.prv" {
+	// Flip one body byte of every entry file — the byte just past its
+	// header line; the next sweep must detect it, recompute, and still
+	// come out bit-identical.
+	var corrupted int
+	err = filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
 			return err
 		}
-		corrupted = true
-		return os.WriteFile(path, []byte("not a trace"), 0o644)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if i := bytes.IndexByte(b, '\n') + 1; i > 0 && i < len(b) {
+			b[i] ^= 0x01
+			corrupted++
+		}
+		return os.WriteFile(path, b, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !corrupted {
-		t.Fatal("no trace.prv artifact found to corrupt")
+	if corrupted == 0 {
+		t.Fatal("no cache entry found to corrupt")
 	}
 	dam, err := hm.OpenArtifactCache(dir, nil)
 	if err != nil {

@@ -168,8 +168,8 @@ func chaosTable(seed uint64, scale float64) {
 
 // chaosCacheTable is the artifact-cache leg of the chaos mode: every
 // profile artifact committed through an armed cache-corrupt scope is
-// garbled on disk (a torn write — the bytes change AFTER checksumming,
-// so the manifest no longer matches), and the next clean sweep over
+// garbled on disk (a torn write — the body changes AFTER checksumming,
+// so the entry's header no longer matches it), and the next clean sweep over
 // the same directory must detect each damaged entry, recompute, and
 // come out bit-identical. A corrupt cache may slow a sweep down; it
 // must never poison one. Returns false on any violation.

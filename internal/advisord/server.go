@@ -446,7 +446,8 @@ func (s *Server) advise(req *Request, sess *session) *Response {
 	mc := advisor.TwoTier(req.Budget)
 	key := stage.AdviseKey(prof, obs.StrongFingerprint(mc), strategy)
 	report, src, err := memoized(&s.repMemo, key, func() ([]byte, bool, error) {
-		return stage.Load(s.cfg.Cache, key, "report", stage.EncodeReport, stage.DecodeReport,
+		asIs := func(b []byte) ([]byte, error) { return b, nil }
+		return stage.Load(s.cfg.Cache, key, "report", asIs, asIs,
 			func() ([]byte, error) { return s.computeAdvise(prof, mc, strategy) })
 	})
 	if err != nil {

@@ -1,30 +1,25 @@
 package stage
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
 )
 
-// Manifest records what one cache entry holds and how to tell it is
-// intact: the key it answers, the kind of artifact, and a sha256 per
-// file. It is written last, so a manifest that exists and verifies
-// means the whole entry was committed.
-type Manifest struct {
-	Key   string            `json:"key"`
-	Kind  string            `json:"kind"`
-	Files map[string]string `json:"files"` // name -> sha256 hex
-}
-
-const manifestName = "manifest.json"
+// entryMagic opens every entry's header line and names its format
+// version.
+const entryMagic = "hmcache1"
 
 // CacheStats counts what the cache did over its lifetime. Corrupt
 // counts entries that existed on disk but failed verification and were
@@ -36,13 +31,14 @@ type CacheStats struct {
 	Corrupt int64 `json:"corrupt"`
 }
 
-// Cache is a content-addressed artifact store rooted at one directory.
-// Entries live at objects/<key[:2]>/<key>/ and are immutable once
-// committed: Put stages into a temp directory and renames it in, so a
-// crash mid-write leaves either no entry or a whole one — and if
-// anything else slips through (torn write, bit rot, an injected
-// corruption), the per-file checksums in the manifest catch it on Get
-// and the entry is dropped rather than served.
+// Cache is a content-addressed blob store rooted at one directory.
+// Each entry is one file, objects/<key[:2]>/<key>: a header line
+// (magic and version, kind, key, the body's sha256 and its length)
+// followed by the body. Put writes a temp file and renames it over the
+// entry, so a reader sees either the old file or the new one, never a
+// half-written one; if anything else slips through (torn write, bit
+// rot, an injected corruption), the header's checksum catches it on
+// Get and the entry is dropped rather than served.
 //
 // A Cache handle is safe for concurrent use. Multiple handles — in one
 // process or several — may share a directory: keys are content
@@ -52,7 +48,6 @@ type Cache struct {
 	dir   string
 	fault *faultinject.Injector
 
-	mu    sync.Mutex // serializes same-key commit races within this handle
 	stats struct {
 		hits, misses, puts, corrupt atomic.Int64
 	}
@@ -84,116 +79,110 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-func (c *Cache) entryDir(key string) string {
-	if len(key) < 2 {
-		key = "00" + key
-	}
+// validName reports whether s can stand as a key or kind: one field of
+// the header line, and for a key a file name that is not a temp file.
+func validName(s string) bool {
+	return len(s) >= 2 && s[0] != '.' && !strings.ContainsAny(s, " \n/")
+}
+
+func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, "objects", key[:2], key)
 }
 
-// Get fetches the entry for key, returning its files by name, or
-// ok=false on a miss. An entry that exists but fails verification —
-// missing manifest, checksum mismatch, unreadable file — is deleted
-// and reported as a miss: a corrupt artifact is recomputed, never
-// served.
-func (c *Cache) Get(key string) (files map[string][]byte, ok bool) {
-	dir := c.entryDir(key)
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+// entryHeader is the line Put writes ahead of body.
+func entryHeader(kind, key string, body []byte) []byte {
+	return fmt.Appendf(nil, "%s %s %s %x %d\n", entryMagic, kind, key, sha256.Sum256(body), len(body))
+}
+
+// Get fetches the body stored under key, or ok=false on a miss. It is
+// one read: an entry whose header does not answer key, or whose body
+// fails its length or checksum, is deleted and reported as a miss — a
+// corrupt artifact is recomputed, never served.
+func (c *Cache) Get(key string) (body []byte, ok bool) {
+	if !validName(key) {
+		c.stats.misses.Add(1)
+		return nil, false
+	}
+	path := c.entryPath(key)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		c.stats.misses.Add(1)
 		return nil, false
 	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil || m.Key != key {
-		c.drop(dir)
+	head, body, found := bytes.Cut(raw, []byte{'\n'})
+	f := strings.Split(string(head), " ")
+	if !found || len(f) != 5 || !validName(f[1]) || !bytes.Equal(raw[:len(head)+1], entryHeader(f[1], key, body)) {
+		c.drop(path)
 		return nil, false
 	}
-	files = make(map[string][]byte, len(m.Files))
-	for name, sum := range m.Files {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || sha256hex(b) != sum {
-			c.drop(dir)
-			return nil, false
-		}
-		files[name] = b
-	}
 	c.stats.hits.Add(1)
-	return files, true
+	return body, true
 }
 
 // Drop removes the entry for key, counting it corrupt — the remedy
-// for an entry whose checksums verify but whose payload will not
-// decode (e.g. written by an incompatible codec).
+// for an entry whose checksum verifies but whose body will not decode
+// (e.g. written by an incompatible codec).
 func (c *Cache) Drop(key string) {
-	c.drop(c.entryDir(key))
+	if validName(key) {
+		c.drop(c.entryPath(key))
+	}
 }
 
 // drop removes a corrupt entry and counts it as both corrupt and a
 // miss.
-func (c *Cache) drop(dir string) {
-	os.RemoveAll(dir)
+func (c *Cache) drop(path string) {
+	os.Remove(path)
 	c.stats.corrupt.Add(1)
 	c.stats.misses.Add(1)
 }
 
-// Put commits an entry: files are staged into a temp directory next to
-// the final location, checksummed into the manifest, and renamed into
-// place in one step. If the entry already exists it is left alone —
-// content addressing makes the incumbent byte-identical. Under an
-// injected cache-corrupt fault the staged bytes of one file are
-// garbled AFTER checksumming, modeling a torn write the manifest must
-// catch on the next Get.
-func (c *Cache) Put(key, kind string, files map[string][]byte) error {
+// Put commits body under key: it writes the header and body to a
+// dot-named temp file in the key's shard and renames it over the
+// entry, replacing any incumbent — a corrupt one, or a directory left
+// by an older cache layout. Under an injected cache-corrupt fault the
+// body is garbled AFTER checksumming, modeling a torn write the header
+// must catch on the next Get.
+func (c *Cache) Put(key, kind string, body []byte) error {
 	c.stats.puts.Add(1)
-	dir := c.entryDir(key)
-	corrupt := c.fault.CacheCorruption()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil && !corrupt {
-		return nil
+	if !validName(key) || !validName(kind) {
+		return fmt.Errorf("stage: put: bad key %q or kind %q", key, kind)
 	}
-	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
+	head := entryHeader(kind, key, body)
+	if c.fault.CacheCorruption() {
+		body = garble(body)
+	}
+	path := c.entryPath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
-	tmp, err := os.MkdirTemp(filepath.Dir(dir), "."+filepath.Base(dir)+".tmp-")
+	name := filepath.Join(filepath.Dir(path), fmt.Sprintf(".%s.tmp-%016x", key, rand.Uint64()))
+	tmp, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
-	defer os.RemoveAll(tmp)
-
-	m := Manifest{Key: key, Kind: kind, Files: make(map[string]string, len(files))}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
+	_, err = tmp.Write(head)
+	if err == nil {
+		_, err = tmp.Write(body)
 	}
-	sort.Strings(names)
-	for i, name := range names {
-		b := files[name]
-		m.Files[name] = sha256hex(b)
-		if corrupt && i == 0 {
-			b = garble(b)
-		}
-		if err := os.WriteFile(filepath.Join(tmp, name), b, 0o644); err != nil {
-			return fmt.Errorf("stage: put %s: %w", key, err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if err = os.Rename(name, path); err != nil {
+			if fi, serr := os.Lstat(path); serr == nil && fi.IsDir() && os.RemoveAll(path) == nil {
+				err = os.Rename(name, path)
+			}
 		}
 	}
-	mb, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("stage: put %s: %w", key, err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, manifestName), append(mb, '\n'), 0o644); err != nil {
-		return fmt.Errorf("stage: put %s: %w", key, err)
-	}
-	os.RemoveAll(dir) // replace a corrupt incumbent, if any
-	if err := os.Rename(tmp, dir); err != nil {
+		os.Remove(name)
 		return fmt.Errorf("stage: put %s: %w", key, err)
 	}
 	return nil
 }
 
-// garble flips bits so the payload no longer matches its recorded
-// checksum; an empty payload grows a byte so even that case corrupts.
+// garble flips bits so the body no longer matches its recorded
+// checksum; an empty body grows a byte so even that case corrupts.
 func garble(b []byte) []byte {
 	if len(b) == 0 {
 		return []byte{0xff}
@@ -205,7 +194,8 @@ func garble(b []byte) []byte {
 }
 
 // Keys lists every committed entry key, sorted, for manifest reporting
-// and tests.
+// and tests: the regular files of each shard that are not dot-named
+// temp files.
 func (c *Cache) Keys() ([]string, error) {
 	var keys []string
 	root := filepath.Join(c.dir, "objects")
@@ -222,10 +212,8 @@ func (c *Cache) Keys() ([]string, error) {
 			continue
 		}
 		for _, e := range ents {
-			if e.IsDir() && filepath.Ext(e.Name()) == "" {
-				if _, err := os.Stat(filepath.Join(root, sh.Name(), e.Name(), manifestName)); err == nil {
-					keys = append(keys, e.Name())
-				}
+			if e.Type().IsRegular() && e.Name()[0] != '.' {
+				keys = append(keys, e.Name())
 			}
 		}
 	}
@@ -234,33 +222,30 @@ func (c *Cache) Keys() ([]string, error) {
 }
 
 // WriteRunManifest writes a top-level run_manifest.json describing the
-// cache: every entry key with its kind and file checksums. CI uploads
-// it as a build artifact so a human can audit exactly which artifacts a
-// run produced and reused.
+// cache: every entry's key, kind, body sha256 and body length, read
+// from its header line, plus the counters. CI uploads it as a build
+// artifact so a human can audit exactly which artifacts a run produced
+// and reused.
 func (c *Cache) WriteRunManifest() (string, error) {
 	keys, err := c.Keys()
 	if err != nil {
 		return "", err
 	}
 	type entry struct {
-		Key   string            `json:"key"`
-		Kind  string            `json:"kind"`
-		Files map[string]string `json:"files"`
+		Key    string `json:"key"`
+		Kind   string `json:"kind"`
+		SHA256 string `json:"sha256"`
+		Bytes  int64  `json:"bytes"`
 	}
 	out := struct {
 		Entries []entry    `json:"entries"`
 		Stats   CacheStats `json:"stats"`
 	}{Stats: c.Stats()}
 	for _, k := range keys {
-		raw, err := os.ReadFile(filepath.Join(c.entryDir(k), manifestName))
-		if err != nil {
-			continue
+		if f, ok := readHeader(c.entryPath(k)); ok && f[2] == k {
+			n, _ := strconv.ParseInt(f[4], 10, 64)
+			out.Entries = append(out.Entries, entry{Key: k, Kind: f[1], SHA256: f[3], Bytes: n})
 		}
-		var m Manifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			continue
-		}
-		out.Entries = append(out.Entries, entry{Key: m.Key, Kind: m.Kind, Files: m.Files})
 	}
 	b, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
@@ -273,7 +258,15 @@ func (c *Cache) WriteRunManifest() (string, error) {
 	return path, nil
 }
 
-func sha256hex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+// readHeader returns the five fields of the header line of the entry
+// file at path, without reading its body.
+func readHeader(path string) ([]string, bool) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer fh.Close()
+	line, err := bufio.NewReader(fh).ReadSlice('\n')
+	f := strings.Split(strings.TrimSuffix(string(line), "\n"), " ")
+	return f, err == nil && len(f) == 5 && f[0] == entryMagic
 }

@@ -12,8 +12,10 @@ package stage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/advisor"
 	"repro/internal/baseline"
@@ -139,15 +141,15 @@ func Advise(ctx context.Context, prof *paramedir.Profile, mc advisor.MemoryConfi
 
 // Load is the disk tier: it returns key's value from c when the entry
 // is there and decodes, and otherwise computes it and commits its
-// encoding. An entry whose checksums verify but whose payload does not
-// decode (one written by an incompatible codec) is dropped and
-// recomputed, and a failed encode or commit only skips the write: a
-// cache can slow a caller down, never sink it. fromDisk reports a hit;
-// a nil c always computes.
-func Load[V any](c *Cache, key, kind string, encode func(V) (map[string][]byte, error), decode func(map[string][]byte) (V, error), compute func() (V, error)) (v V, fromDisk bool, err error) {
+// encoding as the entry's body. An entry whose checksum verifies but
+// whose body does not decode (one written by an incompatible codec) is
+// dropped and recomputed, and a failed encode or commit only skips the
+// write: a cache can slow a caller down, never sink it. fromDisk
+// reports a hit; a nil c always computes.
+func Load[V any](c *Cache, key, kind string, encode func(V) ([]byte, error), decode func([]byte) (V, error), compute func() (V, error)) (v V, fromDisk bool, err error) {
 	if c != nil {
-		if files, ok := c.Get(key); ok {
-			if v, err := decode(files); err == nil {
+		if body, ok := c.Get(key); ok {
+			if v, err := decode(body); err == nil {
 				return v, true, nil
 			}
 			c.Drop(key)
@@ -156,19 +158,11 @@ func Load[V any](c *Cache, key, kind string, encode func(V) (map[string][]byte, 
 	if v, err = compute(); err != nil || c == nil {
 		return v, false, err
 	}
-	if files, err := encode(v); err == nil {
-		_ = c.Put(key, kind, files)
+	if body, err := encode(v); err == nil {
+		_ = c.Put(key, kind, body)
 	}
 	return v, false, nil
 }
-
-// Artifact file names inside profile and report cache entries.
-const (
-	fileTrace      = "trace.prv"
-	fileProfileRun = "profrun.json"
-	fileProfileCSV = "profile.csv"
-	fileReport     = "report.tsv"
-)
 
 // ProfileArtifact is a profiling run's full artifact set, as stored in
 // and recovered from the cache. Every field round-trips exactly: the
@@ -180,75 +174,60 @@ type ProfileArtifact struct {
 	Profile *paramedir.Profile
 }
 
-// EncodeProfileArtifact serializes a profiling artifact into cache
-// entry files. The trace is stored once, in its own codec; the run
-// result's Trace pointer is nilled in the JSON and reattached on
-// decode.
-func EncodeProfileArtifact(a *ProfileArtifact) (map[string][]byte, error) {
-	var tb bytes.Buffer
-	if err := a.Trace.Write(&tb); err != nil {
-		return nil, err
-	}
+// EncodeProfileArtifact serializes a profiling artifact into one cache
+// entry body: the trace in its own codec, the run result as JSON (its
+// Trace pointer nilled, reattached on decode) and the profile as
+// Paramedir CSV, each behind an 8-byte big-endian length. Every part
+// is written straight into the one buffer.
+func EncodeProfileArtifact(a *ProfileArtifact) ([]byte, error) {
 	run := *a.Run
 	run.Trace = nil
-	rb, err := json.Marshal(&run)
-	if err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	for _, write := range []func(io.Writer) error{
+		a.Trace.Write,
+		func(w io.Writer) error { return json.NewEncoder(w).Encode(&run) },
+		a.Profile.WriteCSV,
+	} {
+		at := buf.Len()
+		buf.Write(make([]byte, 8))
+		if err := write(&buf); err != nil {
+			return nil, err
+		}
+		binary.BigEndian.PutUint64(buf.Bytes()[at:], uint64(buf.Len()-at-8))
 	}
-	var pb bytes.Buffer
-	if err := a.Profile.WriteCSV(&pb); err != nil {
-		return nil, err
-	}
-	return map[string][]byte{
-		fileTrace:      tb.Bytes(),
-		fileProfileRun: rb,
-		fileProfileCSV: pb.Bytes(),
-	}, nil
+	return buf.Bytes(), nil
 }
 
-// DecodeProfileArtifact recovers a profiling artifact from cache entry
-// files.
-func DecodeProfileArtifact(files map[string][]byte) (*ProfileArtifact, error) {
-	tb, ok := files[fileTrace]
-	if !ok {
-		return nil, fmt.Errorf("stage: profile entry missing %s", fileTrace)
+// DecodeProfileArtifact recovers a profiling artifact from a cache
+// entry body written by EncodeProfileArtifact. A length that runs past
+// the body, or bytes after the last part, is an error.
+func DecodeProfileArtifact(b []byte) (*ProfileArtifact, error) {
+	var parts [3][]byte
+	for i := range parts {
+		if len(b) < 8 {
+			return nil, fmt.Errorf("stage: profile entry: part %d: truncated length", i)
+		}
+		n := binary.BigEndian.Uint64(b)
+		if b = b[8:]; n > uint64(len(b)) {
+			return nil, fmt.Errorf("stage: profile entry: part %d: length %d overruns the %d bytes left", i, n, len(b))
+		}
+		parts[i], b = b[:n], b[n:]
 	}
-	tr, err := trace.Read(bytes.NewReader(tb))
+	if len(b) != 0 {
+		return nil, fmt.Errorf("stage: profile entry: %d bytes after the last part", len(b))
+	}
+	tr, err := trace.Read(bytes.NewReader(parts[0]))
 	if err != nil {
 		return nil, err
 	}
-	rb, ok := files[fileProfileRun]
-	if !ok {
-		return nil, fmt.Errorf("stage: profile entry missing %s", fileProfileRun)
-	}
 	run := new(engine.Result)
-	if err := json.Unmarshal(rb, run); err != nil {
+	if err := json.Unmarshal(parts[1], run); err != nil {
 		return nil, err
 	}
 	run.Trace = tr
-	pb, ok := files[fileProfileCSV]
-	if !ok {
-		return nil, fmt.Errorf("stage: profile entry missing %s", fileProfileCSV)
-	}
-	prof, err := paramedir.ReadCSV(bytes.NewReader(pb))
+	prof, err := paramedir.ReadCSV(bytes.NewReader(parts[2]))
 	if err != nil {
 		return nil, err
 	}
 	return &ProfileArtifact{Trace: tr, Run: run, Profile: prof}, nil
-}
-
-// EncodeReport stores a written advisor report as a report cache
-// entry.
-func EncodeReport(b []byte) (map[string][]byte, error) {
-	return map[string][]byte{fileReport: b}, nil
-}
-
-// DecodeReport recovers a written advisor report from a report cache
-// entry.
-func DecodeReport(files map[string][]byte) ([]byte, error) {
-	b, ok := files[fileReport]
-	if !ok {
-		return nil, fmt.Errorf("stage: report entry missing %s", fileReport)
-	}
-	return b, nil
 }

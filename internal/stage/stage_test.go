@@ -1,6 +1,8 @@
 package stage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -42,12 +44,12 @@ func TestLoadDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encode := func(s string) (map[string][]byte, error) { return map[string][]byte{"v": []byte(s)}, nil }
-	decode := func(files map[string][]byte) (string, error) {
-		if string(files["v"]) == "bad" {
+	encode := func(s string) ([]byte, error) { return []byte(s), nil }
+	decode := func(b []byte) (string, error) {
+		if string(b) == "bad" {
 			return "", errors.New("undecodable")
 		}
-		return string(files["v"]), nil
+		return string(b), nil
 	}
 	computes := 0
 	load := func(key, val string) (string, bool, error) {
@@ -60,7 +62,7 @@ func TestLoadDisk(t *testing.T) {
 	if v, fromDisk, err := load("aa01", "y"); err != nil || !fromDisk || v != "x" || computes != 1 {
 		t.Fatalf("hit: (%q, %v, %v) after %d computes, want (x, true, nil) after 1", v, fromDisk, err, computes)
 	}
-	if err := c.Put("aa02", "test", map[string][]byte{"v": []byte("bad")}); err != nil {
+	if err := c.Put("aa02", "test", []byte("bad")); err != nil {
 		t.Fatal(err)
 	}
 	if v, fromDisk, err := load("aa02", "z"); err != nil || fromDisk || v != "z" || computes != 2 {
@@ -72,4 +74,54 @@ func TestLoadDisk(t *testing.T) {
 	if v, fromDisk, _ := load("aa02", "w"); !fromDisk || v != "z" {
 		t.Fatalf("recomputed entry not committed: (%q, %v)", v, fromDisk)
 	}
+}
+
+// FuzzDecodeProfileArtifact: the profile entry codec never panics,
+// refuses a body whose part lengths do not frame it exactly — short,
+// overrunning or with bytes left over — and re-encodes what it accepts
+// to a fixed point.
+func FuzzDecodeProfileArtifact(f *testing.F) {
+	w, err := apps.ByName("minife")
+	if err != nil {
+		f.Fatal(err)
+	}
+	art, err := Profile(w, ProfileParams{Machine: apps.MachineFor(w), Seed: 3, RefScale: 0.01}, engine.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := EncodeProfileArtifact(art)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add(append(bytes.Clone(enc), 0))
+	f.Add(binary.BigEndian.AppendUint64(nil, 1<<63))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		framed, rest := true, b
+		for i := 0; i < 3 && framed; i++ {
+			if framed = len(rest) >= 8 && binary.BigEndian.Uint64(rest) <= uint64(len(rest)-8); framed {
+				rest = rest[8+binary.BigEndian.Uint64(rest):]
+			}
+		}
+		a, err := DecodeProfileArtifact(b)
+		if err != nil {
+			return
+		}
+		if !framed || len(rest) != 0 {
+			t.Fatalf("decoded a body whose part lengths do not frame it: %q", b)
+		}
+		once, err := EncodeProfileArtifact(a)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := DecodeProfileArtifact(once)
+		if err != nil {
+			t.Fatalf("decode of a re-encoding: %v", err)
+		}
+		if twice, err := EncodeProfileArtifact(back); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n%q\n%q", err, once, twice)
+		}
+	})
 }
