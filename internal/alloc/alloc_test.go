@@ -50,6 +50,35 @@ func TestSpaceRejectsBadSize(t *testing.T) {
 	}
 }
 
+// TestSpaceRefusesSegmentsAtMaxAddr pins the address bound that keeps
+// the cache-mode front cache's 32-bit tags exact: a segment may end one
+// byte below mem.MaxAddr, not at or above it, and a refused segment
+// leaves the space unchanged.
+func TestSpaceRefusesSegmentsAtMaxAddr(t *testing.T) {
+	sp := newTestSpace()
+	base, gen := sp.next, sp.pt.Gen()
+	if _, err := sp.AddSegment("at", int64(mem.MaxAddr-base), mem.TierDDR); err == nil {
+		t.Fatal("segment ending at MaxAddr accepted")
+	}
+	if _, err := sp.AddSegment("above", int64(mem.MaxAddr), mem.TierDDR); err == nil {
+		t.Fatal("segment ending above MaxAddr accepted")
+	}
+	if sp.next != base || sp.pt.Gen() != gen {
+		t.Fatal("refused segment changed the space")
+	}
+	seg, err := sp.AddSegment("below", int64(mem.MaxAddr-base-1), mem.TierDDR)
+	if err != nil {
+		t.Fatalf("segment ending one byte below MaxAddr refused: %v", err)
+	}
+	if seg.End() != mem.MaxAddr-1 {
+		t.Fatalf("segment ends at %#x, want %#x", seg.End(), uint64(mem.MaxAddr-1))
+	}
+	// The next segment would start past the bound (segmentGap).
+	if _, err := sp.AddSegment("next", 1, mem.TierDDR); err == nil {
+		t.Fatal("segment starting above MaxAddr accepted")
+	}
+}
+
 func TestArenaMallocFreeRoundTrip(t *testing.T) {
 	a := newTestArena(t, units.MB)
 	p, err := a.Malloc(1000)

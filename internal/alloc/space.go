@@ -35,8 +35,10 @@ func (s Segment) Contains(addr uint64) bool {
 	return addr >= s.Base && addr < s.End()
 }
 
-// Space hands out non-overlapping segments of a simulated 64-bit
-// address space and records their tier in the page table.
+// Space hands out non-overlapping segments of a simulated address
+// space below mem.MaxAddr (2^48, the user half of x86-64's 48-bit
+// virtual space) and records their tier in the page table. The bound
+// is what keeps cache.DirectMapped's 32-bit tags exact.
 type Space struct {
 	next uint64
 	pt   *mem.PageTable
@@ -53,10 +55,14 @@ func NewSpace(pt *mem.PageTable) *Space {
 	return &Space{next: 1 << 32, pt: pt}
 }
 
-// AddSegment reserves size bytes on tier and returns the segment.
+// AddSegment reserves size bytes on tier and returns the segment. It
+// refuses a segment that would end at or above mem.MaxAddr.
 func (sp *Space) AddSegment(name string, size int64, tier mem.TierID) (Segment, error) {
 	if size <= 0 {
 		return Segment{}, fmt.Errorf("alloc: segment %q size must be positive, got %d", name, size)
+	}
+	if sp.next >= mem.MaxAddr || uint64(size) >= mem.MaxAddr-sp.next {
+		return Segment{}, fmt.Errorf("alloc: segment %q of %d bytes at %#x would end at or above %#x", name, size, sp.next, uint64(mem.MaxAddr))
 	}
 	seg := Segment{Name: name, Base: sp.next, Size: size, Tier: tier}
 	sp.next += uint64(size) + segmentGap

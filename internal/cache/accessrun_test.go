@@ -245,7 +245,7 @@ func diffCalls(t testing.TB, m mem.Machine, lo, hi uint64, hotBytes, period int6
 		if !slices.Equal(setRecency(hBatch.llc), setRecency(hRef.llc)) {
 			t.Errorf("%s: LLC set contents or LRU order differ from per-ref", label)
 		}
-		if mc := hBatch.MCDRAMCache(); mc != nil && !slices.Equal(mc.tags, hRef.MCDRAMCache().tags) {
+		if mc := hBatch.MCDRAMCache(); mc != nil && !sameSlots(mc, hRef.MCDRAMCache()) {
 			t.Errorf("%s: MCDRAM$ contents differ from per-ref", label)
 		}
 		if !slices.Equal(mBatch, mWant) {

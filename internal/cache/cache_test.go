@@ -165,7 +165,7 @@ func TestSetAssocMatchesLRUModel(t *testing.T) {
 }
 
 func TestDirectMappedBasics(t *testing.T) {
-	c, err := NewDirectMapped(16*units.PageSize, units.PageSize)
+	c, err := NewDirectMapped(32*units.PageSize, units.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestDirectMappedBasics(t *testing.T) {
 	if !c.Access(100) { // same page
 		t.Fatal("same-page access missed")
 	}
-	// Conflicting page: 16 pages away maps to the same slot.
-	if c.Access(16 * uint64(units.PageSize)) {
+	// Conflicting page: 32 pages away maps to the same slot.
+	if c.Access(32 * uint64(units.PageSize)) {
 		t.Fatal("conflicting page hit")
 	}
 	// Original page was evicted by the conflict.
@@ -186,9 +186,9 @@ func TestDirectMappedBasics(t *testing.T) {
 }
 
 func TestDirectMappedConflictThrash(t *testing.T) {
-	c, _ := NewDirectMapped(16*units.PageSize, units.PageSize)
-	// Two pages 16 apart alternate: direct mapping thrashes 100%.
-	a, b := uint64(0), uint64(16*units.PageSize)
+	c, _ := NewDirectMapped(32*units.PageSize, units.PageSize)
+	// Two pages 32 apart alternate: direct mapping thrashes 100%.
+	a, b := uint64(0), uint64(32*units.PageSize)
 	for i := 0; i < 100; i++ {
 		c.Access(a)
 		c.Access(b)
@@ -210,6 +210,20 @@ func TestDirectMappedErrors(t *testing.T) {
 	}
 	if _, err := NewDirectMapped(3*units.PageSize, units.PageSize); err == nil {
 		t.Error("non-power-of-two entry count accepted")
+	}
+	// Below 128 KB the 32-bit tags cannot tell every address under
+	// mem.MaxAddr apart: at 64 KB the top 64 KB would read as a hit on
+	// an empty slot.
+	for _, capacity := range []int64{units.PageSize, 64 * units.KB} {
+		if _, err := NewDirectMapped(capacity, units.PageSize); err == nil {
+			t.Errorf("capacity %d below minDirectMappedBytes accepted", capacity)
+		}
+	}
+	if minDirectMappedBytes != 128*units.KB {
+		t.Errorf("minDirectMappedBytes = %d, want 128 KB", minDirectMappedBytes)
+	}
+	if _, err := NewDirectMapped(minDirectMappedBytes, units.PageSize); err != nil {
+		t.Errorf("capacity minDirectMappedBytes refused: %v", err)
 	}
 }
 

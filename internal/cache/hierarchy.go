@@ -89,6 +89,46 @@ func NewHierarchy(machine *mem.Machine, pt *mem.PageTable) (*Hierarchy, error) {
 	return h, nil
 }
 
+// Reuse rebinds the hierarchy to a new run's machine and page table,
+// resetting every piece of mutable state, provided the new machine
+// needs bit-identical cache structures (same L1/LLC geometry, same
+// line size, same mode, and in cache mode the same MCDRAM capacity).
+// It returns false — leaving the hierarchy untouched — when the
+// geometry differs and the caller must build a fresh Hierarchy. The
+// tag arrays are the dominant per-run allocation of a sweep cell (in
+// cache mode, megabytes of front-cache leaves, allocated as the run
+// first touches them), so pooled sweep workers reuse them across the
+// cells they execute: a reused front cache keeps its leaves, cleared,
+// and allocates only for slots no earlier cell touched. A reused
+// hierarchy must be indistinguishable from a new one, which is what
+// the pooled-vs-fresh sweep invariance tests pin.
+func (h *Hierarchy) Reuse(machine *mem.Machine, pt *mem.PageTable) bool {
+	if err := machine.Validate(); err != nil {
+		return false
+	}
+	if machine.LLC != h.machine.LLC || machine.LineSize != h.machine.LineSize || machine.Mode != h.machine.Mode {
+		return false
+	}
+	if machine.Mode == mem.CacheMode {
+		mc, ok := machine.Tier(mem.TierMCDRAM)
+		if !ok || h.mcCache == nil {
+			return false
+		}
+		prev, ok := h.machine.Tier(mem.TierMCDRAM)
+		if !ok || mc.Capacity != prev.Capacity {
+			return false
+		}
+	}
+	h.machine = machine
+	h.pt = pt
+	h.ResetCaches()
+	h.traffic.Reset()
+	h.hitCycles = 0
+	h.runStart, h.runEnd, h.runGen, h.runTier, h.runLines = 0, 0, 0, 0, 0
+	h.SetLLCMissHook(0, nil)
+	return true
+}
+
 // SetLLCMissHook installs hook to observe the LLC miss stream
 // decimated: it is called on the due-th LLC miss from now (due >= 1;
 // 1 is the very next miss), before that miss is resolved against
@@ -409,42 +449,4 @@ func (h *Hierarchy) ResetCaches() {
 	if h.mcCache != nil {
 		h.mcCache.Reset()
 	}
-}
-
-// Reuse rebinds the hierarchy to a new run's machine and page table,
-// resetting every piece of mutable state, provided the new machine
-// needs bit-identical cache structures (same L1/LLC geometry, same
-// line size, same mode, and in cache mode the same MCDRAM capacity).
-// It returns false — leaving the hierarchy untouched — when the
-// geometry differs and the caller must build a fresh Hierarchy. The
-// tag arrays are the dominant per-run allocation of a sweep cell
-// (megabytes for a cache-mode run), so pooled sweep workers reuse
-// them across the cells they execute; a reused hierarchy must be
-// indistinguishable from a new one, which is what the pooled-vs-fresh
-// sweep invariance tests pin.
-func (h *Hierarchy) Reuse(machine *mem.Machine, pt *mem.PageTable) bool {
-	if err := machine.Validate(); err != nil {
-		return false
-	}
-	if machine.LLC != h.machine.LLC || machine.LineSize != h.machine.LineSize || machine.Mode != h.machine.Mode {
-		return false
-	}
-	if machine.Mode == mem.CacheMode {
-		mc, ok := machine.Tier(mem.TierMCDRAM)
-		if !ok || h.mcCache == nil {
-			return false
-		}
-		prev, ok := h.machine.Tier(mem.TierMCDRAM)
-		if !ok || mc.Capacity != prev.Capacity {
-			return false
-		}
-	}
-	h.machine = machine
-	h.pt = pt
-	h.ResetCaches()
-	h.traffic.Reset()
-	h.hitCycles = 0
-	h.runStart, h.runEnd, h.runGen, h.runTier, h.runLines = 0, 0, 0, 0, 0
-	h.SetLLCMissHook(0, nil)
-	return true
 }

@@ -18,6 +18,7 @@ package callstack
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -58,12 +59,31 @@ type Symbol struct {
 }
 
 // Module is a loaded executable or shared library.
+//
+// Its symbols are contiguous from link address 0x1000, so the table is
+// one uint32 start address per symbol plus the end of the last:
+// symbol i covers [starts[i], starts[i+1]). A run names only a handful
+// of them, so names are a sparse map filled on first lookup.
 type Module struct {
-	Name string
-	Size int64
-	Bias uint64   // runtime load bias (ASLR); runtime = link + bias
-	syms []Symbol // sorted by Addr; Name "" until first looked up
-	stem string   // Name without ".so": the synthetic symbol prefix
+	Name   string
+	Size   int64
+	Bias   uint64         // runtime load bias (ASLR); runtime = link + bias
+	starts []uint32       // nsyms+1 link addresses, ascending
+	names  map[int]string // symbol index -> name, once looked up or bound
+	stem   string         // Name without ".so": the synthetic symbol prefix
+}
+
+// symbol returns symbol i with its name so far ("" until looked up).
+func (m *Module) symbol(i int) Symbol {
+	return Symbol{Name: m.names[i], Addr: uint64(m.starts[i]), Size: int64(m.starts[i+1] - m.starts[i])}
+}
+
+// setName names symbol i.
+func (m *Module) setName(i int, name string) {
+	if m.names == nil {
+		m.names = make(map[int]string)
+	}
+	m.names[i] = name
 }
 
 // SymbolFor returns the symbol covering the link-time address, if any.
@@ -73,18 +93,17 @@ type Module struct {
 // the Program that owns it, one per simulated run) is not safe for
 // concurrent use.
 func (m *Module) SymbolFor(link uint64) (Symbol, bool) {
-	i := sort.Search(len(m.syms), func(i int) bool { return m.syms[i].Addr > link })
-	if i == 0 {
+	n := len(m.starts) - 1
+	i := sort.Search(n, func(i int) bool { return uint64(m.starts[i]) > link }) - 1
+	if i < 0 || link >= uint64(m.starts[n]) {
 		return Symbol{}, false
 	}
-	s := &m.syms[i-1]
-	if link >= s.Addr+uint64(s.Size) {
-		return Symbol{}, false
+	sym := m.symbol(i)
+	if sym.Name == "" {
+		sym.Name = fmt.Sprintf("%s::fn%04d", m.stem, i)
+		m.setName(i, sym.Name)
 	}
-	if s.Name == "" {
-		s.Name = fmt.Sprintf("%s::fn%04d", m.stem, i-1)
-	}
-	return *s, true
+	return sym, true
 }
 
 // Table is the per-process module map: it knows every loaded module,
@@ -111,17 +130,20 @@ func (t *Table) AddModule(name string, nsyms int, rng *xrand.RNG) *Module {
 		seed = seed*131 + uint64(c)
 	}
 	layout := xrand.New(seed)
-	syms := make([]Symbol, nsyms)
+	starts := make([]uint32, nsyms+1)
 	addr := uint64(0x1000)
-	for i := range syms {
-		size := int64(64 + layout.Uint64n(2048))
-		syms[i] = Symbol{Addr: addr, Size: size}
-		addr += uint64(size)
+	for i := 0; i < nsyms; i++ {
+		starts[i] = uint32(addr)
+		addr += 64 + layout.Uint64n(2048)
 	}
+	if addr > math.MaxUint32 {
+		panic("callstack: module over the 4 GB a uint32 symbol table holds")
+	}
+	starts[nsyms] = uint32(addr)
 	// Runtime bias: page-aligned, keeps modules disjoint by spacing
 	// them 1 TiB apart plus a random page offset.
 	bias := (uint64(len(t.modules)+1) << 40) + (rng.Uint64n(1<<20))*uint64(units.PageSize)
-	m := &Module{Name: name, Size: int64(addr), Bias: bias, syms: syms, stem: strings.TrimSuffix(name, ".so")}
+	m := &Module{Name: name, Size: int64(addr), Bias: bias, starts: starts, stem: strings.TrimSuffix(name, ".so")}
 	t.modules = append(t.modules, m)
 	sort.Slice(t.modules, func(i, j int) bool { return t.modules[i].Bias < t.modules[j].Bias })
 	return m

@@ -11,7 +11,7 @@ import (
 func TestModuleSymbolLookup(t *testing.T) {
 	tb := NewTable()
 	m := tb.AddModule("a.out", 100, xrand.New(1))
-	sym := m.syms[10]
+	sym := m.symbol(10)
 	got, ok := m.SymbolFor(sym.Addr)
 	if !ok || got.Name != "a.out::fn0010" {
 		t.Fatalf("SymbolFor(start) = %v/%v", got, ok)

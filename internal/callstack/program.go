@@ -44,9 +44,9 @@ func hashString(s string) uint64 {
 // source-level function names the advisor report matches on.
 func (p *Program) symbolFor(fn string) Symbol {
 	if idx, ok := p.funcSym[fn]; ok {
-		return p.Main.syms[idx]
+		return p.Main.symbol(idx)
 	}
-	n := len(p.Main.syms)
+	n := len(p.Main.starts) - 1
 	idx := int(hashString(fn) % uint64(n))
 	taken := make(map[int]bool, len(p.funcSym))
 	for _, i := range p.funcSym {
@@ -56,8 +56,8 @@ func (p *Program) symbolFor(fn string) Symbol {
 		idx = (idx + 1) % n
 	}
 	p.funcSym[fn] = idx
-	p.Main.syms[idx].Name = fn
-	return p.Main.syms[idx]
+	p.Main.setName(idx, fn)
+	return p.Main.symbol(idx)
 }
 
 // Site fabricates the runtime call stack for an allocation reached via

@@ -7,14 +7,15 @@ import (
 )
 
 // Pool caches the expensive per-run simulator state — the radix page
-// table's leaf arrays, the cache hierarchy's tag arrays (megabytes for
-// a cache-mode run), and the allocator arenas' free lists and live
-// maps — across the runs one sweep worker executes. Every pooled
-// structure is reset to its freshly-constructed state before reuse, so
-// a pooled run is bit-identical to an unpooled one (pinned by the
-// sweep serial/parallel invariance suite and the pooled-equivalence
-// tests); pooling only removes the allocation and zeroing churn of
-// rebuilding the same multi-megabyte structures for every grid cell.
+// table's leaf arrays, the cache hierarchy's tag arrays (megabytes of
+// front-cache leaves for a cache-mode run), and the allocator arenas'
+// free lists and live maps — across the runs one sweep worker
+// executes. Every pooled structure is reset to its freshly-constructed
+// state before reuse, so a pooled run is bit-identical to an unpooled
+// one (pinned by the sweep serial/parallel invariance suite and the
+// pooled-equivalence tests); pooling only removes the allocation and
+// zeroing churn of rebuilding the same multi-megabyte structures for
+// every grid cell.
 //
 // A Pool is NOT safe for concurrent use: RunSweep keeps exactly one
 // per worker, which also shards the page table's mutable last-hit

@@ -72,6 +72,11 @@ const (
 	leafMask = leafSize - 1
 )
 
+// MaxAddr bounds the simulated address space: alloc.Space refuses a
+// segment that would reach it, and cache.DirectMapped's 32-bit tags
+// are exact for every address below it.
+const MaxAddr = 1 << 48
+
 // pageLeaf holds one radix leaf of per-page overrides. Entries are
 // uint16 so every possible TierID (0..255) encodes as TierID+1 without
 // wrapping; 0 means "no override".
